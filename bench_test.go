@@ -330,7 +330,7 @@ func BenchmarkAblationMLP(b *testing.B) {
 }
 
 // BenchmarkAblationMemoryWalk compares the paper-style fixed walk cost
-// against the memory-backed four-level walk model.
+// against the memory-backed four-level walk model (pwc).
 func BenchmarkAblationMemoryWalk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchOpts()
@@ -338,7 +338,7 @@ func BenchmarkAblationMemoryWalk(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		o.MemoryWalk = true
+		o.WalkModel = "pwc"
 		r1, err := Run(Tagless, "mcf", o)
 		if err != nil {
 			b.Fatal(err)

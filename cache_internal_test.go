@@ -309,7 +309,7 @@ func TestFingerprintSemantics(t *testing.T) {
 	if stored != pre {
 		t.Errorf("stored preimage differs from the job's:\nstored: %s\n   job: %s", stored, pre)
 	}
-	if !strings.Contains(stored, "model=") || !strings.Contains(stored, "options{") {
+	if !strings.Contains(stored, "model=") || !strings.Contains(stored, "options={") {
 		t.Errorf("stored preimage not auditable: %s", stored)
 	}
 }

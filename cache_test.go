@@ -25,6 +25,42 @@ func smallOptions() taglessdram.Options {
 	return o
 }
 
+// TestEpochCapacityChangeReplaysFresh: the epoch ring's bound shapes
+// Result.Epochs, so a run at a different capacity must not replay an
+// entry stored under another one. A warm replay after the change has to
+// be byte-identical to a fresh run at the new capacity.
+func TestEpochCapacityChangeReplaysFresh(t *testing.T) {
+	store, err := taglessdram.OpenResultCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := smallOptions()
+	o.EpochRefs = 2000
+	fresh, err := taglessdram.Run(taglessdram.Tagless, "sphinx3", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := o
+	small.EpochCapacity = 2
+	small.ResultCache = store
+	truncated, err := taglessdram.Run(taglessdram.Tagless, "sphinx3", small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if truncated.EpochsDropped == 0 {
+		t.Fatalf("capacity 2 kept all %d epochs; the test needs a truncated series", len(truncated.Epochs))
+	}
+	o.ResultCache = store
+	replay, err := taglessdram.Run(taglessdram.Tagless, "sphinx3", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cacheMetricsBytes(t, replay), cacheMetricsBytes(t, fresh); !bytes.Equal(got, want) {
+		t.Errorf("run at the default epoch capacity replayed the capacity-2 entry: %d epochs (%d dropped), fresh run has %d (%d dropped)",
+			len(replay.Epochs), replay.EpochsDropped, len(fresh.Epochs), fresh.EpochsDropped)
+	}
+}
+
 // TestCacheHitBitIdentityAllOrganizations replays every registered
 // organization from the cache and asserts the replayed Result serializes
 // byte-for-byte like the freshly simulated one — the soundness claim the

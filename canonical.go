@@ -3,6 +3,7 @@ package taglessdram
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 
 	"taglessdram/internal/resultcache"
@@ -15,7 +16,9 @@ import (
 // cache entries then stop matching and every cell re-simulates, so a
 // stale cache can never replay results from a different model.
 //
-// It is a var, not a const, only so the invalidation tests can bump it;
+// TestModelVersionPinsGoldens pins it together with a digest of the
+// golden fingerprints, so neither can change without the other. It is a
+// var, not a const, only so the invalidation tests can bump it;
 // production code must treat it as a constant.
 var modelVersion = 1
 
@@ -25,93 +28,21 @@ var modelVersion = 1
 // tell when two servers' caches are comparable.
 func ModelVersion() int { return modelVersion }
 
-// Every exported Options field is classified as either semantic (it can
-// change a run's Result, so it is hashed into the cache key) or
-// non-semantic (execution mechanics and observers that never change the
-// simulated metrics, so identical runs under different values still
-// share a cache entry). TestOptionsFieldsClassified enforces that the
-// two sets are exhaustive and disjoint, and that Canonical() really
-// depends on every semantic field and on no non-semantic one — a new
-// Options field fails the test until it is classified here, which is
-// what prevents silent stale-hit bugs.
-var semanticOptionFields = map[string]bool{
-	"Shift":               true,
-	"Warmup":              true,
-	"Measure":             true,
-	"Seed":                true,
-	"CacheMB":             true,
-	"Policy":              true,
-	"NCAccessThreshold":   true,
-	"SynchronousEviction": true,
-	"CachedGIPT":          true,
-	"SharedAliasTable":    true,
-	"HotFilterThreshold":  true,
-	"Superpages":          true,
-	"Refresh":             true,
-	"L2TLBEntries":        true,
-	"Alpha":               true,
-	"MemoryWalk":          true,
-	"WalkModel":           true,
-	"PWCHitCycles":        true,
-	"TLBTopology":         true,
-	"CtxSwitchRefs":       true,
-	"CtxSwitchFlush":      true,
-	"MSHRs":               true,
-	"EpochRefs":           true, // epoch length shapes Result.Epochs
-	"Sample":              true, // sampled runs measure different windows
-	// The three checkpoint fields are semantic through one derived bit:
-	// any of them switches the run to the quiesced Warmup/Measure phase
-	// pair, whose results differ from a plain Run. Their values beyond
-	// that (which file, which store) don't enter the key — and runs that
-	// read or write checkpoint *files* bypass the cache entirely, since
-	// a loaded file's bytes are outside the fingerprint.
-	"CheckpointSave": true,
-	"CheckpointLoad": true,
-	"Checkpoints":    true,
-}
-
-var nonSemanticOptionFields = map[string]bool{
-	"ExtraDesigns":    true, // shapes which grid cells exist, never a cell's result
-	"Workers":         true, // jobs are isolated; parallel == serial bit-for-bit
-	"Server":          true, // where a sweep runs; remote results are byte-identical
-	"Progress":        true, // observer
-	"OnSweepAccepted": true, // observer (remote sweep-ID callback)
-	"EpochCapacity":   true, // ring bound; drops old epochs, never changes metrics
-	"MetricsSink":     true, // observer
-	"TraceEvents":     true, // observer (and trace-requesting runs bypass the cache)
-	"TraceEventLimit": true, // trace window bound
-	"ResultCache":     true, // the cache itself
-}
-
-// Canonical renders the semantic Options fields — exactly the fields in
-// semanticOptionFields — as one deterministic line. It is the Options
-// portion of a cache key's preimage. Warmup is normalized to its
-// effective value (Run substitutes Measure for a zero Warmup), and the
-// three checkpoint fields collapse into the derived Quiesced bit.
-func (o Options) Canonical() string {
-	warmup := o.Warmup
-	if warmup == 0 {
-		warmup = o.Measure
+// Canonical renders the options' semantic identity as JSON: the fields
+// with a json name, in declaration order, and a derived quiesced bit
+// standing in for the checkpoint fields. It is both the Options portion
+// of a cache key's preimage and the options object RemoteSweep sends,
+// which the sweep service decodes straight back into Options. Warmup is
+// normalized to its effective value (Run substitutes Measure for a zero
+// Warmup). It fails only on a Policy outside FIFO/LRU/CLOCK.
+func (o Options) Canonical() ([]byte, error) {
+	if o.Warmup == 0 {
+		o.Warmup = o.Measure
 	}
-	sample := "nil"
-	if o.Sample != nil {
-		sample = fmt.Sprintf("%+v", *o.Sample)
-	}
-	return fmt.Sprintf(
-		"Shift=%d Warmup=%d Measure=%d Seed=%d CacheMB=%d Policy=%d "+
-			"NCAccessThreshold=%d SynchronousEviction=%t CachedGIPT=%t "+
-			"SharedAliasTable=%t HotFilterThreshold=%d Superpages=%t "+
-			"Refresh=%t L2TLBEntries=%d Alpha=%d MemoryWalk=%t "+
-			"WalkModel=%q PWCHitCycles=%d TLBTopology=%q "+
-			"CtxSwitchRefs=%d CtxSwitchFlush=%t MSHRs=%d "+
-			"EpochRefs=%d Sample={%s} Quiesced=%t",
-		o.Shift, warmup, o.Measure, o.Seed, o.CacheMB, o.Policy,
-		o.NCAccessThreshold, o.SynchronousEviction, o.CachedGIPT,
-		o.SharedAliasTable, o.HotFilterThreshold, o.Superpages,
-		o.Refresh, o.L2TLBEntries, o.Alpha, o.MemoryWalk,
-		o.WalkModel, o.PWCHitCycles, o.TLBTopology,
-		o.CtxSwitchRefs, o.CtxSwitchFlush, o.MSHRs,
-		o.EpochRefs, sample, o.quiesced())
+	return json.Marshal(struct {
+		Options
+		Quiesced bool `json:"quiesced,omitempty"`
+	}{o, o.quiesced()})
 }
 
 // projectFor normalizes the option facets a design never consumes, so
@@ -138,11 +69,16 @@ func (o Options) projectFor(design Design) Options {
 	// walk-cache-bearing models (pwc, nested), so under the fixed model
 	// its edits must not invalidate cache entries. Likewise the flush
 	// policy only matters when context switching is on at all.
-	if eff := o.WalkModel; eff == "fixed" || (eff == "" && !o.MemoryWalk) {
+	if o.WalkModel == "" || o.WalkModel == "fixed" {
 		o.PWCHitCycles = 0
 	}
 	if o.CtxSwitchRefs == 0 {
 		o.CtxSwitchFlush = false
+	}
+	// The epoch ring's bound only shapes Result.Epochs when epoch
+	// sampling is on.
+	if o.EpochRefs == 0 {
+		o.EpochCapacity = 0
 	}
 	return o
 }
@@ -202,11 +138,15 @@ func preimageFor(design Design, name string, w system.Workload, o Options) (stri
 	// the rendered config — so their edits invalidate only the cells that
 	// can feel them.
 	o = o.projectFor(design)
+	canon, err := o.Canonical()
+	if err != nil {
+		return "", err
+	}
 	cfg := configFor(design, o)
 	return fmt.Sprintf(
-		"taglessdram result-cache preimage v1\nmodel=%d\ndesign=%d(%s)\nworkload=%q\ntrace=%s\noptions{%s}\nconfig=%+v\n",
+		"taglessdram result-cache preimage v2\nmodel=%d\ndesign=%d(%s)\nworkload=%q\ntrace=%s\noptions=%s\nconfig=%+v\n",
 		modelVersion, int(design), design, name, td,
-		o.Canonical(), *cfg), nil
+		canon, *cfg), nil
 }
 
 // preimage is preimageFor on a named Job, resolving its workload first.

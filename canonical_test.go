@@ -10,47 +10,49 @@ import (
 )
 
 // TestOptionsFieldsClassified is the stale-hit firewall: every exported
-// Options field must be classified as semantic (hashed into the cache
-// key) or non-semantic (ignored), in exactly one of the two sets. Adding
-// an Options field without classifying it fails this test, so a new
-// result-affecting knob can never silently alias two different runs onto
-// one cache entry.
+// Options field must carry a json tag, because the tag is its
+// classification. A named field can change a Result, so it crosses the
+// wire and enters the cache key; `json:"-"` marks a local field that does
+// neither. An untagged field would silently enter both under its Go
+// name, so adding one without deciding fails here.
 func TestOptionsFieldsClassified(t *testing.T) {
 	typ := reflect.TypeOf(Options{})
-	seen := map[string]bool{}
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		if !f.IsExported() {
 			continue
 		}
-		seen[f.Name] = true
-		sem, non := semanticOptionFields[f.Name], nonSemanticOptionFields[f.Name]
-		switch {
-		case sem && non:
-			t.Errorf("Options.%s classified both semantic and non-semantic", f.Name)
-		case !sem && !non:
-			t.Errorf("Options.%s unclassified: add it to semanticOptionFields (it can change a Result) or nonSemanticOptionFields (it never can) in canonical.go", f.Name)
-		}
-	}
-	for name := range semanticOptionFields {
-		if !seen[name] {
-			t.Errorf("semanticOptionFields lists %q, which is not an exported Options field", name)
-		}
-	}
-	for name := range nonSemanticOptionFields {
-		if !seen[name] {
-			t.Errorf("nonSemanticOptionFields lists %q, which is not an exported Options field", name)
+		if _, ok := f.Tag.Lookup("json"); !ok {
+			t.Errorf("Options.%s has no json tag: give it a json name if it can change a Result, or `json:\"-\"` if it never can", f.Name)
 		}
 	}
 }
 
+// isCheckpointField reports whether an Options field is one of the
+// checkpoint trio, which is local but folds into the key's quiesced bit.
+func isCheckpointField(name string) bool {
+	return name == "CheckpointSave" || name == "CheckpointLoad" || name == "Checkpoints"
+}
+
 // TestCanonicalCoversExactlySemanticFields mutates every exported
-// Options field and asserts Canonical() changes exactly for the
-// semantic ones — i.e. the classification tables and the canonical
-// encoder cannot drift apart.
+// Options field and asserts the cache-key preimage changes exactly when
+// the field has a json name or is a checkpoint field, so the tags and
+// the key cannot drift apart. The base sets the knobs projectFor would
+// otherwise zero (tagless design, pwc walk, epoch sampling, context
+// switching), so every named field is visible in the key.
 func TestCanonicalCoversExactlySemanticFields(t *testing.T) {
 	base := DefaultOptions()
-	baseCanon := base.Canonical()
+	base.WalkModel = "pwc"
+	base.EpochRefs = 1000
+	base.CtxSwitchRefs = 1000
+	w, err := workloadFor("sphinx3", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	basePre, err := preimageFor(Tagless, "sphinx3", w, base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	typ := reflect.TypeOf(Options{})
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
@@ -63,12 +65,16 @@ func TestCanonicalCoversExactlySemanticFields(t *testing.T) {
 			t.Errorf("Options.%s: no mutation rule for kind %v — extend mutateField", f.Name, fv.Kind())
 			continue
 		}
-		got := o.Canonical()
-		switch {
-		case semanticOptionFields[f.Name] && got == baseCanon:
-			t.Errorf("Options.%s is classified semantic but Canonical() ignores it", f.Name)
-		case nonSemanticOptionFields[f.Name] && got != baseCanon:
-			t.Errorf("Options.%s is classified non-semantic but changes Canonical():\n got: %s\nbase: %s", f.Name, got, baseCanon)
+		pre, err := preimageFor(Tagless, "sphinx3", w, o)
+		if err != nil {
+			t.Fatalf("Options.%s: %v", f.Name, err)
+		}
+		named := f.Tag.Get("json") != "-"
+		switch keyed := named || isCheckpointField(f.Name); {
+		case keyed && pre == basePre:
+			t.Errorf("Options.%s should enter the cache key but the preimage ignores it", f.Name)
+		case !keyed && pre != basePre:
+			t.Errorf("Options.%s is local (json:\"-\") but changes the preimage:\n got: %s\nbase: %s", f.Name, pre, basePre)
 		}
 	}
 }
@@ -155,12 +161,12 @@ func TestPreimageContents(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"taglessdram result-cache preimage v1",
+		"taglessdram result-cache preimage v2",
 		"model=1",
 		"design=3(cTLB)",
 		`workload="sphinx3"`,
 		"trace=",
-		"Quiesced=false",
+		`options={"shift":6,"warmup":3000000,"measure":3000000,"seed":1}`,
 		"config={CPU:",
 	} {
 		if !strings.Contains(pre, want) {
@@ -173,8 +179,8 @@ func TestPreimageContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(qpre, "Quiesced=true") {
-		t.Errorf("Checkpoints store should set Quiesced=true:\n%s", qpre)
+	if !strings.Contains(qpre, `"quiesced":true`) {
+		t.Errorf("Checkpoints store should set the quiesced bit:\n%s", qpre)
 	}
 	if qpre == pre {
 		t.Errorf("quiesced and plain runs must not share a preimage")

@@ -28,26 +28,19 @@ import (
 )
 
 func main() {
+	o := taglessdram.DefaultOptions()
+	o.RegisterFlags(flag.CommandLine)
+	flag.IntVar(&o.Workers, "j", runtime.GOMAXPROCS(0), "concurrent simulations per sweep (1 = serial); results are identical at any width")
+	flag.StringVar(&o.Server, "server", "", "base URL of a sweepd sweep service (e.g. http://localhost:8344): every sweep is submitted there instead of simulating in-process; output is byte-identical")
 	var (
 		only  = flag.String("only", "", "comma-separated subset: table1,table2,table6,fig7,fig8,fig9,fig10,fig11,fig12,fig13,shared,hotfilter,superpages,tlbreach,fairness,amat,latency")
 		quick = flag.Bool("quick", false, "4x smaller instruction budgets")
-		seed  = flag.Uint64("seed", 1, "trace seed")
-		nj    = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent simulations per sweep (1 = serial); results are identical at any width")
 		prog  = flag.Bool("progress", false, "print per-sweep progress and ETA to stderr")
 		extra = flag.Bool("baselines", false, "add the extra organizations (Alloy, Banshee) to the design-comparison figures")
 
 		metrics = flag.String("metrics-json", "", "append every run's metric registry and epoch series as JSON lines to this file (byte-identical at any -j)")
-		server  = flag.String("server", "", "base URL of a sweepd sweep service (e.g. http://localhost:8344): every sweep is submitted there instead of simulating in-process; output is byte-identical")
 		rcache  = flag.String("result-cache", "", "persistent content-addressed result cache directory: completed runs are replayed byte-identically instead of re-simulated; editing one configuration re-simulates only its cells")
-		epoch   = flag.Uint64("epoch-refs", 0, "epoch length in measured references for time-series sampling (0 = off)")
-		epochCap = flag.Int("epoch-capacity", 0, "max retained epochs per run; once full the oldest are dropped (0 = default ring)")
 		prewarm = flag.Bool("prewarm", false, "share warm-state checkpoints across figures: each (workload, config, warm-up) warms up once and later runs restore it (results use the checkpointed Warmup/Measure path, so they differ slightly from the default)")
-
-		walkModel = flag.String("walk", "", "page-table-walk model for every run: fixed | pwc | nested (empty = fixed)")
-		pwcHit    = flag.Int("pwc-hit", 2, "per-level page-walk-cache hit cycles (pwc and nested models)")
-		tlbTopo   = flag.String("tlb-topo", "", "TLB topology for every run: private | shared (empty = private)")
-		ctxRefs   = flag.Uint64("ctx-switch-refs", 0, "context-switch each core every N trace references (0 = off)")
-		ctxFlush  = flag.Bool("ctx-switch-flush", false, "flush shared-L2 TLB entries at each context switch instead of retaining them under ASID tags")
 	)
 	flag.BoolVar(&plotBars, "plot", false, "render normalized-IPC bar charts under each figure")
 	pf := prof.Register(flag.CommandLine)
@@ -66,15 +59,11 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	o := taglessdram.DefaultOptions()
-	o.Seed = *seed
-	o.Workers = *nj
-	o.Server = *server
-	if *server != "" && *prewarm {
+	if o.Server != "" && *prewarm {
 		fmt.Fprintln(os.Stderr, "experiments: -prewarm shares in-memory checkpoints, which cannot cross to a -server sweep service")
 		os.Exit(1)
 	}
-	if *server != "" && *rcache != "" {
+	if o.Server != "" && *rcache != "" {
 		fmt.Fprintln(os.Stderr, "experiments: -result-cache is server-side state; with -server the service owns the cache")
 		os.Exit(1)
 	}
@@ -108,13 +97,6 @@ func main() {
 	if *extra {
 		o.ExtraDesigns = []taglessdram.Design{taglessdram.AlloyBlock, taglessdram.Banshee}
 	}
-	o.EpochRefs = *epoch
-	o.EpochCapacity = *epochCap
-	o.WalkModel = *walkModel
-	o.PWCHitCycles = *pwcHit
-	o.TLBTopology = *tlbTopo
-	o.CtxSwitchRefs = *ctxRefs
-	o.CtxSwitchFlush = *ctxFlush
 	if err := o.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
@@ -168,8 +150,8 @@ func main() {
 	// With -server, report the service's cache counter delta over this
 	// invocation (the CI smoke test asserts misses=0 on a warm re-run).
 	var serverStats0 taglessdram.ServerStats
-	if *server != "" {
-		serverStats0, err = taglessdram.RemoteStats(ctx, *server)
+	if o.Server != "" {
+		serverStats0, err = taglessdram.RemoteStats(ctx, o.Server)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
@@ -214,8 +196,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "result cache: hits=%d misses=%d stored=%d evicted=%d\n",
 			st.Hits, st.Misses, st.Stored, st.Evicted)
 	}
-	if *server != "" {
-		st, err := taglessdram.RemoteStats(ctx, *server)
+	if o.Server != "" {
+		st, err := taglessdram.RemoteStats(ctx, o.Server)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)

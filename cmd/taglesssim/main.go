@@ -23,43 +23,36 @@ import (
 )
 
 func main() {
+	o := taglessdram.DefaultOptions()
+	o.EpochRefs = 2000
+	o.RegisterFlags(flag.CommandLine)
+	flag.UintVar(&o.Shift, "shift", o.Shift, "capacity scale: divide sizes by 1<<shift")
+	flag.Uint64Var(&o.Warmup, "warmup", o.Warmup, "warm-up instructions per core")
+	flag.Uint64Var(&o.Measure, "measure", o.Measure, "measured instructions per core")
+	flag.Int64Var(&o.CacheMB, "cache-mb", o.CacheMB, "override scaled cache capacity in MB (0 = default)")
+	flag.TextVar(&o.Policy, "policy", o.Policy, "tagless victim `policy`: FIFO | LRU | CLOCK (any case)")
+	flag.IntVar(&o.NCAccessThreshold, "nc", o.NCAccessThreshold, "non-cacheable threshold (32 enables the Section 5.4 policy)")
+	flag.IntVar(&o.HotFilterThreshold, "hotfilter", o.HotFilterThreshold, "online hot-page filter threshold (0 = off)")
+	flag.BoolVar(&o.SharedAliasTable, "alias", o.SharedAliasTable, "enable the Section 6 shared-page alias table")
+	flag.BoolVar(&o.Superpages, "superpages", o.Superpages, "map application memory as 2MB-equivalent superpages")
+	flag.BoolVar(&o.Refresh, "refresh", o.Refresh, "model DRAM refresh blackouts")
+	flag.IntVar(&o.TraceEventLimit, "trace-max", o.TraceEventLimit, "trace window size in events (0 = default)")
+	flag.StringVar(&o.CheckpointSave, "checkpoint-save", o.CheckpointSave, "write the post-warmup machine state to this file before measuring")
+	flag.StringVar(&o.CheckpointLoad, "checkpoint-load", o.CheckpointLoad, "restore post-warmup state from this file instead of warming up (config and workload must match)")
+	var sample taglessdram.SampleSpec
+	flag.Uint64Var(&sample.WindowRefs, "sample-window", 0, "SMARTS sampling: cycle-accurate window length in trace references (0 = full cycle-accurate run)")
+	flag.Uint64Var(&sample.PeriodRefs, "sample-period", 0, "SMARTS sampling: references per period; the period minus the window fast-forwards functionally")
+	flag.Uint64Var(&sample.WarmRefs, "sample-warm", 0, "SMARTS sampling: detailed-warming references before each window (accurate but unmeasured)")
 	var (
 		design   = flag.String("design", "cTLB", "NoL3 | BI | SRAM | cTLB | Ideal | Alloy | Banshee")
 		workload = flag.String("workload", "sphinx3", "SPEC program, MIX1-MIX8, or PARSEC program")
-		warmup   = flag.Uint64("warmup", 3_000_000, "warm-up instructions per core")
-		measure  = flag.Uint64("measure", 3_000_000, "measured instructions per core")
-		shift    = flag.Uint("shift", 6, "capacity scale: divide sizes by 1<<shift")
-		cacheMB  = flag.Int64("cache-mb", 0, "override scaled cache capacity in MB (0 = default)")
-		policy   = flag.String("policy", "FIFO", "tagless victim policy: FIFO | LRU | CLOCK")
-		nc       = flag.Int("nc", 0, "non-cacheable threshold (32 enables the Section 5.4 policy)")
-		hot      = flag.Int("hotfilter", 0, "online hot-page filter threshold (0 = off)")
-		alias    = flag.Bool("alias", false, "enable the Section 6 shared-page alias table")
-		super    = flag.Bool("superpages", false, "map application memory as 2MB-equivalent superpages")
-		refresh  = flag.Bool("refresh", false, "model DRAM refresh blackouts")
-		seed     = flag.Uint64("seed", 1, "trace seed")
 		list     = flag.Bool("list", false, "list workloads and exit")
 		prog     = flag.Bool("progress", false, "print a wall-clock throughput summary and epoch sparklines to stderr")
-		epoch    = flag.Uint64("epoch-refs", 2000, "epoch length in measured references for time-series sampling (0 = off)")
-		epochCap = flag.Int("epoch-capacity", 0, "max retained epochs; once full the oldest are dropped (0 = default ring)")
 		metrics  = flag.String("metrics-json", "", "write the full metric registry and epoch series as JSON lines to this file")
 		latHist  = flag.Bool("lat-hist", false, "print the latency attribution breakdown, tail histograms and per-bank DRAM telemetry")
 		selfchk  = flag.Bool("selfcheck", false, "verify cycle-accounting conservation and (cTLB/SRAM) the Equations 1-5 closed forms, exit nonzero on failure")
 		traceOut = flag.String("trace-events", "", "write a Chrome trace_event JSON (chrome://tracing) of the first kernel events to this file")
-		traceMax = flag.Int("trace-max", 0, "trace window size in events (0 = default)")
-
-		walkModel = flag.String("walk", "", "page-table-walk model: fixed | pwc | nested (empty = fixed, or pwc under -memwalk)")
-		memWalk   = flag.Bool("memwalk", false, "legacy alias for -walk pwc: model walks as memory traffic")
-		pwcHit    = flag.Int("pwc-hit", 2, "per-level page-walk-cache hit cycles (pwc and nested models)")
-		tlbTopo   = flag.String("tlb-topo", "", "TLB topology: private | shared (empty = private)")
-		ctxRefs   = flag.Uint64("ctx-switch-refs", 0, "context-switch each core every N trace references (0 = off)")
-		ctxFlush  = flag.Bool("ctx-switch-flush", false, "flush the core's shared-L2 TLB entries at each context switch instead of retaining them under ASID tags")
-
-		sampleWindow = flag.Uint64("sample-window", 0, "SMARTS sampling: cycle-accurate window length in trace references (0 = full cycle-accurate run)")
-		samplePeriod = flag.Uint64("sample-period", 0, "SMARTS sampling: references per period; the period minus the window fast-forwards functionally")
-		sampleWarm   = flag.Uint64("sample-warm", 0, "SMARTS sampling: detailed-warming references before each window (accurate but unmeasured)")
-		ckptSave     = flag.String("checkpoint-save", "", "write the post-warmup machine state to this file before measuring")
-		ckptLoad     = flag.String("checkpoint-load", "", "restore post-warmup state from this file instead of warming up (config and workload must match)")
-		rcache       = flag.String("result-cache", "", "persistent content-addressed result cache directory: an identical completed run is replayed byte-identically instead of re-simulated")
+		rcache   = flag.String("result-cache", "", "persistent content-addressed result cache directory: an identical completed run is replayed byte-identically instead of re-simulated")
 	)
 	pf := prof.Register(flag.CommandLine)
 	flag.Parse()
@@ -92,41 +85,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	o := taglessdram.DefaultOptions()
 	if *prog {
 		o.Progress = func(p taglessdram.SweepProgress) {
 			fmt.Fprintf(os.Stderr, "throughput:      %s (%s wall)\n", p.Summary, p.Elapsed.Round(time.Millisecond))
 		}
 	}
-	o.Shift = *shift
-	o.Warmup, o.Measure = *warmup, *measure
-	o.Seed = *seed
-	o.CacheMB = *cacheMB
-	o.NCAccessThreshold = *nc
-	o.HotFilterThreshold = *hot
-	o.SharedAliasTable = *alias
-	o.Superpages = *super
-	o.Refresh = *refresh
-	switch {
-	case strings.EqualFold(*policy, "LRU"):
-		o.Policy = taglessdram.LRU
-	case strings.EqualFold(*policy, "CLOCK"):
-		o.Policy = taglessdram.CLOCK
+	if sample.WindowRefs > 0 || sample.PeriodRefs > 0 {
+		o.Sample = &sample
 	}
-	o.WalkModel = *walkModel
-	o.MemoryWalk = *memWalk
-	o.PWCHitCycles = *pwcHit
-	o.TLBTopology = *tlbTopo
-	o.CtxSwitchRefs = *ctxRefs
-	o.CtxSwitchFlush = *ctxFlush
-	o.EpochRefs = *epoch
-	o.EpochCapacity = *epochCap
-	o.TraceEventLimit = *traceMax
-	if *sampleWindow > 0 || *samplePeriod > 0 {
-		o.Sample = &taglessdram.SampleSpec{WindowRefs: *sampleWindow, PeriodRefs: *samplePeriod, WarmRefs: *sampleWarm}
-	}
-	o.CheckpointSave = *ckptSave
-	o.CheckpointLoad = *ckptLoad
 	var store *taglessdram.ResultCache
 	if *rcache != "" {
 		store, err = taglessdram.OpenResultCache(*rcache)
@@ -220,7 +186,7 @@ func main() {
 		// term, which the nested walk's split guest/host attribution
 		// deliberately does not produce; conservation above is the
 		// universal gate.
-		if *walkModel != "nested" {
+		if o.WalkModel != "nested" {
 			if err := taglessdram.CheckLatencyModel(r, 0.02); err != nil {
 				fatal(err)
 			}

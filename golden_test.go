@@ -1,7 +1,11 @@
 package taglessdram_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"taglessdram"
@@ -85,8 +89,33 @@ var goldenVariants = map[string]struct {
 	"hot":        {"MIX1", func(o *taglessdram.Options) { o.HotFilterThreshold = 8 }, `cyc=650026 in=800007 ipc=1.2307307707691693 pc=[0.33175473372535685 0.31963233131736757 0.5668675347645421 0.30772615249236185] l3=10777,10015,0.9292938665676904,434.97494664563646 tlb=43379,441,0.010166209456188478 nc=1545 e=0.004333506666666667,9.36253504e-05,0.000261474264,0 edp=1.0159053288188805e-06 row=0.9005944839684241,0.8127090301003345 b=1529792,965376 ctrl={Walks:441 NonCacheable:224 VictimHits:0 ColdFills:217 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[40 0 603.3870967741943 0] kc=[224 0 217 0] sram=0`},
 	"nc":         {"GemsFDTD", func(o *taglessdram.Options) { o.NCAccessThreshold = 32 }, `cyc=394947 in=800000 ipc=2.025588243485835 pc=[0.5225220047079233 0.5203956047387224 0.5063970608714587 0.5069066024584971] l3=10452,10411,0.9960773057787983,288.4397244546508 tlb=32000,369,0.01153125 nc=82 e=0.00263298,0.0001093963504,0.000376912344,0 edp=4.1065123732906566e-07 row=0.9597321677671348,0.47058823529411764 b=2009792,1388096 ctrl={Walks:369 NonCacheable:41 VictimHits:0 ColdFills:328 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[40 0 733.4664634146341 0] kc=[41 0 328 0] sram=0`},
 	"smallcache": {"milc", func(o *taglessdram.Options) { o.CacheMB = 2 }, `cyc=771391 in=800000 ipc=1.037087547041643 pc=[0.26670222696359513 0.2764810050637496 0.26736824093086925 0.25927188676041074] l3=12133,12133,1,560.3114646006759 tlb=32000,416,0.013 nc=0 e=0.005142606666666666,0.00019476276959999998,0.000788834616,0 edp=1.5752328900273452e-06 row=0.9585568773812301,0.37242614145031333 b=3647808,2924544 ctrl={Walks:416 NonCacheable:0 VictimHits:0 ColdFills:416 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:291 Writebacks:285 SyncEvictions:167 Shootdowns:291} km=[0 0 1601.5865384615377 0] kc=[0 0 416 0] sram=0`},
-	"memwalk":    {"mcf", func(o *taglessdram.Options) { o.MemoryWalk = true }, `cyc=524810 in=800052 ipc=1.5244602808635506 pc=[0.3958474344816121 0.38111507021588764 0.3877596124206841 0.3962662260472636] l3=19105,19105,1,124.85668673122261 tlb=72732,2103,0.028914370565913217 nc=0 e=0.003498733333333333,0.00015246968959999998,0.00018861744,0 edp=6.717253923840142e-07 row=0.8008273009307135,0.8588342440801457 b=1849408,696960 ctrl={Walks:2103 NonCacheable:0 VictimHits:1950 ColdFills:153 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 33.26769230769227 1109.7254901960782 0] kc=[0 1950 153 0] sram=0`},
+	"memwalk":    {"mcf", func(o *taglessdram.Options) { o.WalkModel = "pwc" }, `cyc=524810 in=800052 ipc=1.5244602808635506 pc=[0.3958474344816121 0.38111507021588764 0.3877596124206841 0.3962662260472636] l3=19105,19105,1,124.85668673122261 tlb=72732,2103,0.028914370565913217 nc=0 e=0.003498733333333333,0.00015246968959999998,0.00018861744,0 edp=6.717253923840142e-07 row=0.8008273009307135,0.8588342440801457 b=1849408,696960 ctrl={Walks:2103 NonCacheable:0 VictimHits:1950 ColdFills:153 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 33.26769230769227 1109.7254901960782 0] kc=[0 1950 153 0] sram=0`},
 	"sync":       {"milc", func(o *taglessdram.Options) { o.CacheMB = 2; o.SynchronousEviction = true }, `cyc=846595 in=800000 ipc=0.9449618766942871 pc=[0.24355641070917539 0.25353651749845657 0.24232731149964257 0.23624046917357178] l3=12133,12133,1,604.0360998928523 tlb=32000,416,0.013 nc=0 e=0.005643966666666667,0.00019428305439999998,0.000787738272,0 edp=1.8698427683300915e-06 row=0.9599533437013997,0.3727598566308244 b=3643712,2920448 ctrl={Walks:416 NonCacheable:0 VictimHits:0 ColdFills:416 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:290 Writebacks:284 SyncEvictions:290 Shootdowns:290} km=[0 0 1884.6850961538462 0] kc=[0 0 416 0] sram=0`},
+}
+
+// TestModelVersionPinsGoldens ties the result-cache model stamp to the
+// golden table: a change to any golden fingerprint means the model's
+// results changed, so cached Results from before must stop matching.
+func TestModelVersionPinsGoldens(t *testing.T) {
+	const wantVersion = 1
+	const wantDigest = "85f9b69fb27f56ea97c47c11eaba69011b6fdfb74bfbe46321595598f7d42a8f"
+	var all []string
+	for _, v := range golden {
+		all = append(all, v)
+	}
+	for _, v := range goldenBanshee {
+		all = append(all, v)
+	}
+	for _, v := range goldenVariants {
+		all = append(all, v.want)
+	}
+	sort.Strings(all)
+	sum := sha256.Sum256([]byte(strings.Join(all, "\n")))
+	digest := hex.EncodeToString(sum[:])
+	if v := taglessdram.ModelVersion(); v != wantVersion || digest != wantDigest {
+		t.Fatalf("model version %d with golden digest %s, pinned pair is %d with %s: bump modelVersion in canonical.go and update this pair",
+			v, digest, wantVersion, wantDigest)
+	}
 }
 
 // TestGoldenDeterminism runs every (workload, design) pair and feature

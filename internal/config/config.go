@@ -14,6 +14,7 @@ package config
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Common size units.
@@ -164,6 +165,28 @@ func (p ReplacementPolicy) String() string {
 	}
 }
 
+// MarshalText renders the policy by name. JSON (the sweep wire and the
+// result-cache key) and the -policy flag both go through this codec.
+func (p ReplacementPolicy) MarshalText() ([]byte, error) {
+	switch p {
+	case FIFO, LRU, CLOCK:
+		return []byte(p.String()), nil
+	}
+	return nil, fmt.Errorf("unknown replacement policy %d", int(p))
+}
+
+// UnmarshalText parses FIFO, LRU or CLOCK in any case and rejects
+// anything else.
+func (p *ReplacementPolicy) UnmarshalText(text []byte) error {
+	for _, q := range []ReplacementPolicy{FIFO, LRU, CLOCK} {
+		if strings.EqualFold(string(text), q.String()) {
+			*p = q
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown replacement policy %q (want FIFO, LRU, CLOCK)", text)
+}
+
 // L3Design selects the DRAM-cache organization under evaluation (Section 4).
 type L3Design int
 
@@ -273,16 +296,10 @@ type SystemConfig struct {
 	// TLB miss handler, excluding any cache-fill work. Used by the
 	// fixed-cost walk model.
 	PageWalkCycles int
-	// MemoryWalk models the page-table walk as actual memory traffic: the
-	// upper levels hit the MMU's page-walk caches (a few cycles each) and
-	// the leaf PTE access goes to DRAM unless recently used. The default
-	// fixed-cost model matches the paper's constant MissPenalty_TLB.
-	// Retained for compatibility; WalkModel supersedes it when set.
-	MemoryWalk bool
 	// WalkModel names the internal/vm walk model handling TLB misses:
-	// "fixed" (the PageWalkCycles scalar), "pwc" (walk-cache-aware memory
-	// walk), or "nested" (guest→host 2D walk for virtualized scenarios).
-	// Empty resolves through EffectiveWalkModel.
+	// "fixed" (the PageWalkCycles scalar, matching the paper's constant
+	// MissPenalty_TLB), "pwc" (walk-cache-aware memory walk), or "nested"
+	// (guest→host 2D walk for virtualized scenarios). Empty means fixed.
 	WalkModel string
 	// PWCHitCycles is the cost of one upper page-table level served by the
 	// MMU's page-walk caches, used by the pwc and nested walk models. Must
@@ -306,15 +323,11 @@ type SystemConfig struct {
 	CorePowerWatts float64
 }
 
-// EffectiveWalkModel resolves the walk-model name: an explicit WalkModel
-// wins, otherwise the legacy MemoryWalk bit selects "pwc", otherwise
+// EffectiveWalkModel resolves the walk-model name, defaulting to
 // "fixed".
 func (c *SystemConfig) EffectiveWalkModel() string {
 	if c.WalkModel != "" {
 		return c.WalkModel
-	}
-	if c.MemoryWalk {
-		return "pwc"
 	}
 	return "fixed"
 }

@@ -164,6 +164,52 @@ func TestDesignStrings(t *testing.T) {
 	}
 }
 
+func TestReplacementPolicyText(t *testing.T) {
+	cases := []struct {
+		in   string
+		want ReplacementPolicy
+		ok   bool
+	}{
+		{"FIFO", FIFO, true},
+		{"fifo", FIFO, true},
+		{"LRU", LRU, true},
+		{"lru", LRU, true},
+		{"Clock", CLOCK, true},
+		{"CLOCK", CLOCK, true},
+		{"", 0, false},
+		{"MRU", 0, false},
+		{"LRU ", 0, false},
+		{"1", 0, false},
+	}
+	for _, tc := range cases {
+		p := CLOCK + 1 // sentinel: a failed parse must leave it untouched
+		err := p.UnmarshalText([]byte(tc.in))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("UnmarshalText(%q): %v", tc.in, err)
+		case tc.ok && p != tc.want:
+			t.Errorf("UnmarshalText(%q) = %v, want %v", tc.in, p, tc.want)
+		case !tc.ok && err == nil:
+			t.Errorf("UnmarshalText(%q) = %v, want an error", tc.in, p)
+		case !tc.ok && p != CLOCK+1:
+			t.Errorf("failed UnmarshalText(%q) overwrote the policy with %v", tc.in, p)
+		}
+	}
+	for _, p := range []ReplacementPolicy{FIFO, LRU, CLOCK} {
+		text, err := p.MarshalText()
+		if err != nil {
+			t.Fatalf("MarshalText(%v): %v", p, err)
+		}
+		var back ReplacementPolicy
+		if err := back.UnmarshalText(text); err != nil || back != p {
+			t.Errorf("%v round-tripped to %v (%v)", p, back, err)
+		}
+	}
+	if _, err := ReplacementPolicy(7).MarshalText(); err == nil {
+		t.Error("MarshalText accepted an out-of-range policy")
+	}
+}
+
 func TestAllDesignsOrder(t *testing.T) {
 	ds := AllDesigns()
 	if len(ds) != 5 || ds[0] != NoL3 || ds[4] != Ideal {

@@ -1,9 +1,11 @@
 // Package sweepapi defines the wire protocol of the sweep service
 // (cmd/sweepd): the JSON request that names an experiment grid and the
-// JSON-lines event stream the server answers with. It is pure data — the
-// root taglessdram package converts to and from its native Job/Options
-// types on both sides of the connection, so the two never drift apart
-// (the conversion is pinned by a fingerprint round-trip test).
+// JSON-lines event stream the server answers with. It is pure data.
+// Options travel as a raw JSON object whose keys are the json tags of
+// taglessdram.Options (for example "shift", "walk_model", "policy"):
+// clients send Options.Canonical(), and the server decodes the object
+// straight into Options, rejecting unknown keys. No second copy of the
+// option set lives here, so the wire cannot drift from the cache key.
 //
 // Protocol summary:
 //
@@ -25,6 +27,8 @@
 // from a draining server carry a Retry-After header (seconds).
 package sweepapi
 
+import "encoding/json"
+
 // Job names one cell of a sweep: a design, a workload, and optionally
 // its own options (defaulting to the request-level options).
 type Job struct {
@@ -34,7 +38,7 @@ type Job struct {
 	// Workload is a SPEC program, MIX1-MIX8, or a PARSEC program.
 	Workload string `json:"workload"`
 	// Options overrides the request-level options for this job only.
-	Options *Options `json:"options,omitempty"`
+	Options json.RawMessage `json:"options,omitempty"`
 }
 
 // Request is the body of POST /v1/sweep: a design × workload grid,
@@ -47,52 +51,12 @@ type Request struct {
 	// Options are the base simulation options for grid cells and for
 	// explicit jobs that carry none. Omitted = the server's defaults
 	// (taglessdram.DefaultOptions).
-	Options *Options `json:"options,omitempty"`
+	Options json.RawMessage `json:"options,omitempty"`
 	// Jobs appends explicit cells after the grid, in order.
 	Jobs []Job `json:"jobs,omitempty"`
 	// Workers bounds concurrent simulations for this sweep; 0 means the
 	// server's default. The server clamps it to its own -j ceiling.
 	Workers int `json:"workers,omitempty"`
-}
-
-// Options mirrors the semantic fields of taglessdram.Options — exactly
-// the fields that enter a job's cache fingerprint. Non-semantic fields
-// (Workers, observers, the cache handle) and the checkpoint-file options
-// never cross the wire: the former are request- or client-local, the
-// latter depend on server-local file state the fingerprint cannot see.
-type Options struct {
-	Shift               uint    `json:"shift"`
-	Warmup              uint64  `json:"warmup"`
-	Measure             uint64  `json:"measure"`
-	Seed                uint64  `json:"seed"`
-	CacheMB             int64   `json:"cache_mb,omitempty"`
-	Policy              string  `json:"policy,omitempty"` // FIFO | LRU | CLOCK ("" = FIFO)
-	NCAccessThreshold   int     `json:"nc_access_threshold,omitempty"`
-	SynchronousEviction bool    `json:"synchronous_eviction,omitempty"`
-	CachedGIPT          bool    `json:"cached_gipt,omitempty"`
-	SharedAliasTable    bool    `json:"shared_alias_table,omitempty"`
-	HotFilterThreshold  int     `json:"hot_filter_threshold,omitempty"`
-	Superpages          bool    `json:"superpages,omitempty"`
-	Refresh             bool    `json:"refresh,omitempty"`
-	L2TLBEntries        int     `json:"l2_tlb_entries,omitempty"`
-	Alpha               int     `json:"alpha,omitempty"`
-	MemoryWalk          bool    `json:"memory_walk,omitempty"`
-	WalkModel           string  `json:"walk_model,omitempty"` // fixed | pwc | nested
-	PWCHitCycles        int     `json:"pwc_hit_cycles,omitempty"`
-	TLBTopology         string  `json:"tlb_topology,omitempty"` // private | shared
-	CtxSwitchRefs       uint64  `json:"ctx_switch_refs,omitempty"`
-	CtxSwitchFlush      bool    `json:"ctx_switch_flush,omitempty"`
-	MSHRs               int     `json:"mshrs,omitempty"`
-	EpochRefs           uint64  `json:"epoch_refs,omitempty"`
-	EpochCapacity       int     `json:"epoch_capacity,omitempty"`
-	Sample              *Sample `json:"sample,omitempty"`
-}
-
-// Sample mirrors taglessdram.SampleSpec (SMARTS sampled simulation).
-type Sample struct {
-	WindowRefs uint64 `json:"window_refs"`
-	PeriodRefs uint64 `json:"period_refs"`
-	WarmRefs   uint64 `json:"warm_refs,omitempty"`
 }
 
 // Event types streamed by POST /v1/sweep.

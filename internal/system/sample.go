@@ -17,7 +17,7 @@ import (
 type SampleSpec struct {
 	// WindowRefs is the length of each cycle-accurate window, in trace
 	// references across all cores.
-	WindowRefs uint64
+	WindowRefs uint64 `json:"window_refs"`
 	// PeriodRefs is the sampling period: one window per PeriodRefs
 	// references on average. The gap between windows fast-forwards
 	// functionally, and its length is drawn uniformly in [0, 2×mean gap]
@@ -27,14 +27,14 @@ type SampleSpec struct {
 	// estimate by several percent while the window-population CI reports
 	// tight agreement. Randomized placement restores the unbiasedness of
 	// the stratified estimate and makes the CI honest.
-	PeriodRefs uint64
+	PeriodRefs uint64 `json:"period_refs"`
 	// WarmRefs is each window's detailed-warming prefix (SMARTS' W):
 	// simulated cycle-accurately so DRAM queue and row-buffer state ramp
 	// up from the fast-forwarded span's stale values, but excluded from
 	// the window's IPC observation. Without it the estimate biases high
 	// for designs that keep off-package DRAM under continuous queue
 	// pressure (NoL3, BI): every window would start against idle banks.
-	WarmRefs uint64
+	WarmRefs uint64 `json:"warm_refs,omitempty"`
 }
 
 // Validate checks the spec's internal consistency.

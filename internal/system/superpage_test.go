@@ -110,7 +110,7 @@ func TestSuperpageDeterminism(t *testing.T) {
 
 func TestMemoryWalkModel(t *testing.T) {
 	cfg := scaledConfig(config.Tagless, 6)
-	cfg.MemoryWalk = true
+	cfg.WalkModel = "pwc"
 	w, _ := SingleProgram("mcf", 6, 1)
 	m, err := New(cfg, w)
 	if err != nil {
@@ -129,7 +129,7 @@ func TestMemoryWalkModel(t *testing.T) {
 		WalkCacheStats(core int) (accesses, hits uint64)
 	})
 	if !ok {
-		t.Fatalf("MemoryWalk selected walk model %q with no walk cache", m.walk.Name())
+		t.Fatalf("walk model %q has no walk cache", m.walk.Name())
 	}
 	accesses, hits := ws.WalkCacheStats(0)
 	if accesses == 0 {
@@ -142,7 +142,7 @@ func TestMemoryWalkModel(t *testing.T) {
 
 func TestMemoryWalkForConventionalDesigns(t *testing.T) {
 	cfg := scaledConfig(config.SRAMTag, 6)
-	cfg.MemoryWalk = true
+	cfg.WalkModel = "pwc"
 	w, _ := SingleProgram("mcf", 6, 1)
 	m, err := New(cfg, w)
 	if err != nil {
@@ -155,7 +155,7 @@ func TestMemoryWalkForConventionalDesigns(t *testing.T) {
 		WalkCacheStats(core int) (accesses, hits uint64)
 	})
 	if !ok {
-		t.Fatalf("MemoryWalk selected walk model %q with no walk cache", m.walk.Name())
+		t.Fatalf("walk model %q has no walk cache", m.walk.Name())
 	}
 	if accesses, _ := ws.WalkCacheStats(0); accesses == 0 {
 		t.Fatal("conventional design skipped the memory walk")

@@ -83,8 +83,7 @@ func decodeCaches(cs []*cache.Cache, data []byte) error {
 // pwcWalk models the walk as memory traffic: the three upper levels hit
 // the MMU's page-walk caches (PWCHitCycles each), and the leaf PTE
 // access probes a per-core PTE cache before going to off-package DRAM.
-// This is the model the legacy MemoryWalk bit selected, with the
-// per-level cost lifted out of the old hardcoded constant.
+// The per-level cost is configurable (PWCHitCycles).
 type pwcWalk struct {
 	p      Ports
 	caches []*cache.Cache

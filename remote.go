@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"taglessdram/internal/config"
 	"taglessdram/internal/resultcache"
 	"taglessdram/internal/sweepapi"
 )
@@ -31,115 +30,11 @@ func ParseDesign(name string) (Design, error) {
 	return 0, fmt.Errorf("taglessdram: unknown design %q (want %s)", name, strings.Join(names, ", "))
 }
 
-// parsePolicy maps a wire policy name to the replacement-policy enum.
-func parsePolicy(name string) (config.ReplacementPolicy, error) {
-	switch name {
-	case "", "FIFO":
-		return FIFO, nil
-	case "LRU":
-		return LRU, nil
-	case "CLOCK":
-		return CLOCK, nil
-	}
-	return 0, fmt.Errorf("taglessdram: unknown replacement policy %q (want FIFO, LRU, CLOCK)", name)
-}
-
-// wireOptions renders the semantic Options fields into their wire form.
-// Non-semantic fields (observers, Workers, the cache handle) stay local;
-// the checkpoint fields cannot cross the wire and must be rejected by the
-// caller before conversion.
-func wireOptions(o Options) *sweepapi.Options {
-	w := &sweepapi.Options{
-		Shift:               o.Shift,
-		Warmup:              o.Warmup,
-		Measure:             o.Measure,
-		Seed:                o.Seed,
-		CacheMB:             o.CacheMB,
-		NCAccessThreshold:   o.NCAccessThreshold,
-		SynchronousEviction: o.SynchronousEviction,
-		CachedGIPT:          o.CachedGIPT,
-		SharedAliasTable:    o.SharedAliasTable,
-		HotFilterThreshold:  o.HotFilterThreshold,
-		Superpages:          o.Superpages,
-		Refresh:             o.Refresh,
-		L2TLBEntries:        o.L2TLBEntries,
-		Alpha:               o.Alpha,
-		MemoryWalk:          o.MemoryWalk,
-		WalkModel:           o.WalkModel,
-		PWCHitCycles:        o.PWCHitCycles,
-		TLBTopology:         o.TLBTopology,
-		CtxSwitchRefs:       o.CtxSwitchRefs,
-		CtxSwitchFlush:      o.CtxSwitchFlush,
-		MSHRs:               o.MSHRs,
-		EpochRefs:           o.EpochRefs,
-		EpochCapacity:       o.EpochCapacity,
-	}
-	if o.Policy != FIFO {
-		w.Policy = o.Policy.String()
-	}
-	if o.Sample != nil {
-		w.Sample = &sweepapi.Sample{
-			WindowRefs: o.Sample.WindowRefs,
-			PeriodRefs: o.Sample.PeriodRefs,
-			WarmRefs:   o.Sample.WarmRefs,
-		}
-	}
-	return w
-}
-
-// optionsFromWire is the inverse of wireOptions: it rebuilds native
-// Options from their wire form. The fingerprint round-trip test pins the
-// two as exact inverses over the semantic fields, which is what keeps a
-// remote job's cache key identical to the in-process one.
-func optionsFromWire(w *sweepapi.Options) (Options, error) {
-	if w == nil {
-		return DefaultOptions(), nil
-	}
-	policy, err := parsePolicy(w.Policy)
-	if err != nil {
-		return Options{}, err
-	}
-	o := Options{
-		Shift:               w.Shift,
-		Warmup:              w.Warmup,
-		Measure:             w.Measure,
-		Seed:                w.Seed,
-		CacheMB:             w.CacheMB,
-		Policy:              policy,
-		NCAccessThreshold:   w.NCAccessThreshold,
-		SynchronousEviction: w.SynchronousEviction,
-		CachedGIPT:          w.CachedGIPT,
-		SharedAliasTable:    w.SharedAliasTable,
-		HotFilterThreshold:  w.HotFilterThreshold,
-		Superpages:          w.Superpages,
-		Refresh:             w.Refresh,
-		L2TLBEntries:        w.L2TLBEntries,
-		Alpha:               w.Alpha,
-		MemoryWalk:          w.MemoryWalk,
-		WalkModel:           w.WalkModel,
-		PWCHitCycles:        w.PWCHitCycles,
-		TLBTopology:         w.TLBTopology,
-		CtxSwitchRefs:       w.CtxSwitchRefs,
-		CtxSwitchFlush:      w.CtxSwitchFlush,
-		MSHRs:               w.MSHRs,
-		EpochRefs:           w.EpochRefs,
-		EpochCapacity:       w.EpochCapacity,
-	}
-	if w.Sample != nil {
-		o.Sample = &SampleSpec{
-			WindowRefs: w.Sample.WindowRefs,
-			PeriodRefs: w.Sample.PeriodRefs,
-			WarmRefs:   w.Sample.WarmRefs,
-		}
-	}
-	return o, nil
-}
-
 // remoteSubmittable rejects job options a sweep service cannot honor:
 // checkpoint files and in-memory checkpoint stores name server-local
 // state, and kernel-event traces need the simulation to run in-process.
 func remoteSubmittable(o Options) error {
-	if o.CheckpointSave != "" || o.CheckpointLoad != "" || o.Checkpoints != nil {
+	if o.quiesced() {
 		return fmt.Errorf("taglessdram: checkpoint options cannot be submitted to a sweep service")
 	}
 	if o.TraceEvents != nil {
@@ -165,10 +60,14 @@ func RemoteSweep(ctx context.Context, server string, jobs []Job, o Options) ([]*
 		if err := remoteSubmittable(j.Options); err != nil {
 			return nil, fmt.Errorf("%s/%v: %w", j.Workload, j.Design, err)
 		}
+		canon, err := j.Options.Canonical()
+		if err != nil {
+			return nil, fmt.Errorf("%s/%v: %w", j.Workload, j.Design, err)
+		}
 		req.Jobs[i] = sweepapi.Job{
 			Design:   j.Design.String(),
 			Workload: j.Workload,
-			Options:  wireOptions(j.Options),
+			Options:  canon,
 		}
 	}
 	body, err := json.Marshal(req)

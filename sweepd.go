@@ -1,6 +1,7 @@
 package taglessdram
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -311,7 +312,7 @@ func (s *SweepServer) buildJobs(req *sweepapi.Request) ([]Job, []string, error) 
 	if (len(req.Designs) == 0) != (len(req.Workloads) == 0) {
 		return nil, nil, fmt.Errorf("designs and workloads must be set together (the grid is their cross product)")
 	}
-	base, err := optionsFromWire(req.Options)
+	base, err := decodeOptions(req.Options, DefaultOptions())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -330,11 +331,9 @@ func (s *SweepServer) buildJobs(req *sweepapi.Request) ([]Job, []string, error) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("job %d: %w", i, err)
 		}
-		o := base
-		if wj.Options != nil {
-			if o, err = optionsFromWire(wj.Options); err != nil {
-				return nil, nil, fmt.Errorf("job %d: %w", i, err)
-			}
+		o, err := decodeOptions(wj.Options, base)
+		if err != nil {
+			return nil, nil, fmt.Errorf("job %d: %w", i, err)
 		}
 		jobs = append(jobs, Job{Design: d, Workload: wj.Workload, Options: o})
 	}
@@ -357,6 +356,23 @@ func (s *SweepServer) buildJobs(req *sweepapi.Request) ([]Job, []string, error) 
 		fps[i] = fp
 	}
 	return jobs, fps, nil
+}
+
+// decodeOptions decodes a wire options object straight into Options.
+// Its keys are Options' json names; any other key, including a local
+// field's Go name, is an unknown field and a client error. An absent or
+// null object yields fallback.
+func decodeOptions(raw json.RawMessage, fallback Options) (Options, error) {
+	if len(raw) == 0 || string(raw) == "null" {
+		return fallback, nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var o Options
+	if err := dec.Decode(&o); err != nil {
+		return Options{}, fmt.Errorf("options: %w", err)
+	}
+	return o, nil
 }
 
 // workers clamps a requested fan-out width to the server's ceiling.
@@ -544,9 +560,9 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, context.Canceled) {
 			outcome = telemetry.StateCanceled
 		}
-		emit(&sweepapi.Event{Type: sweepapi.EventError, SweepID: id, Error: err.Error()})
 		tr.Finish(outcome)
 		s.logSweep(tr, r.RemoteAddr, outcome, cacheDelta(), err)
+		emit(&sweepapi.Event{Type: sweepapi.EventError, SweepID: id, Error: err.Error()})
 		return
 	}
 	streamOff := tr.Since()
@@ -558,9 +574,9 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 		tr.Add("encode", telemetry.CatPhase, i+1, encStart, encEnd)
 		if err != nil {
 			err = fmt.Errorf("encoding job %d result: %v", i, err)
-			emit(&sweepapi.Event{Type: sweepapi.EventError, SweepID: id, Error: err.Error()})
 			tr.Finish(telemetry.StateError)
 			s.logSweep(tr, r.RemoteAddr, telemetry.StateError, cacheDelta(), err)
+			emit(&sweepapi.Event{Type: sweepapi.EventError, SweepID: id, Error: err.Error()})
 			return
 		}
 		emit(&sweepapi.Event{
@@ -581,12 +597,14 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 		tr.Add(fmt.Sprintf("%s/%v", jobs[i].Workload, jobs[i].Design), cat, i+1, runOff, sent)
 	}
 	delta := cacheDelta()
-	emit(&sweepapi.Event{Type: sweepapi.EventDone, SweepID: id, Cache: &delta})
 	end := tr.Since()
 	tr.Add("stream", telemetry.CatSweep, 0, streamOff, end)
 	tr.Add("sweep "+id, telemetry.CatSweep, 0, 0, end)
 	tr.Finish(telemetry.StateOK)
 	s.logSweep(tr, r.RemoteAddr, telemetry.StateOK, delta, nil)
+	// The terminal event goes out last, so a client that has read it
+	// finds the sweep's log line written and its trace finished.
+	emit(&sweepapi.Event{Type: sweepapi.EventDone, SweepID: id, Cache: &delta})
 }
 
 // statsReply snapshots the service statistics.

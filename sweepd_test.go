@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -81,6 +80,12 @@ func TestSweepdRejectsMalformedRequests(t *testing.T) {
 			"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "walk_model": "psychic"}}]}`, http.StatusBadRequest},
 		{"unknown policy", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
 			"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "policy": "MRU"}}]}`, http.StatusBadRequest},
+		{"unknown option", `{"designs": ["cTLB"], "workloads": ["sphinx3"],
+			"options": {"bogus": 1}}`, http.StatusBadRequest},
+		{"local-only option", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+			"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "workers": 2}}]}`, http.StatusBadRequest},
+		{"removed memory_walk option", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+			"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "memory_walk": true}}]}`, http.StatusBadRequest},
 		{"too many jobs", `{"designs": ["NoL3", "BI", "SRAM", "cTLB", "Ideal"], "workloads": ["sphinx3"]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -202,16 +207,20 @@ func TestRemoteSweepMatchesInProcess(t *testing.T) {
 // the explicit-jobs form: same grid, same fingerprints, workload-major.
 func TestSweepdGridExpansion(t *testing.T) {
 	svc, _ := newTestSweepServer(t, 1, 0)
+	o := remoteTestOpts()
+	canon, err := o.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
 	req := &sweepapi.Request{
 		Designs:   []string{"NoL3", "cTLB"},
 		Workloads: []string{"sphinx3", "mcf"},
-		Options:   wireOptions(remoteTestOpts()),
+		Options:   canon,
 	}
 	jobs, fps, err := svc.buildJobs(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := remoteTestOpts()
 	want := []Job{
 		{Design: NoL3, Workload: "sphinx3", Options: o},
 		{Design: Tagless, Workload: "sphinx3", Options: o},
@@ -233,6 +242,18 @@ func TestSweepdGridExpansion(t *testing.T) {
 		if fps[i] != wantFP {
 			t.Errorf("jobs[%d] fingerprint drifted across the wire conversion", i)
 		}
+	}
+
+	// Policy names are case-insensitive on the wire, as on the CLI.
+	lru, _, err := svc.buildJobs(&sweepapi.Request{Jobs: []sweepapi.Job{{
+		Design: "cTLB", Workload: "sphinx3",
+		Options: json.RawMessage(`{"shift": 6, "warmup": 50000, "measure": 50000, "seed": 1, "policy": "lru"}`),
+	}}})
+	if err != nil {
+		t.Fatalf(`"policy": "lru" rejected: %v`, err)
+	}
+	if got := lru[0].Options.Policy; got != LRU {
+		t.Errorf(`"policy": "lru" decoded to %v, want LRU`, got)
 	}
 }
 
@@ -418,12 +439,11 @@ func TestRemoteSweepRejectsLocalOnlyOptions(t *testing.T) {
 	}
 }
 
-// TestWireOptionsFingerprintRoundTrip pins wireOptions/optionsFromWire as
-// exact inverses over the semantic fields: a job converted to the wire
-// form and back must keep its cache fingerprint. Every semantic field is
-// set to a non-default value so a new field that misses the wire mapping
-// fails here (the guard loop below catches a field this test itself
-// forgot to set).
+// TestWireOptionsFingerprintRoundTrip sends a fully non-default Options
+// through the real transport — Canonical() inside a JSON request, decoded
+// by the server's strict options decoder — and requires the job's cache
+// fingerprint to survive. The guard loop is driven by the json tags: a
+// new named field this test forgot to set fails here.
 func TestWireOptionsFingerprintRoundTrip(t *testing.T) {
 	o := Options{
 		Shift:               5,
@@ -441,7 +461,6 @@ func TestWireOptionsFingerprintRoundTrip(t *testing.T) {
 		Refresh:             true,
 		L2TLBEntries:        256,
 		Alpha:               2,
-		MemoryWalk:          true,
 		WalkModel:           "nested",
 		PWCHitCycles:        3,
 		TLBTopology:         "shared",
@@ -449,40 +468,38 @@ func TestWireOptionsFingerprintRoundTrip(t *testing.T) {
 		CtxSwitchFlush:      true,
 		MSHRs:               4,
 		EpochRefs:           1_000,
+		EpochCapacity:       16,
 		Sample:              &SampleSpec{WindowRefs: 1_000, PeriodRefs: 10_000, WarmRefs: 500},
 	}
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Guard: every semantic field (except the checkpoint trio, which is
-	// deliberately not wire-transportable) must be non-zero above.
-	zero, ov := reflect.ValueOf(Options{}), reflect.ValueOf(o)
-	for name := range semanticOptionFields {
-		switch name {
-		case "CheckpointSave", "CheckpointLoad", "Checkpoints":
-			continue
-		}
-		got := fmt.Sprintf("%v", ov.FieldByName(name).Interface())
-		if got == fmt.Sprintf("%v", zero.FieldByName(name).Interface()) {
-			t.Errorf("semantic field %s is still zero: set it above so the wire round trip exercises it", name)
+	typ, ov := reflect.TypeOf(o), reflect.ValueOf(o)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.IsExported() && f.Tag.Get("json") != "-" && ov.Field(i).IsZero() {
+			t.Errorf("wire field %s is still zero: set it above so the round trip exercises it", f.Name)
 		}
 	}
 
-	// Exercise the real transport: marshal the wire form through JSON too.
-	raw, err := json.Marshal(wireOptions(o))
+	canon, err := o.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w sweepapi.Options
-	if err := json.Unmarshal(raw, &w); err != nil {
-		t.Fatal(err)
-	}
-	back, err := optionsFromWire(&w)
+	body, err := json.Marshal(sweepapi.Request{Jobs: []sweepapi.Job{{Design: "cTLB", Workload: "sphinx3", Options: canon}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := back.Canonical(), o.Canonical(); got != want {
-		t.Fatalf("canonical options drifted across the wire:\n got %s\nwant %s", got, want)
+	var req sweepapi.Request
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	back, err := decodeOptions(req.Jobs[0].Options, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := back.Canonical(); err != nil || !bytes.Equal(got, canon) {
+		t.Fatalf("canonical options drifted across the wire (%v):\n got %s\nwant %s", err, got, canon)
 	}
 	fp0, err := (Job{Design: Tagless, Workload: "sphinx3", Options: o}).Fingerprint()
 	if err != nil {

@@ -17,6 +17,7 @@
 package taglessdram
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"time"
@@ -67,82 +68,83 @@ const (
 // Result is re-exported from the system package: one measured run.
 type Result = system.Result
 
-// Options controls a simulation run.
+// Options controls a simulation run, and is the one description of a
+// job that the result cache, the sweep service and the CLIs share. The
+// json tags classify the fields: a named field can change a Result, so
+// it crosses the wire to a sweep service and enters the cache key
+// (Canonical); a `json:"-"` field is local (an observer, a handle or an
+// execution mechanic) and does neither. The checkpoint fields are local
+// but still fold into the key's derived quiesced bit.
 type Options struct {
 	// Shift scales capacities and footprints down by 1<<Shift.
-	Shift uint
+	Shift uint `json:"shift"`
 	// Warmup and Measure are per-core instruction budgets.
-	Warmup  uint64
-	Measure uint64
+	Warmup  uint64 `json:"warmup"`
+	Measure uint64 `json:"measure"`
 	// Seed varies the synthetic traces.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// CacheMB overrides the scaled DRAM-cache capacity in MB (0 = the
 	// scaled default, 1GB>>Shift).
-	CacheMB int64
+	CacheMB int64 `json:"cache_mb,omitempty"`
 	// Policy selects the tagless victim policy (FIFO default).
-	Policy config.ReplacementPolicy
+	Policy config.ReplacementPolicy `json:"policy,omitempty"`
 	// NCAccessThreshold enables non-cacheable-page classification for
 	// pages an offline profile marks low-reuse (Section 5.4; 32 in the
 	// paper's case study).
-	NCAccessThreshold int
+	NCAccessThreshold int `json:"nc_access_threshold,omitempty"`
 	// SynchronousEviction and CachedGIPT enable the two ablations.
-	SynchronousEviction bool
-	CachedGIPT          bool
+	SynchronousEviction bool `json:"synchronous_eviction,omitempty"`
+	CachedGIPT          bool `json:"cached_gipt,omitempty"`
 	// SharedAliasTable enables Section 6's physical→cache alias table
 	// for inter-process shared pages (default: such pages are marked
 	// non-cacheable, the solution the paper adopts in Section 3.5).
-	SharedAliasTable bool
+	SharedAliasTable bool `json:"shared_alias_table,omitempty"`
 	// HotFilterThreshold enables the online CHOP-style hot-page filter:
 	// pages start non-cacheable and are promoted after this many
 	// accesses. Needs no offline profile, unlike NCAccessThreshold.
-	HotFilterThreshold int
+	HotFilterThreshold int `json:"hot_filter_threshold,omitempty"`
 	// Superpages maps application regions as superpages (Section 6).
 	// The region size is the paper's 2MB scaled by Shift (at the default
 	// 64x scale: 8 base pages), so region-to-cache ratios track a 2MB
 	// superpage against a 1GB cache.
-	Superpages bool
+	Superpages bool `json:"superpages,omitempty"`
 	// Refresh enables DRAM refresh modeling (tREFI/tRFC blackouts) on
 	// both devices. Off by default: the paper's Table 4 has no refresh
 	// parameters.
-	Refresh bool
+	Refresh bool `json:"refresh,omitempty"`
 	// L2TLBEntries overrides the per-core L2 TLB capacity (0 = the
 	// paper's 512), for TLB-reach sensitivity studies.
-	L2TLBEntries int
+	L2TLBEntries int `json:"l2_tlb_entries,omitempty"`
 	// Alpha overrides the number of free blocks kept available (0 = the
 	// paper's 1).
-	Alpha int
-	// MemoryWalk models page-table walks as memory traffic (MMU walk
-	// caches + leaf PTE reads) instead of the paper-style fixed cost.
-	// Legacy switch: it selects the "pwc" walk model when WalkModel is
-	// empty.
-	MemoryWalk bool
+	Alpha int `json:"alpha,omitempty"`
 	// WalkModel selects the page-table-walk timing model by name:
 	// "fixed" (the paper's constant cost, the default), "pwc"
 	// (walk-cache + leaf PTE memory traffic), or "nested" (virtualized
 	// guest→host two-dimensional walk, up to 24 memory references per
-	// miss). Empty defers to MemoryWalk.
-	WalkModel string
+	// miss). Empty means fixed.
+	WalkModel string `json:"walk_model,omitempty"`
 	// PWCHitCycles is the per-level page-walk-cache hit cost of the pwc
 	// and nested models (the old hardcoded 2-cycle upper-level cost).
-	PWCHitCycles int
+	PWCHitCycles int `json:"pwc_hit_cycles,omitempty"`
 	// TLBTopology selects the TLB organization: "private" (per-core
 	// two-level hierarchy, the default) or "shared" (per-core L1s over
 	// one shared ASID-tagged L2 with cross-core invalidation traffic).
-	TLBTopology string
+	TLBTopology string `json:"tlb_topology,omitempty"`
 	// CtxSwitchRefs, when positive, context-switches each core every
 	// that many trace references, modeling multi-tenant TLB pressure.
-	CtxSwitchRefs uint64
+	CtxSwitchRefs uint64 `json:"ctx_switch_refs,omitempty"`
 	// CtxSwitchFlush selects the context-switch policy: true shoots down
 	// the core's own shared-L2 entries (quiesced flush); false retains
 	// them under ASID tagging and injects foreign-tenant entries instead.
-	CtxSwitchFlush bool
+	CtxSwitchFlush bool `json:"ctx_switch_flush,omitempty"`
 	// MSHRs overrides the per-core outstanding-miss window (0 = the
 	// default 8), for memory-level-parallelism sensitivity studies.
-	MSHRs int
+	MSHRs int `json:"mshrs,omitempty"`
 	// ExtraDesigns appends organizations beyond the paper's five to the
 	// design-comparison grids (Figures 7, 9, 12) — e.g. AlloyBlock or
 	// Banshee. The paper's plots are unchanged when empty.
-	ExtraDesigns []Design
+	ExtraDesigns []Design `json:"-"`
 	// Workers bounds how many simulations of a sweep (Sweep, or any
 	// RunFigureN/RunTableN grid) run concurrently: 0 = GOMAXPROCS,
 	// 1 = serial. It never changes a simulation's metrics — every job is
@@ -150,7 +152,7 @@ type Options struct {
 	// and has no effect on a single Run. With Server set it becomes the
 	// requested remote fan-out width (the service clamps it to its own
 	// ceiling).
-	Workers int
+	Workers int `json:"-"`
 	// Server, when non-empty, is the base URL of a sweepd sweep service
 	// (cmd/sweepd); every RunFigureN/RunTableN sweep is then submitted
 	// there via RemoteSweep instead of simulating in-process. Results
@@ -159,65 +161,65 @@ type Options struct {
 	// workloads by hand (RunSharedPages, RunFairness's alone-runs) still
 	// simulate locally. Non-semantic: where a job runs never changes its
 	// Result.
-	Server string
+	Server string `json:"-"`
 	// Progress, when non-nil, is called after each simulation of a sweep
 	// completes (done/total counts, elapsed wall time, ETA). Calls are
 	// serialized but may come from worker goroutines. A single Run calls
 	// it once, after the simulation finishes, with a one-line throughput
 	// summary (trace references and kernel events per wall-clock second)
 	// in the Summary field.
-	Progress func(SweepProgress)
+	Progress func(SweepProgress) `json:"-"`
 	// OnSweepAccepted, when non-nil, is called once per remote sweep as
 	// the sweep service accepts the grid, with the server-assigned sweep
 	// ID — the handle for the service's span trace (GET /v1/trace) — and
 	// the sweep's validated shape. In-process sweeps never call it.
 	// Non-semantic: a pure observer.
-	OnSweepAccepted func(SweepAccepted)
+	OnSweepAccepted func(SweepAccepted) `json:"-"`
 	// EpochRefs enables epoch-resolved sampling: every EpochRefs measured
 	// references the machine snapshots its counters and the Result carries
 	// the per-epoch deltas in Result.Epochs (0 = off, the default; the hot
 	// path stays allocation-free when off). Sampling is observational only
 	// and never changes a run's metrics.
-	EpochRefs uint64
+	EpochRefs uint64 `json:"epoch_refs,omitempty"`
 	// EpochCapacity bounds the epoch ring; once full, older epochs are
 	// dropped and Result.EpochsDropped counts them (0 = a generous
 	// default, obs.DefaultCapacity).
-	EpochCapacity int
+	EpochCapacity int `json:"epoch_capacity,omitempty"`
 	// MetricsSink, when non-nil, receives every completed Result: once
 	// after a single Run, and once per job — in submission order, after
 	// all jobs finish — for a sweep. Use WriteMetricsJSON inside the sink
 	// to stream structured metrics; the submission-order guarantee makes
 	// the output byte-identical across Workers settings.
-	MetricsSink func(*Result)
+	MetricsSink func(*Result) `json:"-"`
 	// TraceEvents, when non-nil, receives a Chrome trace_event JSON
 	// document (chrome://tracing, Perfetto) of the first TraceEventLimit
 	// kernel events of the run. Single Run only; sweeps ignore it (jobs
 	// would interleave on the shared writer).
-	TraceEvents io.Writer
+	TraceEvents io.Writer `json:"-"`
 	// TraceEventLimit bounds the trace window (0 = sim.DefaultTraceLimit).
-	TraceEventLimit int
+	TraceEventLimit int `json:"-"`
 	// Sample enables SMARTS-style sampled simulation: short cycle-accurate
 	// measurement windows with functional fast-forward covering the gaps.
 	// The Result's counters cover only the accurate windows and
 	// Result.Sampled carries the IPC estimate ± CI95. Nil (the default)
 	// runs every reference cycle-accurately.
-	Sample *SampleSpec
+	Sample *SampleSpec `json:"sample,omitempty"`
 	// CheckpointSave writes the machine's post-warmup state to this file
 	// before the measured phase, for later reuse via CheckpointLoad.
 	// Any checkpoint option switches the run to the Warmup/Measure pair,
 	// which quiesces the event kernel at the phase boundary (in-flight
 	// events have no serialized form), so checkpointed results are
 	// byte-identical to each other but not to a plain Run.
-	CheckpointSave string
+	CheckpointSave string `json:"-"`
 	// CheckpointLoad restores post-warmup state from this file instead of
 	// running the warm-up phase. The machine configuration and workload
 	// must match the saving run exactly.
-	CheckpointLoad string
+	CheckpointLoad string `json:"-"`
 	// Checkpoints, when non-nil, is a shared in-memory warm-state store:
 	// sweeps warm each (workload, configuration, warm-up, seed)
 	// combination once and every later matching job skips straight to the
 	// measured phase. Safe for concurrent workers.
-	Checkpoints *CheckpointStore
+	Checkpoints *CheckpointStore `json:"-"`
 	// ResultCache, when non-nil, is a persistent content-addressed store
 	// of completed Results: before simulating, Run looks up the job's
 	// fingerprint (Job.Fingerprint — model version, design, workload +
@@ -227,7 +229,7 @@ type Options struct {
 	// bit-reproducible. Runs that load/save checkpoint files or request
 	// kernel-event traces bypass the cache. Safe for concurrent workers
 	// and processes sharing one directory.
-	ResultCache *ResultCache
+	ResultCache *ResultCache `json:"-"`
 }
 
 // ResultCache is the persistent content-addressed result store (see
@@ -247,6 +249,20 @@ func OpenResultCache(dir string) (*ResultCache, error) {
 // 3M warmup + 3M measured instructions per core.
 func DefaultOptions() Options {
 	return Options{Shift: 6, Warmup: 3_000_000, Measure: 3_000_000, Seed: 1, PWCHitCycles: 2}
+}
+
+// RegisterFlags binds the option flags both CLIs share directly to o's
+// fields. Each flag defaults to the field's current value, so callers
+// set their own defaults before registering.
+func (o *Options) RegisterFlags(fs *flag.FlagSet) {
+	fs.Uint64Var(&o.Seed, "seed", o.Seed, "trace seed")
+	fs.StringVar(&o.WalkModel, "walk", o.WalkModel, "page-table-walk model: fixed | pwc | nested (empty = fixed)")
+	fs.IntVar(&o.PWCHitCycles, "pwc-hit", o.PWCHitCycles, "per-level page-walk-cache hit cycles (pwc and nested models)")
+	fs.StringVar(&o.TLBTopology, "tlb-topo", o.TLBTopology, "TLB topology: private | shared (empty = private)")
+	fs.Uint64Var(&o.CtxSwitchRefs, "ctx-switch-refs", o.CtxSwitchRefs, "context-switch each core every N trace references (0 = off)")
+	fs.BoolVar(&o.CtxSwitchFlush, "ctx-switch-flush", o.CtxSwitchFlush, "flush the core's shared-L2 TLB entries at each context switch instead of retaining them under ASID tags")
+	fs.Uint64Var(&o.EpochRefs, "epoch-refs", o.EpochRefs, "epoch length in measured references for time-series sampling (0 = off)")
+	fs.IntVar(&o.EpochCapacity, "epoch-capacity", o.EpochCapacity, "max retained epochs per run; once full the oldest are dropped (0 = default ring)")
 }
 
 // configFor builds the machine configuration for a run.
@@ -290,7 +306,6 @@ func configFor(design Design, o Options) *config.SystemConfig {
 	if o.Alpha > 0 {
 		c.Tagless.Alpha = o.Alpha
 	}
-	c.MemoryWalk = o.MemoryWalk
 	c.WalkModel = o.WalkModel
 	c.PWCHitCycles = o.PWCHitCycles
 	c.TLBTopology = o.TLBTopology
@@ -512,6 +527,9 @@ func (o Options) Validate() error {
 	}
 	if o.PWCHitCycles < 0 {
 		return fmt.Errorf("taglessdram: PWCHitCycles must be non-negative, got %d", o.PWCHitCycles)
+	}
+	if _, err := o.Policy.MarshalText(); err != nil {
+		return fmt.Errorf("taglessdram: %w", err)
 	}
 	return nil
 }

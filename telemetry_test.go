@@ -479,9 +479,13 @@ func TestSweepdStreamEchoesSweepID(t *testing.T) {
 	o := remoteTestOpts()
 	submit := func() (accepted, done string, cached bool) {
 		t.Helper()
+		canon, err := o.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
 		body, err := json.Marshal(&sweepapi.Request{
 			Jobs:    []sweepapi.Job{{Workload: "sphinx3", Design: "cTLB"}},
-			Options: wireOptions(o),
+			Options: canon,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -74,26 +74,6 @@ func TestWalkModelOrdering(t *testing.T) {
 	}
 }
 
-// TestMemoryWalkSelectsPWC pins the legacy switch: MemoryWalk=true and
-// WalkModel="pwc" are the same model and must produce bit-identical runs.
-func TestMemoryWalkSelectsPWC(t *testing.T) {
-	legacy := quickOpts()
-	legacy.MemoryWalk = true
-	named := quickOpts()
-	named.WalkModel = "pwc"
-	a, err := Run(Tagless, "mcf", legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(Tagless, "mcf", named)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(metricsBytes(t, a), metricsBytes(t, b)) {
-		t.Error("MemoryWalk=true and WalkModel=\"pwc\" runs differ")
-	}
-}
-
 // TestSharedTLBTopology runs a multi-programmed mix over the shared-L2
 // topology with nested paging and periodic context switches — the
 // stack's most adversarial configuration — and checks conservation,
