@@ -16,8 +16,8 @@
 package lat
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/bits"
 
@@ -226,33 +226,49 @@ func (h *Hist) Rows() []BucketRow {
 // Reset discards all samples.
 func (h *Hist) Reset() { *h = Hist{} }
 
-// histWire is Hist's serialized image. The struct's own fields are
-// unexported (fixed-size value storage for the alloc-free hot path), so
-// gob needs this explicit form; it is what the persistent result cache
-// stores for the latency tail metrics.
-type histWire struct {
-	Counts [NumBuckets]uint64
-	Total  uint64
-	Sum    uint64
-	Max    uint64
-}
+// histImageVersion tags Hist's serialized image. The image is what the
+// persistent result cache stores for the latency tail metrics, so
+// changing its layout requires bumping the cache's entry format too.
+const histImageVersion = 1
 
-// GobEncode implements gob.GobEncoder.
+// GobEncode implements gob.GobEncoder. The image is flat: one version
+// byte, then NumBuckets+3 uvarints — the bucket counts, then total, sum
+// and max. Empty buckets cost one byte each.
 func (h *Hist) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(histWire{
-		Counts: h.counts, Total: h.total, Sum: h.sum, Max: h.max,
-	})
-	return buf.Bytes(), err
+	buf := make([]byte, 1, 1+(NumBuckets+3)*2)
+	buf[0] = histImageVersion
+	for _, c := range h.counts {
+		buf = binary.AppendUvarint(buf, c)
+	}
+	buf = binary.AppendUvarint(buf, h.total)
+	buf = binary.AppendUvarint(buf, h.sum)
+	return binary.AppendUvarint(buf, h.max), nil
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. An unknown version byte, a short
+// or malformed image, or trailing bytes are errors; h is only written
+// when the whole image decodes.
 func (h *Hist) GobDecode(data []byte) error {
-	var w histWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
+	if len(data) == 0 || data[0] != histImageVersion {
+		return errors.New("lat: unknown histogram image version")
 	}
-	h.counts, h.total, h.sum, h.max = w.Counts, w.Total, w.Sum, w.Max
+	var vals [NumBuckets + 3]uint64
+	rest := data[1:]
+	for i := range vals {
+		v, n := binary.Uvarint(rest)
+		// A multi-byte uvarint ending in a zero byte is a padded
+		// encoding of a smaller value; only the minimal form is valid,
+		// so every accepted image is exactly what GobEncode writes.
+		if n <= 0 || n > 1 && rest[n-1] == 0 {
+			return errors.New("lat: short or malformed histogram image")
+		}
+		vals[i], rest = v, rest[n:]
+	}
+	if len(rest) != 0 {
+		return errors.New("lat: trailing bytes after histogram image")
+	}
+	copy(h.counts[:], vals[:NumBuckets])
+	h.total, h.sum, h.max = vals[NumBuckets], vals[NumBuckets+1], vals[NumBuckets+2]
 	return nil
 }
 

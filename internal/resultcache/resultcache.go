@@ -21,9 +21,17 @@
 //     errors, because the cache must always be allowed to fall back to
 //     simulating.
 //
+// Entries are read and written at two levels. Payload and PutPayload
+// move an entry's payload bytes — the Encode image of a Result — without
+// touching the codec: the sweep service answers a cache hit by streaming
+// the verified stored bytes as they are, and encodes a fresh Result once
+// for both the store and the stream. Get and Put are the same primitives
+// plus Decode and Encode, for in-process callers that want a Result.
+//
 // The package also provides Flight, an in-process single-flight memo
 // that deduplicates identical jobs inside one sweep, and Clone, the
-// gob round-trip used to hand deduplicated callers their own copy.
+// codec round trip that hands a deduplicated caller its own copy of a
+// Result no payload was encoded for.
 package resultcache
 
 import (
@@ -50,9 +58,13 @@ func KeyOf(preimage string) Key { return sha256.Sum256([]byte(preimage)) }
 // String renders the key as lowercase hex (also the entry's file name).
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// entryFormat versions the on-disk envelope layout. A mismatch means the
-// entry was written by an incompatible build and is evicted as a miss.
-const entryFormat = 1
+// entryFormat versions the on-disk envelope layout and the payload codec
+// inside it. A mismatch means the entry was written by an incompatible
+// build and is evicted as a miss. Format 2 carries lat.Hist's flat image
+// in place of its nested gob stream; because hits are streamed to
+// clients without decoding, this stamp is what keeps a format-1 payload
+// from reaching one.
+const entryFormat = 2
 
 // envelope is the on-disk form of one entry. Payload is the gob-encoded
 // system.Result; Sum is its SHA-256, verified on every load. Preimage is
@@ -69,10 +81,10 @@ type envelope struct {
 // Stats are a store's lifetime counters (monotonic, safe to read
 // concurrently with cache traffic).
 type Stats struct {
-	Hits    uint64 // Get found a valid entry
-	Misses  uint64 // Get found nothing usable
-	Stored  uint64 // Put wrote an entry
-	Evicted uint64 // corrupt/mismatched entries removed during Get
+	Hits    uint64 // Get or Payload found a valid entry
+	Misses  uint64 // Get or Payload found nothing usable
+	Stored  uint64 // Put or PutPayload wrote an entry
+	Evicted uint64 // corrupt/mismatched entries removed during a lookup
 }
 
 // Store is a directory-backed result cache. Safe for concurrent use by
@@ -111,33 +123,66 @@ func (s *Store) path(key Key) string {
 	return filepath.Join(s.dir, key.String()+".res")
 }
 
-// Get loads the result stored under key. A missing, corrupt, truncated,
-// version-mismatched or mis-keyed entry is a miss (corrupt entries are
-// also evicted so the slot heals on the next Put); Get never returns an
-// error because the caller can always fall back to simulating.
+// Payload returns the payload bytes stored under key after verifying the
+// entry's format, key and checksum, without decoding them. A missing,
+// corrupt, truncated, version-mismatched or mis-keyed entry is a miss
+// (damaged entries are also evicted so the slot heals on the next Put);
+// Payload never returns an error because the caller can always fall
+// back to simulating.
+func (s *Store) Payload(key Key) ([]byte, bool) {
+	payload, ok := s.load(key)
+	if ok {
+		s.hits.Add(1)
+	}
+	return payload, ok
+}
+
+// Get loads and decodes the result stored under key: Payload plus
+// Decode. A payload that fails to decode is a miss too, and its entry is
+// evicted.
 func (s *Store) Get(key Key) (*system.Result, bool) {
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		s.misses.Add(1)
+	payload, ok := s.load(key)
+	if !ok {
 		return nil, false
 	}
-	r, err := decodeEntry(key, data)
+	r, err := decodeResult(payload)
 	if err != nil {
-		// Unusable entry: evict it so a fresh Put replaces it, and treat
-		// the lookup as a miss.
-		if rmErr := os.Remove(s.path(key)); rmErr == nil {
-			s.evicted.Add(1)
-		}
-		s.misses.Add(1)
+		s.evict(key)
 		return nil, false
 	}
 	s.hits.Add(1)
 	return r, true
 }
 
-// decodeEntry validates one on-disk envelope against the key it was
-// looked up under and decodes its Result.
-func decodeEntry(key Key, data []byte) (*system.Result, error) {
+// load reads and verifies the entry under key, counting (and evicting)
+// everything that is not a usable entry as a miss. Hits are counted by
+// the caller once it has accepted the payload.
+func (s *Store) load(key Key) ([]byte, bool) {
+	data, err := os.ReadFile(s.path(key))
+	if err != nil {
+		s.misses.Add(1)
+		return nil, false
+	}
+	payload, err := verifyEntry(key, data)
+	if err != nil {
+		s.evict(key)
+		return nil, false
+	}
+	return payload, true
+}
+
+// evict removes an unusable entry, so a fresh Put replaces it, and counts
+// the lookup that found it as a miss.
+func (s *Store) evict(key Key) {
+	if err := os.Remove(s.path(key)); err == nil {
+		s.evicted.Add(1)
+	}
+	s.misses.Add(1)
+}
+
+// verifyEntry validates one on-disk envelope against the key it was
+// looked up under and returns its payload.
+func verifyEntry(key Key, data []byte) ([]byte, error) {
 	var e envelope
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
 		return nil, fmt.Errorf("resultcache: envelope: %w", err)
@@ -151,19 +196,26 @@ func decodeEntry(key Key, data []byte) (*system.Result, error) {
 	if sha256.Sum256(e.Payload) != e.Sum {
 		return nil, fmt.Errorf("resultcache: payload checksum mismatch")
 	}
-	return decodeResult(e.Payload)
+	return e.Payload, nil
 }
 
 // Put stores a result under key, recording the canonical preimage the
-// key was derived from. The write is atomic: concurrent readers either
-// see the complete new entry or whatever was there before.
+// key was derived from: Encode plus PutPayload.
 func (s *Store) Put(key Key, preimage string, r *system.Result) error {
 	payload, err := encodeResult(r)
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
+	return s.PutPayload(key, preimage, payload)
+}
+
+// PutPayload stores payload — a Result already rendered by Encode — under
+// key, recording the canonical preimage the key was derived from. The
+// write is atomic: concurrent readers either see the complete new entry
+// or whatever was there before.
+func (s *Store) PutPayload(key Key, preimage string, payload []byte) error {
 	var buf bytes.Buffer
-	err = gob.NewEncoder(&buf).Encode(envelope{
+	err := gob.NewEncoder(&buf).Encode(envelope{
 		Format:   entryFormat,
 		Key:      key.String(),
 		Preimage: preimage,
@@ -219,9 +271,9 @@ func (s *Store) Len() int {
 
 // Encode renders a Result in the cache's own payload codec. The bytes
 // are exactly what a cache entry's payload carries, so a Decode on the
-// far side of any transport (the sweep service streams them base64-coded
-// inside JSON events) reconstructs the Result bit-identically — the same
-// guarantee a cache hit gives.
+// far side of any transport (the sweep service streams stored payloads
+// base64-coded inside JSON events) reconstructs the Result
+// bit-identically — the same guarantee a cache hit gives.
 func Encode(r *system.Result) ([]byte, error) { return encodeResult(r) }
 
 // Decode reverses Encode.
@@ -230,8 +282,8 @@ func Decode(payload []byte) (*system.Result, error) { return decodeResult(payloa
 // encodeResult/decodeResult are the payload codec: plain gob of the
 // Result value. Every field of system.Result (and its nested metric
 // types) either exports its state or, like lat.Hist, implements the gob
-// interfaces, so the round trip is lossless — Clone and the hit path
-// both rely on that.
+// interfaces with its own flat image, so the round trip is lossless —
+// Clone and the hit path both rely on that.
 func encodeResult(r *system.Result) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
@@ -263,53 +315,54 @@ func Clone(r *system.Result) (*system.Result, error) {
 // later caller waits for (or immediately receives) the first caller's
 // outcome with shared=true. Completed calls stay memoized for the
 // Flight's lifetime, so serial sweeps deduplicate repeated cells too.
-// Callers that need a private copy of a shared result should Clone it.
-type Flight struct {
+// V is whatever a job settles to; every sharer receives the same V, so
+// callers that need a private copy of a shared value must make one.
+type Flight[V any] struct {
 	mu    sync.Mutex
-	calls map[Key]*call
+	calls map[Key]*call[V]
 }
 
-type call struct {
+type call[V any] struct {
 	done chan struct{}
-	r    *system.Result
+	v    V
 	err  error
 }
 
 // NewFlight returns an empty single-flight memo.
-func NewFlight() *Flight {
-	return &Flight{calls: make(map[Key]*call)}
+func NewFlight[V any]() *Flight[V] {
+	return &Flight[V]{calls: make(map[Key]*call[V])}
 }
 
 // Forget drops key's memoized call, so the next Do runs fn again instead
 // of replaying the remembered outcome. Callers already waiting on the
-// forgotten call still receive its result — they hold the call, not the
+// forgotten call still receive its value — they hold the call, not the
 // map slot. Long-lived owners (the sweep service keeps one Flight for
 // its whole lifetime) forget each key as soon as its run completes: the
 // persistent store serves later duplicates, concurrent ones still share
-// one execution, and the memo stops pinning every Result ever computed —
+// one execution, and the memo stops pinning every value ever computed —
 // including failed calls, which would otherwise replay their error
 // forever.
-func (f *Flight) Forget(key Key) {
+func (f *Flight[V]) Forget(key Key) {
 	f.mu.Lock()
 	delete(f.calls, key)
 	f.mu.Unlock()
 }
 
 // Do runs fn under key, deduplicating against concurrent and past calls
-// with the same key. shared reports whether the returned result came
+// with the same key. shared reports whether the returned value came
 // from another caller's execution.
-func (f *Flight) Do(key Key, fn func() (*system.Result, error)) (r *system.Result, shared bool, err error) {
+func (f *Flight[V]) Do(key Key, fn func() (V, error)) (v V, shared bool, err error) {
 	f.mu.Lock()
 	if c, ok := f.calls[key]; ok {
 		f.mu.Unlock()
 		<-c.done
-		return c.r, true, c.err
+		return c.v, true, c.err
 	}
-	c := &call{done: make(chan struct{})}
+	c := &call[V]{done: make(chan struct{})}
 	f.calls[key] = c
 	f.mu.Unlock()
 
 	defer close(c.done)
-	c.r, c.err = fn()
-	return c.r, false, c.err
+	c.v, c.err = fn()
+	return c.v, false, c.err
 }

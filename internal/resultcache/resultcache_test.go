@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"taglessdram/internal/lat"
 	"taglessdram/internal/system"
 )
 
@@ -98,46 +99,117 @@ func rewriteEnvelope(t *testing.T, s *Store, key Key, mutate func(*envelope)) {
 	}
 }
 
+// formatOnePayload renders a Result payload the way entry format 1 did:
+// plain gob, with each lat.Hist as a nested gob stream of its fields.
+// The types mirror the fields of system.Result they stand in for; gob
+// matches fields by name.
+func formatOnePayload(t testing.TB) []byte {
+	t.Helper()
+	type histWire struct {
+		Counts [lat.NumBuckets]uint64
+		Total  uint64
+		Sum    uint64
+		Max    uint64
+	}
+	var counts [lat.NumBuckets]uint64
+	counts[3], counts[8] = 2, 1
+	var hist bytes.Buffer
+	if err := gob.NewEncoder(&hist).Encode(histWire{Counts: counts, Total: 3, Sum: 214, Max: 200}); err != nil {
+		t.Fatal(err)
+	}
+	type summary struct{ L3Lat, HandlerLat formatOneHist }
+	type result struct {
+		Workload   string
+		Cycles     uint64
+		PerCoreIPC []float64
+		Latency    summary
+	}
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(result{
+		Workload: "unit", Cycles: 67890, PerCoreIPC: []float64{1.25, 0.75},
+		Latency: summary{formatOneHist(hist.Bytes()), formatOneHist(hist.Bytes())},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// formatOneHist carries a format-1 histogram image as its gob encoding.
+type formatOneHist []byte
+
+func (h formatOneHist) GobEncode() ([]byte, error) { return h, nil }
+
 func TestDamagedEntriesMissAndEvict(t *testing.T) {
+	old := formatOnePayload(t)
+	if _, err := Decode(old); err == nil {
+		t.Fatal("the current codec decoded a format-1 payload")
+	}
 	cases := []struct {
 		name   string
 		mutate func(*envelope)
+		// undecodable: the envelope verifies and only its payload fails
+		// to decode. Payload, which hands out verified bytes without
+		// decoding them, serves such an entry; Get misses.
+		undecodable bool
 	}{
-		{"wrong-format", func(e *envelope) { e.Format = entryFormat + 1 }},
-		{"mis-keyed", func(e *envelope) { e.Key = KeyOf("some other job").String() }},
-		{"checksum-mismatch", func(e *envelope) { e.Payload[0] ^= 0xff }},
+		{"wrong-format", func(e *envelope) { e.Format = entryFormat + 1 }, false},
+		{"previous-format", func(e *envelope) {
+			e.Format = 1
+			e.Payload = old
+			e.Sum = sha256.Sum256(old)
+		}, false},
+		{"mis-keyed", func(e *envelope) { e.Key = KeyOf("some other job").String() }, false},
+		{"checksum-mismatch", func(e *envelope) { e.Payload[0] ^= 0xff }, false},
 		{"payload-garbage", func(e *envelope) {
 			e.Payload = []byte("junk")
 			e.Sum = sha256.Sum256(e.Payload) // matching checksum, undecodable payload
-		}},
+		}, true},
+	}
+	lookups := []struct {
+		name   string
+		lookup func(*Store, Key) bool
+	}{
+		{"Get", func(s *Store, k Key) bool { _, ok := s.Get(k); return ok }},
+		{"Payload", func(s *Store, k Key) bool { _, ok := s.Payload(k); return ok }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			key := KeyOf("job")
-			if err := s.Put(key, "job", sampleResult()); err != nil {
-				t.Fatal(err)
-			}
-			rewriteEnvelope(t, s, key, tc.mutate)
+			for _, lk := range lookups {
+				t.Run(lk.name, func(t *testing.T) {
+					s, err := Open(t.TempDir())
+					if err != nil {
+						t.Fatal(err)
+					}
+					key := KeyOf("job")
+					if err := s.Put(key, "job", sampleResult()); err != nil {
+						t.Fatal(err)
+					}
+					rewriteEnvelope(t, s, key, tc.mutate)
 
-			if _, ok := s.Get(key); ok {
-				t.Fatal("damaged entry served as a hit")
-			}
-			if s.Len() != 0 {
-				t.Fatal("damaged entry not evicted")
-			}
-			if st := s.Stats(); st.Evicted != 1 || st.Misses != 1 || st.Hits != 0 {
-				t.Fatalf("stats = %+v, want 1 eviction, 1 miss, 0 hits", st)
-			}
-			// The slot heals on the next Put.
-			if err := s.Put(key, "job", sampleResult()); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := s.Get(key); !ok {
-				t.Fatal("miss after healing Put")
+					if tc.undecodable && lk.name == "Payload" {
+						if !lk.lookup(s, key) {
+							t.Fatal("Payload refused a verified entry")
+						}
+						return
+					}
+					if lk.lookup(s, key) {
+						t.Fatal("damaged entry served as a hit")
+					}
+					if s.Len() != 0 {
+						t.Fatal("damaged entry not evicted")
+					}
+					if st := s.Stats(); st.Evicted != 1 || st.Misses != 1 || st.Hits != 0 {
+						t.Fatalf("stats = %+v, want 1 eviction, 1 miss, 0 hits", st)
+					}
+					// The slot heals on the next Put.
+					if err := s.Put(key, "job", sampleResult()); err != nil {
+						t.Fatal(err)
+					}
+					if !lk.lookup(s, key) {
+						t.Fatal("miss after healing Put")
+					}
+				})
 			}
 		})
 	}
@@ -183,7 +255,7 @@ func TestClone(t *testing.T) {
 }
 
 func TestFlightDedupsConcurrentAndCompletedCalls(t *testing.T) {
-	f := NewFlight()
+	f := NewFlight[*system.Result]()
 	key := KeyOf("job")
 	var calls, shares int
 	var mu sync.Mutex
@@ -271,7 +343,7 @@ func TestConcurrentPutGetOneKey(t *testing.T) {
 // again (both after success and after a memoized error), while callers
 // already blocked on the forgotten call still receive its outcome.
 func TestForgetDropsMemoButNotWaiters(t *testing.T) {
-	f := NewFlight()
+	f := NewFlight[*system.Result]()
 	key := KeyOf("job")
 
 	// Memoized success re-runs after Forget.

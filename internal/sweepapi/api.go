@@ -23,8 +23,12 @@
 // one "result" per job in submission order followed by one "done", or a
 // single terminal "error". Result payloads are the result cache's own
 // gob encoding (base64 inside JSON), so a decoded result is
-// bit-identical to what an in-process run would have produced. 503s
-// from a draining server carry a Retry-After header (seconds).
+// bit-identical to what an in-process run would have produced. A cached
+// cell's result is the payload stored in the server's result cache,
+// byte for byte: the server verifies the entry but never decodes or
+// re-encodes it, and a fresh cell's result is the same bytes the server
+// stored for it. 503s from a draining server carry a Retry-After header
+// (seconds).
 package sweepapi
 
 import "encoding/json"
@@ -90,9 +94,10 @@ type Event struct {
 	ETAMS     int64 `json:"eta_ms,omitempty"`
 
 	// result: one job's completed simulation. Result is the result
-	// cache's gob payload (encoding/json base64-codes []byte). Cached
-	// reports that the job was answered without simulating (a store
-	// hit or a deduplicated duplicate).
+	// cache's gob payload (encoding/json base64-codes []byte), for a
+	// cached job the stored entry's payload as it is. Cached reports
+	// that the job was answered without simulating (a store hit or a
+	// deduplicated duplicate).
 	Job         int    `json:"job,omitempty"`
 	Design      string `json:"design,omitempty"`
 	Workload    string `json:"workload,omitempty"`

@@ -37,17 +37,38 @@ func Sweep(ctx context.Context, jobs []Job, workers int) ([]*Result, error) {
 // failing (workload, design) pair. Identical jobs in one sweep are
 // deduplicated by fingerprint through a single-flight memo: the first
 // occurrence simulates (or hits the result cache) and every duplicate —
-// concurrent or later — receives a private clone of its Result instead
+// concurrent or later — receives a private copy of its Result instead
 // of re-simulating.
 func sweepRun(ctx context.Context, jobs []Job, opt sweep.Options) ([]*Result, error) {
-	return sweepRunShared(ctx, jobs, opt, resultcache.NewFlight(), false, nil)
+	out, err := sweepRunShared(ctx, jobs, opt, sharedSweep{flight: resultcache.NewFlight[settled]()})
+	results := make([]*Result, len(out))
+	for i, s := range out {
+		results[i] = s.r
+	}
+	return results, err
+}
+
+// settled is what one job of a sweep resolved to: the Result it
+// simulated or decoded, the result-cache payload it read or encoded, or
+// both. The single-flight memo hands one settled value to every
+// duplicate of a job, so neither field is mutated once settled.
+type settled struct {
+	r       *Result
+	payload []byte
+}
+
+// jobKey is a job's result-cache key together with the canonical
+// preimage it hashes.
+type jobKey struct {
+	key resultcache.Key
+	pre string
 }
 
 // sweepProbe observes per-job execution milestones inside
 // sweepRunShared — the seam the sweep service's telemetry (per-phase
 // histograms, span traces) hangs off. Callbacks fire from worker
-// goroutines, concurrently across jobs but exactly once per milestone
-// per job index; a nil probe costs one branch. All three callbacks must
+// goroutines, concurrently across jobs but at most once per milestone
+// per job index; a nil probe costs one branch. All four callbacks must
 // be set on a non-nil probe.
 type sweepProbe struct {
 	// jobStart fires when a worker picks the job up (end of its queue
@@ -57,20 +78,49 @@ type sweepProbe struct {
 	// outcome. Jobs that skip the lookup (uncacheable options, no store,
 	// deduplicated against a concurrent identical cell) never fire it.
 	jobLookup func(i int, hit bool)
-	// jobDone fires when the job's result is settled. cached means no
-	// simulation ran for it: a store hit or a shared in-flight result.
+	// jobEncode fires when a Result this job simulated starts being
+	// encoded into its payload (the end of its simulation). It fires
+	// only for jobs that encode: fresh simulations under a store, or in
+	// a payload sweep.
+	jobEncode func(i int)
+	// jobDone fires when the job is settled in the form its sweep asked
+	// for: encoded and stored, if it encoded. cached means no simulation
+	// ran for it: a store hit or a shared in-flight result.
 	jobDone func(i int, cached bool, err error)
 }
 
-// sweepRunShared is sweepRun against a caller-owned single-flight memo,
-// so concurrent sweeps can deduplicate identical cells across each other
-// — the sweep service runs every request through one server-lifetime
-// Flight. With forget set, each key is dropped from the memo as soon as
-// its run completes: concurrent duplicates still share one execution,
-// later ones are served by the persistent result cache, and the memo
-// never pins every Result (or transient error) a long-running server
-// has ever produced.
-func sweepRunShared(ctx context.Context, jobs []Job, opt sweep.Options, flight *resultcache.Flight, forget bool, probe *sweepProbe) ([]*Result, error) {
+// sharedSweep configures sweepRunShared for one caller.
+type sharedSweep struct {
+	// flight is the single-flight memo identical cells share. The sweep
+	// service keeps one for its whole lifetime, so concurrent sweeps
+	// deduplicate identical cells across each other.
+	flight *resultcache.Flight[settled]
+	// forget drops each key from the memo as soon as its run completes:
+	// concurrent duplicates still share one execution, later ones are
+	// served by the persistent result cache, and the memo never pins
+	// every Result (or transient error) a long-running server has ever
+	// produced.
+	forget bool
+	// keys, when set, holds each job's fingerprint, computed by the
+	// caller (the sweep service fingerprints every cell to validate the
+	// request). Without it each worker fingerprints its own job.
+	keys []jobKey
+	// payloads settles every job to its payload bytes instead of a
+	// Result: a cache hit is its stored bytes, a fresh Result is encoded
+	// once for the store and the caller, and nothing is decoded or
+	// cloned. The sweep service streams those bytes as they are.
+	payloads bool
+	probe    *sweepProbe
+}
+
+// sweepRunShared is the one sweep core behind in-process sweeps and the
+// sweep service. Each job settles through sh.flight: read-through from
+// the result cache, else simulate (and store). Without payloads, every
+// job gets a private Result: the leader keeps what it settled to, a
+// duplicate decodes the shared payload, or clones a shared Result no
+// payload was encoded for. With payloads, every job gets its payload
+// (settled.payload) and Results are only ever encoded.
+func sweepRunShared(ctx context.Context, jobs []Job, opt sweep.Options, sh sharedSweep) ([]settled, error) {
 	// The engine's job type carries the submission index so the probe
 	// can attribute milestones to sweep lanes.
 	type ijob struct {
@@ -81,7 +131,8 @@ func sweepRunShared(ctx context.Context, jobs []Job, opt sweep.Options, flight *
 	for i, j := range jobs {
 		idx[i] = ijob{i, j}
 	}
-	return sweep.Run(ctx, idx, func(_ context.Context, ij ijob) (*Result, error) {
+	probe := sh.probe
+	return sweep.Run(ctx, idx, func(_ context.Context, ij ijob) (settled, error) {
 		i, j := ij.i, ij.j
 		// Per-run throughput summaries would arrive unserialized from
 		// worker goroutines; the sweep engine's own OnProgress is the
@@ -107,69 +158,104 @@ func sweepRunShared(ctx context.Context, jobs []Job, opt sweep.Options, flight *
 			}
 			return r, nil
 		}
-		finish := func(r *Result, cached bool, err error) (*Result, error) {
+		// encode renders a Result this job simulated as its payload.
+		encode := func(r *Result) ([]byte, error) {
+			if probe != nil {
+				probe.jobEncode(i)
+			}
+			payload, err := resultcache.Encode(r)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%v: taglessdram: encoding result: %w", j.Workload, j.Design, err)
+			}
+			return payload, nil
+		}
+		// finish hands the job its own copy in the form the sweep asked
+		// for. Only the two conversions that cannot be avoided run here:
+		// a payload for a Result nothing encoded yet, or a Result for a
+		// job that shares another job's settled value.
+		finish := func(s settled, shared, cached bool, err error) (settled, error) {
+			switch {
+			case err != nil:
+			case sh.payloads:
+				if s.payload == nil {
+					s.payload, err = encode(s.r)
+				}
+				s.r = nil
+			case !shared:
+			case s.payload != nil:
+				s.r, err = resultcache.Decode(s.payload)
+			default:
+				s.r, err = resultcache.Clone(s.r)
+			}
 			if probe != nil {
 				probe.jobDone(i, cached, err)
 			}
-			return r, err
+			return s, err
 		}
 		if !j.Options.cacheable() {
 			r, err := run(j.Options)
-			return finish(r, false, err)
+			return finish(settled{r: r}, false, false, err)
 		}
-		key, pre, err := j.fingerprint()
-		if err != nil {
-			// Not fingerprintable (e.g. invalid options, unknown
-			// workload): fall through and let Run report the error.
-			r, err := run(j.Options)
-			return finish(r, false, err)
+		var k jobKey
+		if sh.keys != nil {
+			k = sh.keys[i]
+		} else {
+			key, pre, err := j.fingerprint()
+			if err != nil {
+				// Not fingerprintable (e.g. invalid options, unknown
+				// workload): fall through and let Run report the error.
+				r, err := run(j.Options)
+				return finish(settled{r: r}, false, false, err)
+			}
+			k = jobKey{key, pre}
 		}
 		// hit is only written when this goroutine executes the flight
 		// body itself (shared == false), so the read below never races.
 		hit := false
-		r, shared, err := flight.Do(key, func() (*Result, error) {
+		s, shared, err := sh.flight.Do(k.key, func() (settled, error) {
 			store := j.Options.ResultCache
 			if store == nil {
-				return run(j.Options)
+				r, err := run(j.Options)
+				return settled{r: r}, err
 			}
 			// The read-through lives here rather than inside Run so the
 			// lookup and the simulation are separately observable — the
-			// store counts exactly one Get per non-deduplicated job,
+			// store counts exactly one lookup per non-deduplicated job,
 			// same as before.
-			if cached, ok := store.Get(key); ok {
-				hit = true
-				if probe != nil {
-					probe.jobLookup(i, true)
-				}
-				return cached, nil
+			var cached settled
+			if sh.payloads {
+				cached.payload, hit = store.Payload(k.key)
+			} else {
+				cached.r, hit = store.Get(k.key)
 			}
 			if probe != nil {
-				probe.jobLookup(i, false)
+				probe.jobLookup(i, hit)
+			}
+			if hit {
+				return cached, nil
 			}
 			o := j.Options
 			o.ResultCache = nil
 			fresh, err := run(o)
 			if err != nil {
-				return nil, err
+				return settled{}, err
 			}
-			if err := store.Put(key, pre, fresh); err != nil {
-				return fresh, fmt.Errorf("%s/%v: taglessdram: result cache: %w", j.Workload, j.Design, err)
+			payload, err := encode(fresh)
+			if err != nil {
+				return settled{}, err
 			}
-			return fresh, nil
+			if err := store.PutPayload(k.key, k.pre, payload); err != nil {
+				return settled{}, fmt.Errorf("%s/%v: taglessdram: result cache: %w", j.Workload, j.Design, err)
+			}
+			return settled{r: fresh, payload: payload}, nil
 		})
-		if forget {
+		if sh.forget {
 			// Idempotent: whichever of the sharers gets here first drops
 			// the memo entry; waiters already inside the call still share
 			// its result.
-			flight.Forget(key)
+			sh.flight.Forget(k.key)
 		}
-		if err != nil || !shared {
-			return finish(r, hit, err)
-		}
-		// A shared result is owned by another job's slot; hand this job
-		// its own deep copy so the two Results stay independent.
-		r, cerr := resultcache.Clone(r)
-		return finish(r, true, cerr)
+		return finish(s, shared, hit || shared, err)
 	}, opt)
 }
 

@@ -34,7 +34,9 @@ const drainRetryAfter = "30"
 // sweepPhases are the per-job and per-sweep execution phases the
 // service attributes wall time to, as both the label values of the
 // sweepd_phase_duration_seconds histogram family and the nested span
-// names of /v1/trace.
+// names of /v1/trace. Only freshly simulated cells have an encode phase
+// (rendering the Result and writing it to the store); a cache hit
+// streams the stored payload without decoding or encoding it.
 var sweepPhases = []string{"validate", "cache-lookup", "simulate", "encode", "stream"}
 
 // SweepServer is the sweep service behind cmd/sweepd: an http.Handler
@@ -46,18 +48,24 @@ var sweepPhases = []string{"validate", "cache-lookup", "simulate", "encode", "st
 // duplicates share the in-flight execution, later ones replay from the
 // store.
 //
+// A cell's result travels as the result cache's payload bytes: a hit
+// streams the verified stored payload as it is, and a fresh simulation
+// is encoded once, for the store and the stream alike, so the server
+// never decodes a Result.
+//
 // Every request additionally feeds the service telemetry layer: GET
 // /metrics is a Prometheus text exposition of the cache counters,
 // in-flight gauges and per-phase duration histograms; each sweep gets a
-// server-assigned ID whose span timeline (queued → cache-lookup →
-// cached-hit/simulate → encode → streamed per job) is exported as
-// Chrome trace_event JSON on GET /v1/trace?sweep=ID; and SetLogOutput
-// enables structured JSON-lines request logging.
+// server-assigned ID whose span timeline (per job: queued →
+// cache-lookup → cached-hit → streamed, or queued → cache-lookup →
+// simulate → encode → streamed) is exported as Chrome trace_event JSON
+// on GET /v1/trace?sweep=ID; and SetLogOutput enables structured
+// JSON-lines request logging.
 //
 // The zero value is not usable; construct with NewSweepServer.
 type SweepServer struct {
 	store      *ResultCache
-	flight     *resultcache.Flight
+	flight     *resultcache.Flight[settled]
 	maxWorkers int
 	maxJobs    int
 	start      time.Time
@@ -112,7 +120,7 @@ func NewSweepServer(store *ResultCache, maxWorkers, maxJobs int) (*SweepServer, 
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &SweepServer{
 		store:      store,
-		flight:     resultcache.NewFlight(),
+		flight:     resultcache.NewFlight[settled](),
 		maxWorkers: maxWorkers,
 		maxJobs:    maxJobs,
 		start:      time.Now(),
@@ -308,7 +316,7 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 // buildJobs validates a wire request into native jobs (grid cells
 // workload-major, then explicit jobs) plus their fingerprints. Every
 // returned error is a client error (HTTP 400).
-func (s *SweepServer) buildJobs(req *sweepapi.Request) ([]Job, []string, error) {
+func (s *SweepServer) buildJobs(req *sweepapi.Request) ([]Job, []jobKey, error) {
 	if (len(req.Designs) == 0) != (len(req.Workloads) == 0) {
 		return nil, nil, fmt.Errorf("designs and workloads must be set together (the grid is their cross product)")
 	}
@@ -343,19 +351,20 @@ func (s *SweepServer) buildJobs(req *sweepapi.Request) ([]Job, []string, error) 
 	if len(jobs) > s.maxJobs {
 		return nil, nil, fmt.Errorf("%d jobs exceeds this server's limit of %d", len(jobs), s.maxJobs)
 	}
-	// Fingerprint every cell up front: this validates options and
+	// Fingerprint every cell up front, once: this validates options and
 	// workload names (unknown anything fails here, before any simulation
-	// starts) and gives the accepted event its content addresses.
-	fps := make([]string, len(jobs))
+	// starts), gives the accepted event its content addresses, and hands
+	// the sweep core its cache keys.
+	keys := make([]jobKey, len(jobs))
 	for i := range jobs {
 		jobs[i].Options.ResultCache = s.store
-		fp, err := jobs[i].Fingerprint()
+		key, pre, err := jobs[i].fingerprint()
 		if err != nil {
 			return nil, nil, fmt.Errorf("job %d (%s/%v): %w", i, jobs[i].Workload, jobs[i].Design, err)
 		}
-		fps[i] = fp
+		keys[i] = jobKey{key, pre}
 	}
-	return jobs, fps, nil
+	return jobs, keys, nil
 }
 
 // decodeOptions decodes a wire options object straight into Options.
@@ -426,15 +435,22 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 			telemetry.F("outcome", "refused-draining"))
 		return
 	}
+	// Drain waits for the response's last byte, so inflight.Done stays
+	// deferred. The gauge drops earlier: leave runs before the
+	// response's last write (a 4xx or the terminal event), so a client
+	// that has read the end of its response never scrapes its own sweep
+	// as in flight. The deferred call covers a panicking handler.
 	defer s.inflight.Done()
 	s.tel.sweepsInflight.Inc()
-	defer s.tel.sweepsInflight.Dec()
+	leave := sync.OnceFunc(s.tel.sweepsInflight.Dec)
+	defer leave()
 
 	began := time.Now()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	var req sweepapi.Request
 	if err := dec.Decode(&req); err != nil {
+		leave()
 		httpError(w, http.StatusBadRequest, "malformed request: %v", err)
 		s.tel.log.Event("sweep",
 			telemetry.F("peer", r.RemoteAddr),
@@ -442,14 +458,19 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 			telemetry.F("error", err.Error()))
 		return
 	}
-	jobs, fps, err := s.buildJobs(&req)
+	jobs, keys, err := s.buildJobs(&req)
 	if err != nil {
+		leave()
 		httpError(w, http.StatusBadRequest, "%v", err)
 		s.tel.log.Event("sweep",
 			telemetry.F("peer", r.RemoteAddr),
 			telemetry.F("outcome", "invalid"),
 			telemetry.F("error", err.Error()))
 		return
+	}
+	fps := make([]string, len(keys))
+	for i, k := range keys {
+		fps[i] = k.key.String()
 	}
 	workers := s.workers(req.Workers)
 	s.sweeps.Add(1)
@@ -496,7 +517,9 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 	runOff := tr.Since()
 	starts := make([]time.Duration, len(jobs))
 	lookups := make([]time.Duration, len(jobs))
+	encodes := make([]time.Duration, len(jobs))
 	looked := make([]bool, len(jobs))
+	encoded := make([]bool, len(jobs))
 	cached := make([]bool, len(jobs))
 	probe := &sweepProbe{
 		jobStart: func(i int) {
@@ -510,6 +533,10 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 			s.tel.phases.With("cache-lookup").Observe(lookups[i] - starts[i])
 			tr.Add("cache-lookup", telemetry.CatPhase, i+1, starts[i], lookups[i])
 		},
+		jobEncode: func(i int) {
+			encodes[i] = tr.Since()
+			encoded[i] = true
+		},
 		jobDone: func(i int, wasCached bool, err error) {
 			defer s.tel.jobsInflight.Dec()
 			cached[i] = wasCached
@@ -517,6 +544,14 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 			from := starts[i]
 			if looked[i] {
 				from = lookups[i]
+			}
+			if encoded[i] && err == nil {
+				// This job encoded the Result it simulated: the encode
+				// phase runs from there to the settled (and stored)
+				// payload, and the simulation ends where it begins.
+				s.tel.phases.With("encode").Observe(end - encodes[i])
+				tr.Add("encode", telemetry.CatPhase, i+1, encodes[i], end)
+				end = encodes[i]
 			}
 			name := "simulate"
 			switch {
@@ -554,7 +589,7 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 				ETAMS:     p.ETA.Milliseconds(),
 			})
 		},
-	}, s.flight, true, probe)
+	}, sharedSweep{flight: s.flight, forget: true, keys: keys, payloads: true, probe: probe})
 	if err != nil {
 		outcome := telemetry.StateError
 		if errors.Is(err, context.Canceled) {
@@ -562,31 +597,21 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		tr.Finish(outcome)
 		s.logSweep(tr, r.RemoteAddr, outcome, cacheDelta(), err)
+		leave()
 		emit(&sweepapi.Event{Type: sweepapi.EventError, SweepID: id, Error: err.Error()})
 		return
 	}
 	streamOff := tr.Since()
 	for i, res := range results {
-		encStart := tr.Since()
-		payload, err := resultcache.Encode(res)
-		encEnd := tr.Since()
-		s.tel.phases.With("encode").Observe(encEnd - encStart)
-		tr.Add("encode", telemetry.CatPhase, i+1, encStart, encEnd)
-		if err != nil {
-			err = fmt.Errorf("encoding job %d result: %v", i, err)
-			tr.Finish(telemetry.StateError)
-			s.logSweep(tr, r.RemoteAddr, telemetry.StateError, cacheDelta(), err)
-			emit(&sweepapi.Event{Type: sweepapi.EventError, SweepID: id, Error: err.Error()})
-			return
-		}
+		sending := tr.Since()
 		emit(&sweepapi.Event{
 			Type: sweepapi.EventResult,
 			Job:  i, Design: jobs[i].Design.String(), Workload: jobs[i].Workload,
-			Fingerprint: fps[i], Cached: cached[i], Result: payload,
+			Fingerprint: fps[i], Cached: cached[i], Result: res.payload,
 		})
 		sent := tr.Since()
-		s.tel.phases.With("stream").Observe(sent - encEnd)
-		tr.Add("streamed", telemetry.CatPhase, i+1, encEnd, sent)
+		s.tel.phases.With("stream").Observe(sent - sending)
+		tr.Add("streamed", telemetry.CatPhase, i+1, sending, sent)
 		// The job's umbrella span: its whole lifetime in the sweep, from
 		// engine start to its result on the wire, colored by how it was
 		// answered.
@@ -603,7 +628,9 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 	tr.Finish(telemetry.StateOK)
 	s.logSweep(tr, r.RemoteAddr, telemetry.StateOK, delta, nil)
 	// The terminal event goes out last, so a client that has read it
-	// finds the sweep's log line written and its trace finished.
+	// finds the sweep's log line written, its trace finished and the
+	// in-flight gauge released.
+	leave()
 	emit(&sweepapi.Event{Type: sweepapi.EventDone, SweepID: id, Cache: &delta})
 }
 

@@ -217,7 +217,7 @@ func TestSweepdGridExpansion(t *testing.T) {
 		Workloads: []string{"sphinx3", "mcf"},
 		Options:   canon,
 	}
-	jobs, fps, err := svc.buildJobs(req)
+	jobs, keys, err := svc.buildJobs(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSweepdGridExpansion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fps[i] != wantFP {
+		if keys[i].key.String() != wantFP {
 			t.Errorf("jobs[%d] fingerprint drifted across the wire conversion", i)
 		}
 	}
@@ -309,6 +309,78 @@ func TestSweepdCrossRequestSingleFlight(t *testing.T) {
 	}
 	if !bytes.Equal(metricsBytes(t, r1.res[0]), metricsBytes(t, r2.res[0])) {
 		t.Error("concurrent duplicate requests returned different results")
+	}
+}
+
+// TestSweepdStreamsStoredPayloads pins the replay path: every result
+// event carries the store's payload for its cell byte for byte. On a
+// cold sweep those are the bytes the server encoded once for the store
+// and the stream; on a warm one, the stored entries as they are. A
+// duplicate cell streams the same bytes, and nothing simulates twice.
+func TestSweepdStreamsStoredPayloads(t *testing.T) {
+	n := countSimulations(t)
+	svc, url := newTestSweepServer(t, 2, 0)
+	o := remoteTestOpts()
+	canon, err := o.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []Job{
+		{Design: Tagless, Workload: "sphinx3", Options: o},
+		{Design: SRAMTag, Workload: "sphinx3", Options: o},
+		{Design: Tagless, Workload: "sphinx3", Options: o},
+	}
+	req := &sweepapi.Request{Options: canon}
+	for _, c := range cells {
+		req.Jobs = append(req.Jobs, sweepapi.Job{Design: c.Design.String(), Workload: c.Workload})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass, warm := range []bool{false, true} {
+		resp, err := http.Post(url+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var results []sweepapi.Event
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var ev sweepapi.Event
+			if err := dec.Decode(&ev); err != nil {
+				break
+			}
+			if ev.Type == sweepapi.EventError {
+				t.Fatalf("pass %d: %s", pass, ev.Error)
+			}
+			if ev.Type == sweepapi.EventResult {
+				results = append(results, ev)
+			}
+		}
+		resp.Body.Close()
+		if len(results) != len(cells) {
+			t.Fatalf("pass %d: %d result events, want %d", pass, len(results), len(cells))
+		}
+		for i, ev := range results {
+			key, _, err := cells[i].fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored, ok := svc.store.Payload(key)
+			if !ok {
+				t.Fatalf("pass %d: job %d has no stored entry", pass, i)
+			}
+			if !bytes.Equal(ev.Result, stored) {
+				t.Errorf("pass %d: job %d streamed %d bytes that differ from its %d stored bytes",
+					pass, i, len(ev.Result), len(stored))
+			}
+			if wantCached := warm || i == 2; ev.Cached != wantCached {
+				t.Errorf("pass %d: job %d cached = %t, want %t", pass, i, ev.Cached, wantCached)
+			}
+		}
+	}
+	if got := n.Load(); got != 2 {
+		t.Errorf("%d simulations for 2 distinct cells over two passes, want 2", got)
 	}
 }
 

@@ -125,9 +125,10 @@ func TestSweepdMetricsAgreeWithStats(t *testing.T) {
 	if got := metricValue(t, warm, "sweepd_jobs_inflight"); got != 0 {
 		t.Errorf("sweepd_jobs_inflight = %v after sweeps finished, want 0", got)
 	}
-	// The simulate phase histogram saw exactly the cold jobs; cache
+	// The simulate and encode phase histograms saw exactly the cold
+	// jobs (a replay streams stored bytes without encoding); cache
 	// lookups saw every fingerprintable job.
-	var simCount, lookupCount float64
+	var simCount, encodeCount, lookupCount float64
 	for _, s := range warm {
 		if s.Name != "sweepd_phase_duration_seconds_count" {
 			continue
@@ -135,12 +136,17 @@ func TestSweepdMetricsAgreeWithStats(t *testing.T) {
 		switch s.Label("phase") {
 		case "simulate":
 			simCount = s.Value
+		case "encode":
+			encodeCount = s.Value
 		case "cache-lookup":
 			lookupCount = s.Value
 		}
 	}
 	if simCount != float64(len(jobs)) {
 		t.Errorf("simulate phase count = %v, want %d (cold jobs only)", simCount, len(jobs))
+	}
+	if encodeCount != float64(len(jobs)) {
+		t.Errorf("encode phase count = %v, want %d (cold jobs only)", encodeCount, len(jobs))
 	}
 	if lookupCount != float64(2*len(jobs)) {
 		t.Errorf("cache-lookup phase count = %v, want %d", lookupCount, 2*len(jobs))
