@@ -12,7 +12,7 @@ import (
 // executions, restoring the previous hook on cleanup. The counter is
 // written by sweep workers; Sweep's completion is the happens-before
 // edge that makes the final Load race-free.
-func countSimulations(t *testing.T) *atomic.Int64 {
+func countSimulations(t testing.TB) *atomic.Int64 {
 	t.Helper()
 	var n atomic.Int64
 	prev := simulateHook

@@ -14,13 +14,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
+	"sort"
 	"time"
 
 	"taglessdram"
 	"taglessdram/internal/config"
-	"taglessdram/internal/stats"
 	"taglessdram/internal/system"
 )
 
@@ -177,10 +178,9 @@ func meter(design config.L3Design, walk string, refs, reps, warm int) (designRep
 	if chunkRefs == 0 {
 		chunkRefs = 1
 	}
-	// Chunk-level ns/ref distribution: 1ns buckets up to 4096ns, far past
-	// any steady-state step cost; slower chunks land in overflow and
-	// report the upper bound.
-	hist := stats.NewHistogram(4096, 1)
+	// Chunk-level ns/ref samples, kept whole: the tail report takes exact
+	// nearest-rank percentiles of them.
+	chunkNs := make([]float64, 0, reps*(refs/chunkRefs+1))
 
 	best := designReport{Design: design.String()}
 	var ms runtime.MemStats
@@ -200,7 +200,7 @@ func meter(design config.L3Design, walk string, refs, reps, warm int) (designRep
 			}
 			d := time.Since(start)
 			elapsed += d
-			hist.Observe(float64(d.Nanoseconds()) / float64(n))
+			chunkNs = append(chunkNs, float64(d.Nanoseconds())/float64(n))
 		}
 		runtime.ReadMemStats(&ms)
 
@@ -234,15 +234,29 @@ func meter(design config.L3Design, walk string, refs, reps, warm int) (designRep
 	if best.FFNsPerRef > 0 {
 		best.FFSpeedup = best.NsPerRef / best.FFNsPerRef
 	}
-	qs := hist.Quantiles([]float64{50, 99})
+	sort.Float64s(chunkNs)
 	lr := latDesignReport{
 		Design:    best.Design,
-		P50NsRef:  qs[0],
-		P99NsRef:  qs[1],
-		Chunks:    hist.Count(),
+		P50NsRef:  nearestRank(chunkNs, 50),
+		P99NsRef:  nearestRank(chunkNs, 99),
+		Chunks:    uint64(len(chunkNs)),
 		ChunkRefs: chunkRefs,
 	}
 	return best, lr, nil
+}
+
+// nearestRank returns the p-th percentile (0 < p <= 100) of sorted
+// samples by the nearest-rank rule: the smallest sample with at least p%
+// of the samples at or below it. No samples yield 0.
+func nearestRank(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	return sorted[i]
 }
 
 func main() {

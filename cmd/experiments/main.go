@@ -202,9 +202,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
+		d := st.CacheStats.Sub(serverStats0.CacheStats)
 		fmt.Fprintf(os.Stderr, "server result cache: hits=%d misses=%d stored=%d evicted=%d\n",
-			st.Hits-serverStats0.Hits, st.Misses-serverStats0.Misses,
-			st.Stored-serverStats0.Stored, st.Evicted-serverStats0.Evicted)
+			d.Hits, d.Misses, d.Stored, d.Evicted)
 		fmt.Fprintf(os.Stderr, "server: model_version=%d uptime=%s sweeps=%d jobs=%d inflight=%d/%d entries=%d\n",
 			st.ModelVersion, st.Uptime.Round(time.Second),
 			st.Sweeps, st.Jobs, st.InFlightSweeps, st.InFlightJobs, st.Entries)

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"taglessdram"
+	"taglessdram/internal/lat"
 	"taglessdram/internal/sweepapi"
 	"taglessdram/internal/telemetry"
 	"taglessdram/internal/textplot"
@@ -129,8 +130,10 @@ func poll(ctx context.Context, server string) (*snapshot, error) {
 	return snap, nil
 }
 
-// jobsPerSec is the completed-job rate between two polls, from the
-// phase histogram counts (simulate + cached answers both count).
+// jobsPerSec is the rate of result-cache lookups (hits + misses from
+// /v1/stats) between two polls: every cell the server answers from its
+// store or simulates afresh counts once, while a cell deduplicated
+// against an in-flight twin, which never reaches the store, does not.
 func jobsPerSec(prev, cur *snapshot) float64 {
 	if prev == nil {
 		return 0
@@ -160,34 +163,18 @@ func hitPct(prev, cur *snapshot) float64 {
 	return 100 * h / (h + m)
 }
 
-// phaseQuantiles extracts a phase's p50/p99 (in seconds) from the
-// scraped cumulative histogram buckets.
+// phaseQuantiles rebuilds a phase's log2 bucket counts from the scraped
+// histogram and returns its p50/p99 in seconds, by lat.QuantileOf, the
+// rule the simulator's own latency tails use.
 func phaseQuantiles(samples []telemetry.Sample, phase string) (p50, p99 float64, count uint64, ok bool) {
-	var bounds []float64
-	var cum []uint64
-	for _, s := range samples {
-		switch s.Name {
-		case metricPrefix + "phase_duration_seconds_bucket":
-			if s.Label("phase") != phase {
-				continue
-			}
-			le := s.Label("le")
-			b := math.Inf(+1)
-			if le != "+Inf" {
-				fmt.Sscanf(le, "%g", &b)
-			}
-			bounds = append(bounds, b)
-			cum = append(cum, uint64(s.Value))
-		case metricPrefix + "phase_duration_seconds_count":
-			if s.Label("phase") == phase {
-				count = uint64(s.Value)
-			}
-		}
+	counts, ok := telemetry.HistCounts(samples, metricPrefix+"phase_duration_seconds", telemetry.Label{Name: "phase", Value: phase})
+	for _, c := range counts {
+		count += c
 	}
-	if len(bounds) == 0 || count == 0 {
+	if !ok || count == 0 {
 		return 0, 0, count, false
 	}
-	return telemetry.Quantile(bounds, cum, 50), telemetry.Quantile(bounds, cum, 99), count, true
+	return lat.QuantileOf(&counts, 50) / 1e6, lat.QuantileOf(&counts, 99) / 1e6, count, true
 }
 
 func render(server string, snap *snapshot, jobRate, hitRate []float64) string {

@@ -79,12 +79,23 @@ type envelope struct {
 }
 
 // Stats are a store's lifetime counters (monotonic, safe to read
-// concurrently with cache traffic).
+// concurrently with cache traffic). The json names are the sweep
+// service's wire form of them (sweepapi).
 type Stats struct {
-	Hits    uint64 // Get or Payload found a valid entry
-	Misses  uint64 // Get or Payload found nothing usable
-	Stored  uint64 // Put or PutPayload wrote an entry
-	Evicted uint64 // corrupt/mismatched entries removed during a lookup
+	Hits    uint64 `json:"hits"`    // Get or Payload found a valid entry
+	Misses  uint64 `json:"misses"`  // Get or Payload found nothing usable
+	Stored  uint64 `json:"stored"`  // Put or PutPayload wrote an entry
+	Evicted uint64 `json:"evicted"` // corrupt/mismatched entries removed during a lookup
+}
+
+// Sub returns the counter deltas from an earlier snapshot to s.
+func (s Stats) Sub(earlier Stats) Stats {
+	return Stats{
+		Hits:    s.Hits - earlier.Hits,
+		Misses:  s.Misses - earlier.Misses,
+		Stored:  s.Stored - earlier.Stored,
+		Evicted: s.Evicted - earlier.Evicted,
+	}
 }
 
 // Store is a directory-backed result cache. Safe for concurrent use by

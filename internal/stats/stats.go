@@ -1,42 +1,15 @@
-// Package stats provides lightweight statistics primitives used throughout
-// the simulator: counters, running means, histograms, and named registries.
+// Package stats provides the simulator's estimators: a running mean with
+// variance and a 95% confidence interval, the ratio-of-sums estimator
+// sampled simulation reports IPC with, and the geometric mean of
+// normalized results. Histograms and quantiles live in internal/lat,
+// named metric sets in Result.Metrics and internal/telemetry.
 //
 // All types have useful zero values and are safe for single-goroutine use;
 // the simulator kernel is single-threaded by design (deterministic event
 // ordering), so no locking is performed.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
-
-// Counter is a monotonically increasing event counter.
-type Counter struct {
-	n uint64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.n = 0 }
-
-// Ratio returns c/other as a float64, or 0 when other is zero.
-func (c *Counter) Ratio(other *Counter) float64 {
-	if other.n == 0 {
-		return 0
-	}
-	return float64(c.n) / float64(other.n)
-}
+import "math"
 
 // Mean accumulates a running arithmetic mean and variance using Welford's
 // online algorithm. It also tracks min and max.
@@ -164,157 +137,6 @@ func (r *Ratio) CI95() float64 {
 // Reset discards all pairs.
 func (r *Ratio) Reset() { *r = Ratio{} }
 
-// Histogram is a fixed-width-bucket histogram over [0, BucketWidth*len).
-// Samples beyond the last bucket land in an overflow bucket.
-//
-// Sample semantics: every observed sample is counted in Count, and every
-// sample lands in exactly one bucket, so the bucket counts plus Overflow
-// always sum to Count. Negative samples are clamped to zero (first
-// bucket) and contribute zero to the sum, keeping Mean consistent with
-// the bucket contents. Non-finite samples (NaN, ±Inf) are counted in the
-// overflow bucket and excluded from the sum, so Mean is the mean of the
-// finite (clamped) samples and stays finite.
-type Histogram struct {
-	BucketWidth float64
-	buckets     []uint64
-	overflow    uint64
-	nonFinite   uint64 // NaN/±Inf samples; subset of overflow, excluded from sum
-	total       uint64
-	sum         float64
-}
-
-// NewHistogram returns a histogram with n buckets of the given width.
-func NewHistogram(n int, width float64) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if width <= 0 {
-		panic("stats: histogram bucket width must be positive")
-	}
-	return &Histogram{BucketWidth: width, buckets: make([]uint64, n)}
-}
-
-// Observe records one sample. Negative samples are clamped to zero (first
-// bucket, zero contribution to the sum); non-finite samples (NaN, -Inf and
-// +Inf alike) are counted in the overflow bucket and kept out of the sum so
-// a single bad sample cannot poison Mean.
-func (h *Histogram) Observe(x float64) {
-	h.total++
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		h.overflow++
-		h.nonFinite++
-		return
-	}
-	if x < 0 {
-		x = 0
-	}
-	h.sum += x
-	i := int(x / h.BucketWidth)
-	if i < 0 || i >= len(h.buckets) {
-		h.overflow++
-		return
-	}
-	h.buckets[i]++
-}
-
-// Count returns the total number of samples.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean returns the arithmetic mean of the finite samples (negative samples
-// clamped to zero, matching the buckets), or 0 when no finite sample has
-// been observed.
-func (h *Histogram) Mean() float64 {
-	finite := h.total - h.nonFinite
-	if finite == 0 {
-		return 0
-	}
-	return h.sum / float64(finite)
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Buckets returns the number of (non-overflow) buckets.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
-// Overflow returns the count of samples beyond the last bucket.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// Percentile returns an estimate of the p-th percentile (0 < p <= 100) using
-// the bucket midpoints. Overflow samples are treated as the upper bound
-// (BucketWidth * Buckets), so a mostly-overflow histogram reports the upper
-// bound for high percentiles. p outside (0, 100] (including NaN) returns NaN.
-func (h *Histogram) Percentile(p float64) float64 {
-	if math.IsNaN(p) || p <= 0 || p > 100 {
-		return math.NaN()
-	}
-	if h.total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p / 100 * float64(h.total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			return (float64(i) + 0.5) * h.BucketWidth
-		}
-	}
-	return float64(len(h.buckets)) * h.BucketWidth
-}
-
-// Quantiles returns the Percentile estimate for each p in ps using a
-// single pass over the buckets, so one call serves p50/p90/p99/p999.
-// Each element matches Percentile(p) exactly, including the NaN
-// convention for p outside (0, 100] and the upper-bound convention for
-// overflow-dominated histograms. ps need not be sorted.
-func (h *Histogram) Quantiles(ps []float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(ps) == 0 {
-		return out
-	}
-	// Order the valid requests by target rank; invalid ones resolve to
-	// NaN immediately and empty histograms to 0.
-	type req struct {
-		idx    int
-		target uint64
-	}
-	reqs := make([]req, 0, len(ps))
-	for i, p := range ps {
-		if math.IsNaN(p) || p <= 0 || p > 100 {
-			out[i] = math.NaN()
-			continue
-		}
-		if h.total == 0 {
-			continue // out[i] stays 0, matching Percentile
-		}
-		target := uint64(math.Ceil(p / 100 * float64(h.total)))
-		if target == 0 {
-			target = 1
-		}
-		reqs = append(reqs, req{idx: i, target: target})
-	}
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].target < reqs[j].target })
-	var cum uint64
-	next := 0
-	for i, c := range h.buckets {
-		cum += c
-		for next < len(reqs) && cum >= reqs[next].target {
-			out[reqs[next].idx] = (float64(i) + 0.5) * h.BucketWidth
-			next++
-		}
-		if next == len(reqs) {
-			return out
-		}
-	}
-	for ; next < len(reqs); next++ {
-		out[reqs[next].idx] = float64(len(h.buckets)) * h.BucketWidth
-	}
-	return out
-}
-
 // GeoMean returns the geometric mean of xs. Non-positive values are skipped,
 // matching the convention used for normalized performance numbers.
 func GeoMean(xs []float64) float64 {
@@ -331,68 +153,4 @@ func GeoMean(xs []float64) float64 {
 		return 0
 	}
 	return math.Exp(sum / float64(n))
-}
-
-// Registry is an ordered collection of named metric values, used to assemble
-// human-readable simulation reports.
-type Registry struct {
-	order  []string
-	values map[string]float64
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{values: make(map[string]float64)}
-}
-
-// Set records (or overwrites) a named value, preserving first-set order.
-// The zero-value Registry is usable: Set initializes storage on demand.
-func (r *Registry) Set(name string, v float64) {
-	if r.values == nil {
-		r.values = make(map[string]float64)
-	}
-	if _, ok := r.values[name]; !ok {
-		r.order = append(r.order, name)
-	}
-	r.values[name] = v
-}
-
-// Get returns the value for name and whether it exists.
-func (r *Registry) Get(name string) (float64, bool) {
-	v, ok := r.values[name]
-	return v, ok
-}
-
-// Names returns the metric names in insertion order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
-// String formats the registry as "name=value" lines in insertion order.
-func (r *Registry) String() string {
-	var b strings.Builder
-	for _, name := range r.order {
-		fmt.Fprintf(&b, "%s=%.6g\n", name, r.values[name])
-	}
-	return b.String()
-}
-
-// Sorted returns name/value pairs sorted by name, useful for stable output.
-func (r *Registry) Sorted() []struct {
-	Name  string
-	Value float64
-} {
-	names := r.Names()
-	sort.Strings(names)
-	out := make([]struct {
-		Name  string
-		Value float64
-	}, len(names))
-	for i, n := range names {
-		out[i].Name = n
-		out[i].Value = r.values[n]
-	}
-	return out
 }

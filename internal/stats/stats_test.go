@@ -2,38 +2,9 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestCounterBasics(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatalf("zero counter = %d, want 0", c.Value())
-	}
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("after reset = %d, want 0", c.Value())
-	}
-}
-
-func TestCounterRatio(t *testing.T) {
-	var hits, total Counter
-	if r := hits.Ratio(&total); r != 0 {
-		t.Fatalf("ratio with zero denominator = %v, want 0", r)
-	}
-	hits.Add(3)
-	total.Add(4)
-	if r := hits.Ratio(&total); r != 0.75 {
-		t.Fatalf("ratio = %v, want 0.75", r)
-	}
-}
 
 func TestMeanKnownValues(t *testing.T) {
 	var m Mean
@@ -106,182 +77,6 @@ func TestMeanBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(4, 10) // buckets [0,10) [10,20) [20,30) [30,40)
-	for _, x := range []float64{0, 5, 9.99, 10, 35, 100, -3} {
-		h.Observe(x)
-	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d, want 7", h.Count())
-	}
-	if h.Bucket(0) != 4 { // 0, 5, 9.99 and the clamped -3
-		t.Errorf("bucket0 = %d, want 4", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 {
-		t.Errorf("bucket1 = %d, want 1", h.Bucket(1))
-	}
-	if h.Bucket(3) != 1 {
-		t.Errorf("bucket3 = %d, want 1", h.Bucket(3))
-	}
-	if h.Overflow() != 1 {
-		t.Errorf("overflow = %d, want 1", h.Overflow())
-	}
-}
-
-func TestHistogramMeanAndPercentile(t *testing.T) {
-	h := NewHistogram(100, 1)
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	if got := h.Mean(); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("mean = %v, want 50.5", got)
-	}
-	p50 := h.Percentile(50)
-	if p50 < 45 || p50 > 55 {
-		t.Errorf("p50 = %v, want ≈50", p50)
-	}
-	p99 := h.Percentile(99)
-	if p99 < 95 {
-		t.Errorf("p99 = %v, want ≥95", p99)
-	}
-}
-
-func TestHistogramEmptyPercentile(t *testing.T) {
-	h := NewHistogram(4, 1)
-	if h.Percentile(50) != 0 {
-		t.Fatal("empty histogram percentile should be 0")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("zero buckets", func() { NewHistogram(0, 1) })
-	mustPanic("zero width", func() { NewHistogram(4, 0) })
-}
-
-// Property: histogram conserves samples (buckets + overflow == total), for
-// every input including NaN and ±Inf, and the mean stays finite.
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		h := NewHistogram(8, 2.5)
-		canOverflow := false
-		for _, x := range xs {
-			h.Observe(x)
-			// The running sum of finite samples can itself overflow to
-			// +Inf near math.MaxFloat64; that is float arithmetic, not a
-			// bookkeeping bug, so only require a finite mean below it.
-			if x > 1e300 {
-				canOverflow = true
-			}
-		}
-		var sum uint64
-		for i := 0; i < h.Buckets(); i++ {
-			sum += h.Bucket(i)
-		}
-		if sum+h.Overflow() != h.Count() {
-			return false
-		}
-		if canOverflow {
-			return true
-		}
-		return !math.IsNaN(h.Mean()) && !math.IsInf(h.Mean(), 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Non-finite samples must land in overflow and must not poison the mean.
-// Before the fix, -Inf slipped past the +Inf-only guard, was added to the
-// sum, and drove Mean to -Inf forever.
-func TestHistogramNonFinite(t *testing.T) {
-	h := NewHistogram(4, 10)
-	h.Observe(5)
-	h.Observe(15)
-	for _, bad := range []float64{math.Inf(-1), math.Inf(1), math.NaN()} {
-		h.Observe(bad)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
-	if h.Overflow() != 3 {
-		t.Fatalf("overflow = %d, want 3 (all non-finite samples)", h.Overflow())
-	}
-	if got := h.Mean(); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("mean = %v, want 10 (mean of the finite samples)", got)
-	}
-	var sum uint64
-	for i := 0; i < h.Buckets(); i++ {
-		sum += h.Bucket(i)
-	}
-	if sum+h.Overflow() != h.Count() {
-		t.Fatalf("buckets+overflow = %d, want count %d", sum+h.Overflow(), h.Count())
-	}
-}
-
-// Negative samples are clamped to zero in both the buckets and the sum, so
-// Mean agrees with the bucket contents. Before the fix the sum took the
-// unclamped value while bucket 0 took the clamped one.
-func TestHistogramNegativeClampMean(t *testing.T) {
-	h := NewHistogram(4, 10)
-	h.Observe(-100)
-	h.Observe(20)
-	if h.Bucket(0) != 1 || h.Bucket(2) != 1 {
-		t.Fatalf("buckets = [%d %d %d %d], want [1 0 1 0]",
-			h.Bucket(0), h.Bucket(1), h.Bucket(2), h.Bucket(3))
-	}
-	// Clamped: (0 + 20) / 2, not (-100 + 20) / 2.
-	if got := h.Mean(); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("mean = %v, want 10 (clamped), not -40 (unclamped)", got)
-	}
-}
-
-func TestHistogramOnlyNonFiniteMean(t *testing.T) {
-	h := NewHistogram(4, 10)
-	h.Observe(math.NaN())
-	h.Observe(math.Inf(1))
-	if got := h.Mean(); got != 0 {
-		t.Fatalf("mean with no finite samples = %v, want 0", got)
-	}
-}
-
-func TestPercentileValidation(t *testing.T) {
-	h := NewHistogram(4, 10)
-	h.Observe(5)
-	for _, p := range []float64{0, -1, 100.5, math.NaN()} {
-		if got := h.Percentile(p); !math.IsNaN(got) {
-			t.Errorf("Percentile(%v) = %v, want NaN", p, got)
-		}
-	}
-	if got := h.Percentile(100); math.IsNaN(got) {
-		t.Errorf("Percentile(100) = NaN, want a value")
-	}
-}
-
-// Pin the documented overflow behavior: with most samples beyond the last
-// bucket, high percentiles report the histogram's upper bound.
-func TestPercentileOverflowHeavy(t *testing.T) {
-	h := NewHistogram(4, 10) // upper bound 40
-	h.Observe(5)
-	for i := 0; i < 9; i++ {
-		h.Observe(1000)
-	}
-	if got := h.Percentile(99); got != 40 {
-		t.Errorf("p99 of overflow-heavy histogram = %v, want upper bound 40", got)
-	}
-	if got := h.Percentile(5); got != 5 {
-		t.Errorf("p5 = %v, want 5 (midpoint of bucket 0)", got)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-12 {
 		t.Errorf("geomean(2,8) = %v, want 4", got)
@@ -292,93 +87,6 @@ func TestGeoMean(t *testing.T) {
 	// Non-positive entries are skipped.
 	if got := GeoMean([]float64{0, -1, 9}); math.Abs(got-9) > 1e-12 {
 		t.Errorf("geomean with skips = %v, want 9", got)
-	}
-}
-
-func TestRegistryOrderAndOverwrite(t *testing.T) {
-	r := NewRegistry()
-	r.Set("b", 1)
-	r.Set("a", 2)
-	r.Set("b", 3) // overwrite keeps position
-	names := r.Names()
-	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
-		t.Fatalf("names = %v, want [b a]", names)
-	}
-	if v, ok := r.Get("b"); !ok || v != 3 {
-		t.Fatalf("get b = %v,%v, want 3,true", v, ok)
-	}
-	if _, ok := r.Get("missing"); ok {
-		t.Fatal("missing key should not be present")
-	}
-	sorted := r.Sorted()
-	if sorted[0].Name != "a" || sorted[1].Name != "b" {
-		t.Fatalf("sorted = %v", sorted)
-	}
-	if r.String() == "" {
-		t.Fatal("string form should not be empty")
-	}
-}
-
-// The zero-value Registry must be usable; before the fix, Set on a
-// zero-value Registry panicked writing to its nil map.
-func TestRegistryZeroValue(t *testing.T) {
-	var r Registry
-	if _, ok := r.Get("x"); ok {
-		t.Fatal("zero registry should have no values")
-	}
-	if s := r.String(); s != "" {
-		t.Fatalf("zero registry String() = %q, want empty", s)
-	}
-	if got := r.Sorted(); len(got) != 0 {
-		t.Fatalf("zero registry Sorted() = %v, want empty", got)
-	}
-	r.Set("x", 1.5)
-	if v, ok := r.Get("x"); !ok || v != 1.5 {
-		t.Fatalf("get after zero-value Set = %v,%v, want 1.5,true", v, ok)
-	}
-	if names := r.Names(); len(names) != 1 || names[0] != "x" {
-		t.Fatalf("names = %v, want [x]", names)
-	}
-}
-
-// Quantiles must match repeated Percentile calls exactly, including the
-// NaN and overflow conventions, for arbitrary histograms and probe sets.
-func TestQuantilesMatchesPercentile(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	probes := []float64{0, -3, 0.1, 25, 50, 90, 99, 99.9, 100, 101, math.NaN()}
-	for trial := 0; trial < 50; trial++ {
-		h := NewHistogram(1+rng.Intn(64), 0.5+rng.Float64()*10)
-		n := rng.Intn(500)
-		for i := 0; i < n; i++ {
-			// Mix in-range, negative, overflow and non-finite samples.
-			switch rng.Intn(10) {
-			case 0:
-				h.Observe(math.Inf(1))
-			case 1:
-				h.Observe(-rng.Float64() * 100)
-			default:
-				h.Observe(rng.Float64() * float64(h.Buckets()+4) * h.BucketWidth)
-			}
-		}
-		// Shuffled, duplicated probes exercise the unsorted-input path.
-		ps := append([]float64(nil), probes...)
-		ps = append(ps, probes[rng.Intn(len(probes))])
-		rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
-		got := h.Quantiles(ps)
-		if len(got) != len(ps) {
-			t.Fatalf("Quantiles returned %d values for %d probes", len(got), len(ps))
-		}
-		for i, p := range ps {
-			want := h.Percentile(p)
-			if math.IsNaN(want) != math.IsNaN(got[i]) || (!math.IsNaN(want) && got[i] != want) {
-				t.Fatalf("trial %d: Quantiles(%v)[%d] = %v, Percentile = %v", trial, p, i, got[i], want)
-			}
-		}
-	}
-	var empty Histogram
-	empty.BucketWidth = 1
-	if got := empty.Quantiles(nil); len(got) != 0 {
-		t.Fatalf("empty probe set: %v", got)
 	}
 }
 

@@ -28,10 +28,15 @@
 // byte for byte: the server verifies the entry but never decodes or
 // re-encodes it, and a fresh cell's result is the same bytes the server
 // stored for it. 503s from a draining server carry a Retry-After header
-// (seconds).
+// (seconds). Cache counters travel as resultcache.Stats, whose json
+// names are the wire's.
 package sweepapi
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"taglessdram/internal/resultcache"
+)
 
 // Job names one cell of a sweep: a design, a workload, and optionally
 // its own options (defaulting to the request-level options).
@@ -111,15 +116,7 @@ type Event struct {
 	// done: the sweep finished. Cache is the server store's counter
 	// delta over this request (approximate under concurrent requests,
 	// exact when the server is serving one sweep at a time).
-	Cache *CacheStats `json:"cache,omitempty"`
-}
-
-// CacheStats is the wire form of the result cache's counters.
-type CacheStats struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Stored  uint64 `json:"stored"`
-	Evicted uint64 `json:"evicted"`
+	Cache *resultcache.Stats `json:"cache,omitempty"`
 }
 
 // StatsReply is the body of GET /v1/stats: the store's lifetime
@@ -127,10 +124,10 @@ type CacheStats struct {
 // counters, and the service identity block (behavioral model version,
 // start time, uptime, in-flight gauges).
 type StatsReply struct {
-	Cache   CacheStats `json:"cache"`
-	Entries int        `json:"entries"`
-	Sweeps  uint64     `json:"sweeps"`
-	SimJobs uint64     `json:"jobs"`
+	Cache   resultcache.Stats `json:"cache"`
+	Entries int               `json:"entries"`
+	Sweeps  uint64            `json:"sweeps"`
+	SimJobs uint64            `json:"jobs"`
 	// ModelVersion is the canonical.go stamp: results from servers with
 	// different stamps are not comparable (their fingerprints differ).
 	ModelVersion int `json:"model_version"`

@@ -146,11 +146,11 @@ type Machine struct {
 	l3Lat      stats.Mean    // device-side latency of L3 accesses
 	handlerLat stats.Mean    // TLB-miss handler latency (amortized into Fig. 8)
 	kindLat    [4]stats.Mean // handler latency by core.MissKind (Table 1)
-	l3Accesses stats.Counter
-	l3Hits     stats.Counter
-	tlbLookups stats.Counter
-	tlbMisses  stats.Counter
-	ncAccesses stats.Counter
+	l3Accesses uint64
+	l3Hits     uint64
+	tlbLookups uint64
+	tlbMisses  uint64
+	ncAccesses uint64
 
 	// Observability state: the optional epoch sampler (nil keeps the
 	// per-reference path to a single pointer check) and the organization's
@@ -354,10 +354,10 @@ func (m *Machine) cumulative() obs.Cumulative {
 	}
 	c.Cycle = uint64(lead)
 	c.Refs = m.refs
-	c.L3Accesses = m.l3Accesses.Value()
-	c.L3Hits = m.l3Hits.Value()
-	c.TLBLookups = m.tlbLookups.Value()
-	c.TLBMisses = m.tlbMisses.Value()
+	c.L3Accesses = m.l3Accesses
+	c.L3Hits = m.l3Hits
+	c.TLBLookups = m.tlbLookups
+	c.TLBMisses = m.tlbMisses
 	c.InPkgBytes = m.inPkg.BytesTransferred()
 	c.OffPkgBytes = m.offPkg.BytesTransferred()
 	c.InPkgRowAccesses, c.InPkgRowHits = m.inPkg.Accesses, m.inPkg.RowHits

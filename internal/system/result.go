@@ -12,7 +12,6 @@ import (
 	"taglessdram/internal/obs"
 	"taglessdram/internal/org"
 	"taglessdram/internal/sim"
-	"taglessdram/internal/stats"
 )
 
 // Result summarizes one measured run.
@@ -129,18 +128,18 @@ func (m *Machine) collect() *Result {
 		r.IPC = float64(r.Instructions) / float64(r.Cycles)
 	}
 
-	r.L3Accesses = m.l3Accesses.Value()
-	r.L3Hits = m.l3Hits.Value()
+	r.L3Accesses = m.l3Accesses
+	r.L3Hits = m.l3Hits
 	if r.L3Accesses > 0 {
 		r.L3HitRate = float64(r.L3Hits) / float64(r.L3Accesses)
 		r.AvgL3Latency = (m.l3Lat.Sum() + m.handlerLat.Sum()) / float64(r.L3Accesses)
 	}
-	r.TLBLookups = m.tlbLookups.Value()
-	r.TLBMisses = m.tlbMisses.Value()
+	r.TLBLookups = m.tlbLookups
+	r.TLBMisses = m.tlbMisses
 	if r.TLBLookups > 0 {
 		r.TLBMissRate = float64(r.TLBMisses) / float64(r.TLBLookups)
 	}
-	r.NCAccesses = m.ncAccesses.Value()
+	r.NCAccesses = m.ncAccesses
 	r.CtxSwitches = m.ctxSwitches
 	if m.tlbShared != nil {
 		r.SharedTLBInvalidations = m.tlbShared.Invalidations
@@ -192,70 +191,72 @@ func (m *Machine) collect() *Result {
 	return r
 }
 
-// Metrics flattens the result into a named-metric registry, convenient for
-// diffing runs or exporting to monitoring formats.
-func (r *Result) Metrics() *stats.Registry {
-	reg := stats.NewRegistry()
-	reg.Set("ipc", r.IPC)
-	reg.Set("cycles", float64(r.Cycles))
-	reg.Set("instructions", float64(r.Instructions))
-	reg.Set("l3.accesses", float64(r.L3Accesses))
-	reg.Set("l3.hit_rate", r.L3HitRate)
-	reg.Set("l3.avg_latency_cycles", r.AvgL3Latency)
-	reg.Set("tlb.miss_rate", r.TLBMissRate)
-	reg.Set("nc.accesses", float64(r.NCAccesses))
-	reg.Set("vm.ctx_switches", float64(r.CtxSwitches))
-	reg.Set("vm.shared_tlb_invalidations", float64(r.SharedTLBInvalidations))
-	reg.Set("energy.total_j", r.Energy.TotalJ())
-	reg.Set("energy.core_j", r.Energy.CoreJ)
-	reg.Set("energy.inpkg_j", r.Energy.InPkgJ)
-	reg.Set("energy.offpkg_j", r.Energy.OffPkgJ)
-	reg.Set("energy.tag_j", r.Energy.TagJ)
-	reg.Set("edp_js", r.EDPJs)
-	reg.Set("dram.inpkg_row_hit", r.InPkgRowHitRate)
-	reg.Set("dram.offpkg_row_hit", r.OffPkgRowHitRate)
-	reg.Set("dram.inpkg_bytes", float64(r.InPkgBytes))
-	reg.Set("dram.offpkg_bytes", float64(r.OffPkgBytes))
-	reg.Set("ctrl.victim_hits", float64(r.Ctrl.VictimHits))
-	reg.Set("ctrl.cold_fills", float64(r.Ctrl.ColdFills))
-	reg.Set("ctrl.evictions", float64(r.Ctrl.Evictions))
-	reg.Set("ctrl.writebacks", float64(r.Ctrl.Writebacks))
-	reg.Set("ctrl.alias_hits", float64(r.Ctrl.AliasHits))
-
-	// Cycle accounting: tail quantiles, stall totals, conservation
-	// residues, and the per-component split (L3 + handler scopes summed).
+// Metrics flattens the result into named metrics, convenient for diffing
+// runs or exporting to monitoring formats (WriteMetricsJSON writes this
+// map, keys sorted).
+func (r *Result) Metrics() map[string]float64 {
 	l3, h := &r.Latency.L3, &r.Latency.Handler
-	reg.Set("lat.l3.p50", r.Latency.L3Lat.Quantile(50))
-	reg.Set("lat.l3.p90", r.Latency.L3Lat.Quantile(90))
-	reg.Set("lat.l3.p99", r.Latency.L3Lat.Quantile(99))
-	reg.Set("lat.l3.p999", r.Latency.L3Lat.Quantile(99.9))
-	reg.Set("lat.l3.max", float64(r.Latency.L3Lat.Max()))
-	reg.Set("lat.l3.mean", r.Latency.L3Lat.Mean())
-	reg.Set("lat.l3.stall_cycles", float64(l3.Measured))
-	reg.Set("lat.l3.residue", float64(l3.Residue))
-	reg.Set("lat.handler.p99", r.Latency.HandlerLat.Quantile(99))
-	reg.Set("lat.handler.max", float64(r.Latency.HandlerLat.Max()))
-	reg.Set("lat.handler.stall_cycles", float64(h.Measured))
-	reg.Set("lat.handler.residue", float64(h.Residue))
-	reg.Set("lat.bg.cycles", float64(r.Latency.Bg.Measured))
+	m := map[string]float64{
+		"ipc":                         r.IPC,
+		"cycles":                      float64(r.Cycles),
+		"instructions":                float64(r.Instructions),
+		"l3.accesses":                 float64(r.L3Accesses),
+		"l3.hit_rate":                 r.L3HitRate,
+		"l3.avg_latency_cycles":       r.AvgL3Latency,
+		"tlb.miss_rate":               r.TLBMissRate,
+		"nc.accesses":                 float64(r.NCAccesses),
+		"vm.ctx_switches":             float64(r.CtxSwitches),
+		"vm.shared_tlb_invalidations": float64(r.SharedTLBInvalidations),
+		"energy.total_j":              r.Energy.TotalJ(),
+		"energy.core_j":               r.Energy.CoreJ,
+		"energy.inpkg_j":              r.Energy.InPkgJ,
+		"energy.offpkg_j":             r.Energy.OffPkgJ,
+		"energy.tag_j":                r.Energy.TagJ,
+		"edp_js":                      r.EDPJs,
+		"dram.inpkg_row_hit":          r.InPkgRowHitRate,
+		"dram.offpkg_row_hit":         r.OffPkgRowHitRate,
+		"dram.inpkg_bytes":            float64(r.InPkgBytes),
+		"dram.offpkg_bytes":           float64(r.OffPkgBytes),
+		"ctrl.victim_hits":            float64(r.Ctrl.VictimHits),
+		"ctrl.cold_fills":             float64(r.Ctrl.ColdFills),
+		"ctrl.evictions":              float64(r.Ctrl.Evictions),
+		"ctrl.writebacks":             float64(r.Ctrl.Writebacks),
+		"ctrl.alias_hits":             float64(r.Ctrl.AliasHits),
+
+		// Cycle accounting: tail quantiles, stall totals, conservation
+		// residues, and the per-component split (L3 + handler scopes summed).
+		"lat.l3.p50":               r.Latency.L3Lat.Quantile(50),
+		"lat.l3.p90":               r.Latency.L3Lat.Quantile(90),
+		"lat.l3.p99":               r.Latency.L3Lat.Quantile(99),
+		"lat.l3.p999":              r.Latency.L3Lat.Quantile(99.9),
+		"lat.l3.max":               float64(r.Latency.L3Lat.Max()),
+		"lat.l3.mean":              r.Latency.L3Lat.Mean(),
+		"lat.l3.stall_cycles":      float64(l3.Measured),
+		"lat.l3.residue":           float64(l3.Residue),
+		"lat.handler.p99":          r.Latency.HandlerLat.Quantile(99),
+		"lat.handler.max":          float64(r.Latency.HandlerLat.Max()),
+		"lat.handler.stall_cycles": float64(h.Measured),
+		"lat.handler.residue":      float64(h.Residue),
+		"lat.bg.cycles":            float64(r.Latency.Bg.Measured),
+	}
 	for c := lat.Component(0); c < lat.NumComponents; c++ {
-		reg.Set("lat.comp."+c.String(), float64(l3.Cycles[c]+h.Cycles[c]))
+		m["lat.comp."+c.String()] = float64(l3.Cycles[c] + h.Cycles[c])
 	}
 
 	// Per-bank DRAM telemetry, aggregated (the full per-bank tables are
-	// rendered by -lat-hist; the registry carries stable aggregates so the
+	// rendered by -lat-hist; the map carries stable aggregates so the
 	// key set is independent of bank counts).
-	setBankMetrics(reg, "dram.bank.inpkg.", r.InPkgBankStats, r.Cycles)
-	setBankMetrics(reg, "dram.bank.offpkg.", r.OffPkgBankStats, r.Cycles)
-	reg.Set("dram.bus.inpkg.busy_frac", busFrac(r.InPkgBusBusy, r.InPkgChannels, r.Cycles))
-	reg.Set("dram.bus.offpkg.busy_frac", busFrac(r.OffPkgBusBusy, r.OffPkgChannels, r.Cycles))
-	return reg
+	setBankMetrics(m, "dram.bank.inpkg.", r.InPkgBankStats, r.Cycles)
+	setBankMetrics(m, "dram.bank.offpkg.", r.OffPkgBankStats, r.Cycles)
+	m["dram.bus.inpkg.busy_frac"] = busFrac(r.InPkgBusBusy, r.InPkgChannels, r.Cycles)
+	m["dram.bus.offpkg.busy_frac"] = busFrac(r.OffPkgBusBusy, r.OffPkgChannels, r.Cycles)
+	return m
 }
 
-// setBankMetrics registers one device's aggregated per-bank counters:
+// setBankMetrics adds one device's aggregated per-bank counters to m:
 // total row hits and conflicts across banks, and the busiest bank's
 // busy fraction of the measured window.
-func setBankMetrics(reg *stats.Registry, prefix string, banks []dram.BankStat, cycles uint64) {
+func setBankMetrics(m map[string]float64, prefix string, banks []dram.BankStat, cycles uint64) {
 	var hits, confls, maxBusy uint64
 	for _, b := range banks {
 		hits += b.Hits
@@ -271,9 +272,9 @@ func setBankMetrics(reg *stats.Registry, prefix string, banks []dram.BankStat, c
 			frac = 1
 		}
 	}
-	reg.Set(prefix+"row_hits", float64(hits))
-	reg.Set(prefix+"row_confls", float64(confls))
-	reg.Set(prefix+"max_busy_frac", frac)
+	m[prefix+"row_hits"] = float64(hits)
+	m[prefix+"row_confls"] = float64(confls)
+	m[prefix+"max_busy_frac"] = frac
 }
 
 // busFrac is the average per-channel data-bus utilization over the

@@ -214,11 +214,11 @@ func (m *Machine) beginMeasurement() {
 	for i := range m.kindLat {
 		m.kindLat[i].Reset()
 	}
-	m.l3Accesses.Reset()
-	m.l3Hits.Reset()
-	m.tlbLookups.Reset()
-	m.tlbMisses.Reset()
-	m.ncAccesses.Reset()
+	m.l3Accesses = 0
+	m.l3Hits = 0
+	m.tlbLookups = 0
+	m.tlbMisses = 0
+	m.ncAccesses = 0
 	m.ctxSwitches = 0
 	if m.tlbShared != nil {
 		m.tlbShared.Invalidations = 0
@@ -323,7 +323,7 @@ func (m *Machine) step(cc *coreCtx) error {
 		}
 	}
 	entry, lvl := cc.tlbs.Lookup(lookupKey)
-	m.tlbLookups.Inc()
+	m.tlbLookups++
 	if lvl == tlb.InL2 && m.tlbShared != nil && m.ctrl != nil {
 		// A shared-L2 hit refilled this core's L1 with a translation a
 		// sibling installed: set this core's residence bit so the GIPT
@@ -331,7 +331,7 @@ func (m *Machine) step(cc *coreCtx) error {
 		m.ctrl.NoteTLBResident(cc.id, entry)
 	}
 	if lvl == tlb.MissAll {
-		m.tlbMisses.Inc()
+		m.tlbMisses++
 		start := cc.cpu.Now()
 		m.rec.Begin()
 		var done sim.Tick
@@ -382,7 +382,7 @@ func (m *Machine) step(cc *coreCtx) error {
 		key = entry.Frame*config.PageSize + offset // CA space
 	case m.ctrl != nil:
 		key = paBit | (entry.Frame*config.PageSize + offset)
-		m.ncAccesses.Inc()
+		m.ncAccesses++
 	default:
 		key = entry.Frame*config.PageSize + offset // PA space
 	}
@@ -410,7 +410,7 @@ func (m *Machine) step(cc *coreCtx) error {
 // l3Access hands an L2 miss to the organization.
 func (m *Machine) l3Access(cc *coreCtx, entry tlb.Entry, key, offset uint64, write, dep bool) {
 	if m.measuring {
-		m.l3Accesses.Inc()
+		m.l3Accesses++
 	}
 	m.rec.Begin()
 	m.org.Access(org.Request{
@@ -431,7 +431,7 @@ func (m *Machine) observeL3(d sim.Tick, hit bool) {
 	}
 	m.l3Lat.Observe(float64(d))
 	if hit {
-		m.l3Hits.Inc()
+		m.l3Hits++
 	}
 	m.rec.CommitL3(d)
 }

@@ -493,16 +493,16 @@ func TestAlloyWorseHitRateThanPageCaches(t *testing.T) {
 
 func TestResultMetricsRegistry(t *testing.T) {
 	r := runDesign(t, config.Tagless, "sphinx3", 200000)
-	reg := r.Metrics()
-	ipc, ok := reg.Get("ipc")
+	metrics := r.Metrics()
+	ipc, ok := metrics["ipc"]
 	if !ok || ipc != r.IPC {
-		t.Fatalf("registry ipc = %v,%v", ipc, ok)
+		t.Fatalf("metrics ipc = %v,%v", ipc, ok)
 	}
-	if hit, _ := reg.Get("l3.hit_rate"); hit != r.L3HitRate {
-		t.Fatal("registry hit rate mismatch")
+	if metrics["l3.hit_rate"] != r.L3HitRate {
+		t.Fatal("metrics hit rate mismatch")
 	}
-	if len(reg.Names()) < 20 {
-		t.Fatalf("registry has only %d metrics", len(reg.Names()))
+	if len(metrics) < 20 {
+		t.Fatalf("only %d metrics", len(metrics))
 	}
 }
 

@@ -1,11 +1,12 @@
-// Package telemetry is the sweep service's observability layer: atomic
-// counters, gauges and log2 duration histograms behind a hand-rolled
-// Prometheus text exposition (no external dependencies), per-sweep span
-// traces exported in the Chrome trace_event format shared with the
-// kernel tracer (internal/sim), and a structured JSON-lines request
-// logger. It lives strictly above the simulation hot path: recording a
-// sample is a handful of atomic operations, and nothing here is called
-// per memory reference.
+// Package telemetry is the sweep service's observability layer: the
+// module's one metrics registry (atomic counters and gauges, and
+// duration histograms that are internal/lat's log2 histograms) behind a
+// hand-rolled Prometheus text exposition (no external dependencies),
+// per-sweep span traces exported in the Chrome trace_event format
+// shared with the kernel tracer (internal/sim), and a structured
+// JSON-lines request logger. It lives strictly above the simulation hot
+// path: recording a sample is an atomic add or one short mutex hold,
+// and nothing here is called per memory reference.
 package telemetry
 
 import (
@@ -14,7 +15,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -171,95 +172,60 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return v
 }
 
-// Hist is a log2-bucketed duration histogram sharing internal/lat's
-// bucket geometry (bucket 0 = sub-microsecond, bucket b holds durations
-// of [2^(b-1), 2^b) microseconds), so quantiles come from the same
-// interpolation the latency attribution layer uses. Observations are
-// lock-free.
-type Hist struct {
-	counts [lat.NumBuckets]atomic.Uint64
-	total  atomic.Uint64
-	sum    atomic.Uint64 // microseconds
+// HistVec is a family of duration histograms keyed by one label (the
+// sweep service's per-phase wall times). Each child is a lat.Hist of
+// microseconds, so the exported buckets are internal/lat's log2
+// geometry and HistCounts rebuilds them exactly from a scrape. The
+// children are fixed at registration, in registration order, and share
+// one mutex: an observation never interleaves with a scrape, so every
+// scrape is a consistent snapshot whose last finite bucket, +Inf bucket
+// and _count all hold the same number of samples.
+type HistVec struct {
+	values []string
+	mu     sync.Mutex
+	hists  []lat.Hist
 }
 
-// Observe records one duration. Negative durations count as zero.
-func (h *Hist) Observe(d time.Duration) {
+// Observe records one duration in the child for the given label value,
+// which must be one the family was registered with. Negative durations
+// count as zero.
+func (v *HistVec) Observe(value string, d time.Duration) {
+	i := slices.Index(v.values, value)
+	if i < 0 {
+		panic(fmt.Sprintf("telemetry: HistVec has no child %q", value))
+	}
 	us := uint64(0)
 	if d > 0 {
 		us = uint64(d.Microseconds())
 	}
-	h.counts[bits.Len64(us)].Add(1)
-	h.total.Add(1)
-	h.sum.Add(us)
-}
-
-// Snapshot returns a consistent-enough copy of the bucket counts plus
-// the sample count and the summed microseconds. (Individual loads are
-// atomic; a scrape racing an observation may be off by that one sample,
-// which Prometheus semantics allow.)
-func (h *Hist) Snapshot() (counts [lat.NumBuckets]uint64, total, sumUS uint64) {
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return counts, h.total.Load(), h.sum.Load()
-}
-
-// Count returns the number of observations.
-func (h *Hist) Count() uint64 { return h.total.Load() }
-
-// Quantile estimates the p-th quantile (0 < p <= 100) in microseconds.
-func (h *Hist) Quantile(p float64) float64 {
-	counts, _, _ := h.Snapshot()
-	return lat.QuantileOf(&counts, p)
-}
-
-// HistVec is a family of histograms keyed by one label (the sweep
-// service's per-phase durations). Children are created on first use and
-// exported in creation order.
-type HistVec struct {
-	label string
-	mu    sync.Mutex
-	keys  []string
-	m     map[string]*Hist
-}
-
-// With returns the child histogram for the given label value.
-func (v *HistVec) With(value string) *Hist {
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.m[value]
-	if !ok {
-		h = &Hist{}
-		v.m[value] = h
-		v.keys = append(v.keys, value)
-	}
-	return h
+	v.hists[i].Observe(us)
+	v.mu.Unlock()
 }
 
-// HistogramVec registers and returns a one-label histogram family.
-// Exported buckets are cumulative with le bounds in seconds.
-func (r *Registry) HistogramVec(name, help, label string) *HistVec {
-	v := &HistVec{label: label, m: make(map[string]*Hist)}
+// HistogramVec registers and returns a one-label histogram family with
+// one child per value. Exported buckets are cumulative with le bounds
+// in seconds; buckets above a child's highest occupied one collapse
+// into +Inf.
+func (r *Registry) HistogramVec(name, help, label string, values ...string) *HistVec {
+	values = slices.Clone(values)
+	v := &HistVec{values: values, hists: make([]lat.Hist, len(values))}
 	r.register(&metricEntry{name: name, help: help, typ: "histogram",
 		collect: func(emit emitFunc) {
 			v.mu.Lock()
-			keys := append([]string(nil), v.keys...)
-			hists := make([]*Hist, len(keys))
-			for i, k := range keys {
-				hists[i] = v.m[k]
-			}
+			hists := slices.Clone(v.hists)
 			v.mu.Unlock()
-			for i, h := range hists {
-				emitHist(emit, name, Label{label, keys[i]}, h)
+			for i := range hists {
+				emitHist(emit, name, Label{label, values[i]}, &hists[i])
 			}
 		}})
 	return v
 }
 
-// emitHist renders one histogram as cumulative _bucket / _sum / _count
-// series. Buckets above the highest occupied one collapse into +Inf.
-func emitHist(emit emitFunc, name string, l Label, h *Hist) {
-	counts, total, sumUS := h.Snapshot()
+// emitHist renders one microsecond histogram as cumulative _bucket /
+// _sum / _count series in seconds.
+func emitHist(emit emitFunc, name string, l Label, h *lat.Hist) {
+	counts := h.Counts()
 	hi := -1
 	for i, c := range counts {
 		if c != 0 {
@@ -272,9 +238,59 @@ func emitHist(emit emitFunc, name string, l Label, h *Hist) {
 		_, boundUS := lat.BucketBounds(i)
 		emit(name+"_bucket", []Label{l, {"le", formatFloat(float64(boundUS) / 1e6)}}, formatUint(cum))
 	}
-	emit(name+"_bucket", []Label{l, {"le", "+Inf"}}, formatUint(total))
-	emit(name+"_sum", []Label{l}, formatFloat(float64(sumUS)/1e6))
-	emit(name+"_count", []Label{l}, formatUint(total))
+	emit(name+"_bucket", []Label{l, {"le", "+Inf"}}, formatUint(h.Count()))
+	emit(name+"_sum", []Label{l}, formatFloat(float64(h.Sum())/1e6))
+	emit(name+"_count", []Label{l}, formatUint(h.Count()))
+}
+
+// HistCounts rebuilds one HistogramVec child's bucket counts, in
+// microseconds, from scraped samples: the name_bucket series carrying
+// label l, whose le bounds map back onto internal/lat's buckets. The
+// result feeds lat.QuantileOf, the same quantile rule the simulator's
+// latency tails use. ok is false when the scrape has no such series or
+// it is not one HistogramVec renders: an le that is not a bucket bound,
+// decreasing cumulative counts, or samples above the last finite bound.
+func HistCounts(samples []Sample, name string, l Label) (counts [lat.NumBuckets]uint64, ok bool) {
+	var cum [lat.NumBuckets]uint64
+	var seen [lat.NumBuckets]bool
+	var total uint64
+	found := false
+	for _, s := range samples {
+		if s.Name != name+"_bucket" || s.Label(l.Name) != l.Value {
+			continue
+		}
+		found = true
+		le := s.Label("le")
+		if le == "+Inf" {
+			total = uint64(s.Value)
+			continue
+		}
+		bound, err := strconv.ParseFloat(le, 64)
+		if err != nil {
+			return counts, false
+		}
+		us := math.Round(bound * 1e6)
+		if !(us >= 0 && us < 1<<63) {
+			return counts, false
+		}
+		i := bits.Len64(uint64(us))
+		if _, hi := lat.BucketBounds(i); hi != uint64(us) {
+			return counts, false
+		}
+		cum[i], seen[i] = uint64(s.Value), true
+	}
+	var prev uint64
+	for i := range cum {
+		if !seen[i] {
+			continue
+		}
+		if cum[i] < prev {
+			return counts, false
+		}
+		counts[i] = cum[i] - prev
+		prev = cum[i]
+	}
+	return counts, found && total == prev
 }
 
 // WriteProm renders every registered family in the Prometheus text
@@ -463,46 +479,4 @@ func parsePromLabels(body string, into map[string]string) error {
 		body = strings.TrimSpace(body)
 	}
 	return nil
-}
-
-// Quantile estimates the p-th quantile from parsed cumulative histogram
-// buckets: pairs of (upper bound, cumulative count) as scraped from
-// name_bucket{le=...} samples, in any order. Used by cmd/sweeptop to
-// turn two scrapes' bucket deltas into phase latencies.
-func Quantile(bounds []float64, cum []uint64, p float64) float64 {
-	if len(bounds) == 0 || len(bounds) != len(cum) || p <= 0 || p > 100 {
-		return math.NaN()
-	}
-	type bc struct {
-		bound float64
-		cum   uint64
-	}
-	bcs := make([]bc, len(bounds))
-	for i := range bounds {
-		bcs[i] = bc{bounds[i], cum[i]}
-	}
-	sort.Slice(bcs, func(i, j int) bool { return bcs[i].bound < bcs[j].bound })
-	total := bcs[len(bcs)-1].cum
-	if total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p / 100 * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	var prevCum uint64
-	lo := 0.0
-	for _, b := range bcs {
-		if b.cum >= target {
-			n := b.cum - prevCum
-			if n == 0 || math.IsInf(b.bound, +1) {
-				return lo
-			}
-			frac := float64(target-prevCum) / float64(n)
-			return lo + frac*(b.bound-lo)
-		}
-		prevCum = b.cum
-		lo = b.bound
-	}
-	return lo
 }

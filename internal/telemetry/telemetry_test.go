@@ -3,10 +3,12 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"taglessdram/internal/lat"
 )
 
 func findSample(t *testing.T, samples []Sample, name string, labels map[string]string) Sample {
@@ -46,11 +48,10 @@ func TestWritePromRoundTrip(t *testing.T) {
 	vec.With("/v1/sweep", "2xx").Add(3)
 	vec.With(`we"ird\nam
 e`, "5xx").Inc()
-	hv := reg.HistogramVec("test_phase_seconds", "Phases.", "phase")
-	h := hv.With("simulate")
-	h.Observe(3 * time.Millisecond)
-	h.Observe(5 * time.Millisecond)
-	h.Observe(100 * time.Millisecond)
+	hv := reg.HistogramVec("test_phase_seconds", "Phases.", "phase", "simulate")
+	hv.Observe("simulate", 3*time.Millisecond)
+	hv.Observe("simulate", 5*time.Millisecond)
+	hv.Observe("simulate", 100*time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := reg.WriteProm(&buf); err != nil {
@@ -118,49 +119,188 @@ func parseLe(s string) (float64, error) {
 	return v, err
 }
 
+// scrape renders reg and parses the exposition back, as a scraper does.
+func scrape(t *testing.T, reg *Registry) []Sample {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParseProm(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples
+}
+
 // TestHistQuantile pins the log2 bucket geometry shared with
-// internal/lat: a 3ms observation lands in a bucket whose bounds
-// bracket 3000µs.
+// internal/lat: 3ms observations scrape back into the bucket whose
+// bounds bracket 3000µs, and an untouched child scrapes as empty.
 func TestHistQuantile(t *testing.T) {
-	var h Hist
-	if got := h.Quantile(50); got != 0 {
-		t.Errorf("empty hist p50 = %v, want 0", got)
-	}
+	reg := NewRegistry()
+	hv := reg.HistogramVec("test_phase_seconds", "Phases.", "phase", "busy", "idle")
 	for i := 0; i < 100; i++ {
-		h.Observe(3 * time.Millisecond)
+		hv.Observe("busy", 3*time.Millisecond)
 	}
-	p50 := h.Quantile(50)
-	if p50 < 2048 || p50 > 4096 {
+	samples := scrape(t, reg)
+	counts, ok := HistCounts(samples, "test_phase_seconds", Label{"phase", "busy"})
+	if !ok {
+		t.Fatal("busy child did not rebuild")
+	}
+	if p50 := lat.QuantileOf(&counts, 50); p50 < 2048 || p50 > 4096 {
 		t.Errorf("p50 = %vµs, want within the [2048, 4096)µs log2 bucket", p50)
 	}
-	if h.Count() != 100 {
-		t.Errorf("count = %d, want 100", h.Count())
+	idle, ok := HistCounts(samples, "test_phase_seconds", Label{"phase", "idle"})
+	if !ok || idle != ([lat.NumBuckets]uint64{}) {
+		t.Errorf("idle child = %v (ok %t), want empty", idle, ok)
 	}
-	// Sub-microsecond (and negative) observations land in bucket 0.
-	var h0 Hist
-	h0.Observe(100 * time.Nanosecond)
-	h0.Observe(-time.Second)
-	counts, total, _ := h0.Snapshot()
-	if counts[0] != 2 || total != 2 {
-		t.Errorf("bucket0 = %d, total = %d; want 2, 2", counts[0], total)
+	if p50 := lat.QuantileOf(&idle, 50); p50 != 0 {
+		t.Errorf("empty p50 = %v, want 0", p50)
 	}
 }
 
 // TestParsedQuantile checks the client-side quantile over parsed
-// cumulative buckets (what sweeptop computes from a scrape).
+// cumulative buckets (what sweeptop computes from a scrape), and that
+// HistCounts refuses series HistogramVec never renders.
 func TestParsedQuantile(t *testing.T) {
-	bounds := []float64{0.001, 0.002, 0.004, math.Inf(+1)}
-	cum := []uint64{0, 50, 100, 100}
-	p50 := Quantile(bounds, cum, 50)
-	if p50 < 0.001 || p50 > 0.002 {
-		t.Errorf("p50 = %v, want in (0.001, 0.002]", p50)
+	parse := func(text string) []Sample {
+		t.Helper()
+		samples, err := ParseProm(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return samples
 	}
-	p99 := Quantile(bounds, cum, 99)
-	if p99 < 0.002 || p99 > 0.004 {
-		t.Errorf("p99 = %v, want in (0.002, 0.004]", p99)
+	l := Label{"phase", "x"}
+	counts, ok := HistCounts(parse(`h_bucket{phase="x",le="0.001023"} 0
+h_bucket{phase="x",le="0.002047"} 50
+h_bucket{phase="x",le="0.004095"} 100
+h_bucket{phase="x",le="+Inf"} 100
+h_bucket{phase="y",le="+Inf"} 7
+`), "h", l)
+	if !ok || counts[11] != 50 || counts[12] != 50 {
+		t.Fatalf("counts = %v (ok %t), want 50 in buckets 11 and 12", counts, ok)
 	}
-	if !math.IsNaN(Quantile(nil, nil, 50)) {
-		t.Error("empty Quantile should be NaN")
+	if p50 := lat.QuantileOf(&counts, 50); p50 < 1024 || p50 > 2047 {
+		t.Errorf("p50 = %vµs, want in [1024, 2047]", p50)
+	}
+	if p99 := lat.QuantileOf(&counts, 99); p99 < 2048 || p99 > 4095 {
+		t.Errorf("p99 = %vµs, want in [2048, 4095]", p99)
+	}
+	for name, text := range map[string]string{
+		"no series":        `h_bucket{phase="y",le="+Inf"} 7`,
+		"not a bound":      "h_bucket{phase=\"x\",le=\"0.002\"} 5\nh_bucket{phase=\"x\",le=\"+Inf\"} 5",
+		"decreasing":       "h_bucket{phase=\"x\",le=\"1e-06\"} 5\nh_bucket{phase=\"x\",le=\"3e-06\"} 4\nh_bucket{phase=\"x\",le=\"+Inf\"} 4",
+		"above last bound": "h_bucket{phase=\"x\",le=\"1e-06\"} 5\nh_bucket{phase=\"x\",le=\"+Inf\"} 6",
+	} {
+		if counts, ok := HistCounts(parse(text), "h", l); ok {
+			t.Errorf("%s: rebuilt %v", name, counts)
+		}
+	}
+}
+
+// TestScrapedEqualsServed is the exposition's contract: the buckets a
+// scrape rebuilds equal, bucket for bucket, the lat.Hist of the same
+// durations in whole microseconds (sub-microsecond and negative ones
+// count as zero), and _count and _sum agree with it.
+func TestScrapedEqualsServed(t *testing.T) {
+	observed := []struct {
+		d  time.Duration
+		us uint64
+	}{
+		{-time.Second, 0}, {-1, 0}, {0, 0}, {1, 0}, {999 * time.Nanosecond, 0},
+		{time.Microsecond, 1}, {1999 * time.Nanosecond, 1}, {2 * time.Microsecond, 2},
+		{3 * time.Microsecond, 3}, {4 * time.Microsecond, 4},
+		{1023 * time.Microsecond, 1023}, {1024 * time.Microsecond, 1024},
+		{3 * time.Millisecond, 3000}, {5 * time.Millisecond, 5000},
+		{100 * time.Millisecond, 100000}, {2 * time.Second, 2000000},
+		{time.Hour, 3600000000},
+	}
+	reg := NewRegistry()
+	hv := reg.HistogramVec("test_phase_seconds", "Phases.", "phase", "served", "other")
+	var want lat.Hist
+	for _, o := range observed {
+		hv.Observe("served", o.d)
+		want.Observe(o.us)
+	}
+	hv.Observe("other", time.Minute)
+	samples := scrape(t, reg)
+	l := Label{"phase", "served"}
+	got, ok := HistCounts(samples, "test_phase_seconds", l)
+	if !ok {
+		t.Fatal("served child did not rebuild")
+	}
+	if got != want.Counts() {
+		t.Errorf("scraped buckets\n%v\nwant\n%v", got, want.Counts())
+	}
+	labels := map[string]string{"phase": "served"}
+	if s := findSample(t, samples, "test_phase_seconds_count", labels); s.Value != float64(want.Count()) {
+		t.Errorf("_count = %v, want %d", s.Value, want.Count())
+	}
+	if s := findSample(t, samples, "test_phase_seconds_sum", labels); s.Value != float64(want.Sum())/1e6 {
+		t.Errorf("_sum = %v, want %v", s.Value, float64(want.Sum())/1e6)
+	}
+}
+
+// TestScrapeConsistentUnderObserve scrapes while observers run: every
+// scrape is a snapshot, so _count equals the +Inf bucket, the finite
+// buckets account for every sample, and the counts only grow.
+func TestScrapeConsistentUnderObserve(t *testing.T) {
+	const observers, perObserver = 4, 5000
+	phases := []string{"a", "b"}
+	reg := NewRegistry()
+	hv := reg.HistogramVec("test_phase_seconds", "Phases.", "phase", phases...)
+	var wg sync.WaitGroup
+	for w := 0; w < observers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perObserver; i++ {
+				hv.Observe(phases[(w+i)%2], time.Duration(i*(w+1))*time.Microsecond)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	check := func() (total uint64) {
+		samples := scrape(t, reg)
+		for _, p := range phases {
+			labels := map[string]string{"phase": p}
+			count := findSample(t, samples, "test_phase_seconds_count", labels).Value
+			inf := findSample(t, samples, "test_phase_seconds_bucket", map[string]string{"phase": p, "le": "+Inf"}).Value
+			if count != inf {
+				t.Fatalf("phase %s: _count %v != +Inf bucket %v", p, count, inf)
+			}
+			counts, ok := HistCounts(samples, "test_phase_seconds", Label{"phase", p})
+			if !ok {
+				t.Fatalf("phase %s: scrape does not rebuild", p)
+			}
+			var sum uint64
+			for _, c := range counts {
+				sum += c
+			}
+			if float64(sum) != count {
+				t.Fatalf("phase %s: buckets hold %d samples, _count %v", p, sum, count)
+			}
+			total += sum
+		}
+		return total
+	}
+	var last uint64
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		total := check()
+		if total < last {
+			t.Fatalf("scraped total fell from %d to %d", last, total)
+		}
+		last = total
+	}
+	if last != observers*perObserver {
+		t.Fatalf("final scrape holds %d samples, want %d", last, observers*perObserver)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"taglessdram/internal/stats"
+	"taglessdram/internal/lat"
 )
 
 // Report characterizes a reference stream: the aggregate properties the
@@ -28,17 +28,17 @@ type Report struct {
 	LowReuseFrac    float64
 	MeanBurstBlocks float64 // consecutive same-page distinct-block runs
 
-	// PageReuse is the histogram of page inter-visit distances (in page
-	// visits); long tails indicate streaming re-use, short ones a hot
-	// working set.
-	PageReuse *stats.Histogram
+	// PageReuse is the log2 histogram of page inter-visit distances (in
+	// page visits); long tails indicate streaming re-use, short ones a
+	// hot working set.
+	PageReuse lat.Hist
 	// VisitsPerPage is the mean number of visits per distinct page.
 	VisitsPerPage float64
 }
 
 // Analyze consumes n accesses from src and measures the stream.
 func Analyze(src Source, n uint64) Report {
-	r := Report{PageReuse: stats.NewHistogram(64, 64)}
+	var r Report
 	var writes, shared, dependent, lowReuse uint64
 	var distinctBlocks uint64
 	lastBlock := ^uint64(0)
@@ -81,7 +81,7 @@ func Analyze(src Source, n uint64) Report {
 			burstLen = 0
 			visitIdx++
 			if last, ok := lastVisit[page]; ok {
-				r.PageReuse.Observe(float64(visitIdx - last))
+				r.PageReuse.Observe(visitIdx - last)
 			}
 			lastVisit[page] = visitIdx
 			visitCount[page]++
@@ -143,9 +143,9 @@ func (r Report) String() string {
 	fmt.Fprintf(&sb, "low-reuse:       %.1f%%\n", r.LowReuseFrac*100)
 	fmt.Fprintf(&sb, "visits/page:     %.2f\n", r.VisitsPerPage)
 	fmt.Fprintf(&sb, "blocks/burst:    %.1f\n", r.MeanBurstBlocks)
-	if r.PageReuse != nil && r.PageReuse.Count() > 0 {
+	if r.PageReuse.Count() > 0 {
 		fmt.Fprintf(&sb, "page reuse dist: p50=%.0f p90=%.0f visits (n=%d)\n",
-			r.PageReuse.Percentile(50), r.PageReuse.Percentile(90), r.PageReuse.Count())
+			r.PageReuse.Quantile(50), r.PageReuse.Quantile(90), r.PageReuse.Count())
 	}
 	return sb.String()
 }

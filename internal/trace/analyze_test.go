@@ -50,9 +50,9 @@ func TestAnalyzeHotVsColdReuse(t *testing.T) {
 			rh.VisitsPerPage, rc.VisitsPerPage)
 	}
 	// Hot reuse distances should be shorter at the median.
-	if rh.PageReuse.Percentile(50) >= rc.PageReuse.Percentile(50) {
+	if rh.PageReuse.Quantile(50) >= rc.PageReuse.Quantile(50) {
 		t.Fatalf("hot p50 reuse %.0f not below cold %.0f",
-			rh.PageReuse.Percentile(50), rc.PageReuse.Percentile(50))
+			rh.PageReuse.Quantile(50), rc.PageReuse.Quantile(50))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Source produces a reference stream. Generator is the synthetic source;
@@ -68,7 +69,15 @@ func Record(w io.Writer, src Source, n uint64) error {
 	return bw.Flush()
 }
 
-// ReadAll parses a trace file into memory.
+// maxPrealloc bounds how many records ReadAll allocates for up front on
+// the header's word alone; larger traces grow by append, which only
+// ever holds records actually read.
+const maxPrealloc = 1 << 16
+
+// ReadAll parses a trace file into memory. The header's record count is
+// not trusted for allocation: memory grows with the records present,
+// each at least 3 bytes long (a flags byte and two uvarints), so a
+// forged count costs an error, not the process.
 func ReadAll(r io.Reader) ([]Access, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -90,7 +99,11 @@ func ReadAll(r io.Reader) ([]Access, error) {
 	if n > sanity {
 		return nil, fmt.Errorf("trace: implausible record count %d", n)
 	}
-	out := make([]Access, 0, n)
+	prealloc := n
+	if prealloc > maxPrealloc {
+		prealloc = maxPrealloc
+	}
+	out := make([]Access, 0, prealloc)
 	for i := uint64(0); i < n; i++ {
 		flags, err := br.ReadByte()
 		if err != nil {
@@ -103,6 +116,9 @@ func ReadAll(r io.Reader) ([]Access, error) {
 		gap, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("trace: record %d gap: %w", i, err)
+		}
+		if gap > math.MaxInt {
+			return nil, fmt.Errorf("trace: record %d gap %d overflows int", i, gap)
 		}
 		out = append(out, Access{
 			VAddr:     vaddr,

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -84,6 +86,65 @@ func TestReadAllRejectsHugeCount(t *testing.T) {
 	if _, err := ReadAll(&buf); err == nil || !strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// TestReadAllForgedCount feeds a 16-byte trace whose header claims
+// 2^32 records, the largest count ReadAll accepts, and holds none: the
+// reader must fail on the missing records instead of allocating for
+// all of them up front.
+func TestReadAllForgedCount(t *testing.T) {
+	forged := append([]byte("TDCT"), 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)
+	if _, err := ReadAll(bytes.NewReader(forged)); err == nil || !strings.Contains(err.Error(), "record 0") {
+		t.Fatalf("err = %v, want a missing record 0", err)
+	}
+}
+
+// TestReadAllRejectsOverflowingGap: a gap that does not fit in an int
+// is an error, not a negative instruction count.
+func TestReadAllRejectsOverflowingGap(t *testing.T) {
+	data := append([]byte("TDCT"), 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+	data = append(data, 0, 0) // flags, vaddr
+	data = binary.AppendUvarint(data, 1<<63)
+	if _, err := ReadAll(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "overflows int") {
+		t.Fatalf("err = %v, want an overflowing gap", err)
+	}
+}
+
+// FuzzReadAll: any bytes parse to an error or to accesses, never a
+// panic or an out-of-memory crash, and accepted accesses come back
+// unchanged through Record and ReadAll.
+func FuzzReadAll(f *testing.F) {
+	var valid bytes.Buffer
+	if err := Record(&valid, NewGenerator(testProfile(), 7), 16); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadAll(bytes.NewReader(data))
+		if err != nil || len(got) == 0 {
+			return
+		}
+		for i, a := range got {
+			if a.Gap < 0 {
+				t.Fatalf("access %d has negative gap %d", i, a.Gap)
+			}
+		}
+		rep, err := NewReplay(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Record(&buf, rep, uint64(len(got))); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadAll(&buf)
+		if err != nil {
+			t.Fatalf("re-reading %d recorded accesses: %v", len(got), err)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatal("accesses changed through Record and ReadAll")
+		}
+	})
 }
 
 // Property: any slice of accesses with bounded fields round-trips exactly

@@ -28,7 +28,7 @@ func EpochDropWarning(r *Result) string {
 type Epoch = obs.Epoch
 
 // The structured-metrics stream is JSON lines: one "run" line per result
-// carrying the full flattened metric registry, followed by one "epoch"
+// carrying the full flattened metric map, followed by one "epoch"
 // line per captured epoch. Field names and the line types are a stable,
 // documented schema (see README "Observability"); keys within a run
 // line's metrics object are sorted, so the bytes are deterministic for a
@@ -50,7 +50,7 @@ type metricsEpochLine struct {
 }
 
 // WriteMetricsJSON streams results as JSON lines: for each result a
-// "run" line with the complete Result.Metrics registry, then one "epoch"
+// "run" line with the complete Result.Metrics map, then one "epoch"
 // line per entry of Result.Epochs. Output depends only on the results
 // and their order, so feeding it submission-ordered sweep results (see
 // Options.MetricsSink) yields byte-identical files at any Workers width.
@@ -63,10 +63,7 @@ func WriteMetricsJSON(w io.Writer, results ...*Result) error {
 			Design:   r.Design.String(),
 			Epochs:   len(r.Epochs),
 			Dropped:  r.EpochsDropped,
-			Metrics:  make(map[string]float64),
-		}
-		for _, nv := range r.Metrics().Sorted() {
-			line.Metrics[nv.Name] = nv.Value
+			Metrics:  r.Metrics(),
 		}
 		if err := enc.Encode(line); err != nil {
 			return err

@@ -166,9 +166,9 @@ type SweepAccepted struct {
 // counters, and its identity block (behavioral model version, start
 // time/uptime, in-flight gauges).
 type ServerStats struct {
-	Hits, Misses, Stored, Evicted uint64
-	Entries                       int
-	Sweeps, Jobs                  uint64
+	CacheStats
+	Entries      int
+	Sweeps, Jobs uint64
 
 	ModelVersion                 int
 	Start                        time.Time
@@ -196,9 +196,10 @@ func RemoteStats(ctx context.Context, server string) (ServerStats, error) {
 		return ServerStats{}, fmt.Errorf("taglessdram: sweep service: decoding /v1/stats: %w", err)
 	}
 	st := ServerStats{
-		Hits: sr.Cache.Hits, Misses: sr.Cache.Misses,
-		Stored: sr.Cache.Stored, Evicted: sr.Cache.Evicted,
-		Entries: sr.Entries, Sweeps: sr.Sweeps, Jobs: sr.SimJobs,
+		CacheStats:     sr.Cache,
+		Entries:        sr.Entries,
+		Sweeps:         sr.Sweeps,
+		Jobs:           sr.SimJobs,
 		ModelVersion:   sr.ModelVersion,
 		Uptime:         time.Duration(sr.UptimeMS) * time.Millisecond,
 		InFlightSweeps: sr.InFlightSweeps,

@@ -168,10 +168,7 @@ func (s *SweepServer) initTelemetry() {
 	s.tel.jobsInflight = reg.Gauge("sweepd_jobs_inflight",
 		"Jobs currently between worker pickup and completion.")
 	s.tel.phases = reg.HistogramVec("sweepd_phase_duration_seconds",
-		"Wall time per sweep execution phase.", "phase")
-	for _, p := range sweepPhases {
-		s.tel.phases.With(p)
-	}
+		"Wall time per sweep execution phase.", "phase", sweepPhases...)
 	s.tel.httpRequests = reg.CounterVec("sweepd_http_requests_total",
 		"HTTP requests by route and status class.", "route", "class")
 	reg.GaugeFunc("sweepd_model_version",
@@ -313,6 +310,20 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(sweepapi.ErrorReply{Error: fmt.Sprintf(format, args...)})
 }
 
+// parseSweep decodes a POST /v1/sweep body and validates it into jobs
+// with buildJobs. It never simulates; every returned error is a client
+// error (HTTP 400).
+func (s *SweepServer) parseSweep(body io.Reader) (sweepapi.Request, []Job, []jobKey, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var req sweepapi.Request
+	if err := dec.Decode(&req); err != nil {
+		return req, nil, nil, fmt.Errorf("malformed request: %w", err)
+	}
+	jobs, keys, err := s.buildJobs(&req)
+	return req, jobs, keys, err
+}
+
 // buildJobs validates a wire request into native jobs (grid cells
 // workload-major, then explicit jobs) plus their fingerprints. Every
 // returned error is a client error (HTTP 400).
@@ -403,7 +414,7 @@ var sweepCtxHook func(context.Context)
 
 // logSweep emits the one-line structured summary of a finished (or
 // refused) sweep.
-func (s *SweepServer) logSweep(tr *telemetry.Trace, peer, outcome string, delta sweepapi.CacheStats, err error) {
+func (s *SweepServer) logSweep(tr *telemetry.Trace, peer, outcome string, delta CacheStats, err error) {
 	sum := tr.Summary()
 	fields := []telemetry.Field{
 		telemetry.F("sweep_id", sum.ID),
@@ -446,19 +457,7 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer leave()
 
 	began := time.Now()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	var req sweepapi.Request
-	if err := dec.Decode(&req); err != nil {
-		leave()
-		httpError(w, http.StatusBadRequest, "malformed request: %v", err)
-		s.tel.log.Event("sweep",
-			telemetry.F("peer", r.RemoteAddr),
-			telemetry.F("outcome", "invalid"),
-			telemetry.F("error", err.Error()))
-		return
-	}
-	jobs, keys, err := s.buildJobs(&req)
+	req, jobs, keys, err := s.parseSweep(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		leave()
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -482,7 +481,7 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 	tr := telemetry.NewTrace(id, began, len(jobs), workers, r.RemoteAddr)
 	s.tel.traces.Add(tr)
 	validated := tr.Since()
-	s.tel.phases.With("validate").Observe(validated)
+	s.tel.phases.Observe("validate", validated)
 	tr.Add("validate", telemetry.CatSweep, 0, 0, validated)
 
 	// From here on the response is a 200 event stream; failures become
@@ -530,7 +529,7 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 		jobLookup: func(i int, hit bool) {
 			lookups[i] = tr.Since()
 			looked[i] = true
-			s.tel.phases.With("cache-lookup").Observe(lookups[i] - starts[i])
+			s.tel.phases.Observe("cache-lookup", lookups[i]-starts[i])
 			tr.Add("cache-lookup", telemetry.CatPhase, i+1, starts[i], lookups[i])
 		},
 		jobEncode: func(i int) {
@@ -549,7 +548,7 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 				// This job encoded the Result it simulated: the encode
 				// phase runs from there to the settled (and stored)
 				// payload, and the simulation ends where it begins.
-				s.tel.phases.With("encode").Observe(end - encodes[i])
+				s.tel.phases.Observe("encode", end-encodes[i])
 				tr.Add("encode", telemetry.CatPhase, i+1, encodes[i], end)
 				end = encodes[i]
 			}
@@ -560,7 +559,7 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 			case wasCached:
 				name = "cached-hit"
 			default:
-				s.tel.phases.With("simulate").Observe(end - from)
+				s.tel.phases.Observe("simulate", end-from)
 			}
 			tr.Add(name, telemetry.CatPhase, i+1, from, end)
 			tr.JobDone(wasCached && err == nil)
@@ -568,15 +567,7 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	stats0 := s.store.Stats()
-	cacheDelta := func() sweepapi.CacheStats {
-		stats1 := s.store.Stats()
-		return sweepapi.CacheStats{
-			Hits:    stats1.Hits - stats0.Hits,
-			Misses:  stats1.Misses - stats0.Misses,
-			Stored:  stats1.Stored - stats0.Stored,
-			Evicted: stats1.Evicted - stats0.Evicted,
-		}
-	}
+	cacheDelta := func() CacheStats { return s.store.Stats().Sub(stats0) }
 	results, err := sweepRunShared(ctx, jobs, sweep.Options{
 		Workers: workers,
 		OnProgress: func(p sweep.Progress) {
@@ -610,7 +601,7 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 			Fingerprint: fps[i], Cached: cached[i], Result: res.payload,
 		})
 		sent := tr.Since()
-		s.tel.phases.With("stream").Observe(sent - sending)
+		s.tel.phases.Observe("stream", sent-sending)
 		tr.Add("streamed", telemetry.CatPhase, i+1, sending, sent)
 		// The job's umbrella span: its whole lifetime in the sweep, from
 		// engine start to its result on the wire, colored by how it was
@@ -636,12 +627,8 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // statsReply snapshots the service statistics.
 func (s *SweepServer) statsReply() sweepapi.StatsReply {
-	st := s.store.Stats()
 	return sweepapi.StatsReply{
-		Cache: sweepapi.CacheStats{
-			Hits: st.Hits, Misses: st.Misses,
-			Stored: st.Stored, Evicted: st.Evicted,
-		},
+		Cache:          s.store.Stats(),
 		Entries:        s.store.Len(),
 		Sweeps:         s.sweeps.Load(),
 		SimJobs:        s.simJobs.Load(),

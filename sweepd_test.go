@@ -1,12 +1,15 @@
 package taglessdram
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -56,47 +59,69 @@ func remoteTestOpts() Options {
 	return o
 }
 
+// malformedRequests are sweep bodies a server limited to 3 jobs must
+// answer with 400. They also seed FuzzSweepRequest.
+var malformedRequests = []struct {
+	name string
+	body string
+}{
+	{"truncated JSON", `{"jobs": [`},
+	{"unknown field", `{"bogus": 1}`},
+	{"empty request", `{}`},
+	{"designs without workloads", `{"designs": ["cTLB"]}`},
+	{"workloads without designs", `{"workloads": ["sphinx3"]}`},
+	{"unknown design", `{"designs": ["cTLB2"], "workloads": ["sphinx3"]}`},
+	{"unknown workload", `{"designs": ["cTLB"], "workloads": ["nosuchprog"],
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1}}`},
+	{"zero measure", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 0, "seed": 1}}]}`},
+	{"unknown walk model", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "walk_model": "psychic"}}]}`},
+	{"unknown policy", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "policy": "MRU"}}]}`},
+	{"unknown option", `{"designs": ["cTLB"], "workloads": ["sphinx3"],
+		"options": {"bogus": 1}}`},
+	{"local-only option", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "workers": 2}}]}`},
+	{"removed memory_walk option", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "memory_walk": true}}]}`},
+	{"too many jobs", `{"designs": ["NoL3", "BI", "SRAM", "cTLB", "Ideal"], "workloads": ["sphinx3"]}`},
+	{"negative cache_mb", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "cache_mb": -1}}]}`},
+	{"negative l2_tlb_entries", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "l2_tlb_entries": -1}}]}`},
+	{"negative alpha", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "alpha": -1}}]}`},
+	{"negative mshrs", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "mshrs": -1}}]}`},
+	{"cache larger than off-package memory", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "cache_mb": 129}}]}`},
+	{"petabyte cache", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "cache_mb": 1073741824}}]}`},
+	{"cache bytes overflow int64", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "cache_mb": 17592186044416}}]}`},
+	{"TLB larger than off-package memory", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "l2_tlb_entries": 1099511627776}}]}`},
+}
+
 // TestSweepdRejectsMalformedRequests pins the service's validation: every
 // kind of client mistake must come back as a structured 4xx ErrorReply,
-// never a 500 or a hung stream.
+// never a 500 or a hung stream. The sizing cases guard the process
+// itself: accepted, a negative knob would run the default machine under
+// another cache key, an overflowing cache size would fail inside a 200
+// stream, and a petabyte cache or TLB would exhaust memory when the
+// machine is built.
 func TestSweepdRejectsMalformedRequests(t *testing.T) {
 	_, url := newTestSweepServer(t, 1, 3)
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"truncated JSON", `{"jobs": [`, http.StatusBadRequest},
-		{"unknown field", `{"bogus": 1}`, http.StatusBadRequest},
-		{"empty request", `{}`, http.StatusBadRequest},
-		{"designs without workloads", `{"designs": ["cTLB"]}`, http.StatusBadRequest},
-		{"workloads without designs", `{"workloads": ["sphinx3"]}`, http.StatusBadRequest},
-		{"unknown design", `{"designs": ["cTLB2"], "workloads": ["sphinx3"]}`, http.StatusBadRequest},
-		{"unknown workload", `{"designs": ["cTLB"], "workloads": ["nosuchprog"],
-			"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1}}`, http.StatusBadRequest},
-		{"zero measure", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
-			"options": {"shift": 6, "warmup": 1000, "measure": 0, "seed": 1}}]}`, http.StatusBadRequest},
-		{"unknown walk model", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
-			"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "walk_model": "psychic"}}]}`, http.StatusBadRequest},
-		{"unknown policy", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
-			"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "policy": "MRU"}}]}`, http.StatusBadRequest},
-		{"unknown option", `{"designs": ["cTLB"], "workloads": ["sphinx3"],
-			"options": {"bogus": 1}}`, http.StatusBadRequest},
-		{"local-only option", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
-			"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "workers": 2}}]}`, http.StatusBadRequest},
-		{"removed memory_walk option", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
-			"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "memory_walk": true}}]}`, http.StatusBadRequest},
-		{"too many jobs", `{"designs": ["NoL3", "BI", "SRAM", "cTLB", "Ideal"], "workloads": ["sphinx3"]}`, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedRequests {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(url+"/v1/sweep", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			if resp.StatusCode != tc.want {
-				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.want)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, http.StatusBadRequest)
 			}
 			var er sweepapi.ErrorReply
 			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
@@ -126,6 +151,47 @@ func TestSweepdRejectsMalformedRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("status = %d, want 404", resp.StatusCode)
+		}
+	})
+}
+
+// FuzzSweepRequest runs arbitrary bodies through the sweep handler's
+// own decode and validation path. Every body yields a client error or
+// jobs the simulator can build: each accepted cell has a fingerprint, a
+// configuration that validates, and a DRAM cache no larger than the
+// memory it caches. Nothing panics and nothing simulates.
+func FuzzSweepRequest(f *testing.F) {
+	for _, tc := range malformedRequests {
+		f.Add([]byte(tc.body))
+	}
+	store, err := OpenResultCache(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	svc, err := NewSweepServer(store, 1, 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := countSimulations(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		_, jobs, keys, err := svc.parseSweep(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if len(jobs) == 0 || len(jobs) > 8 || len(keys) != len(jobs) {
+			t.Fatalf("accepted %d jobs with %d keys from a server limited to 8", len(jobs), len(keys))
+		}
+		for i, j := range jobs {
+			cfg := configFor(j.Design, j.Options)
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("job %d accepted with an invalid configuration: %v", i, err)
+			}
+			if cfg.CacheSize > cfg.OffPkg.SizeBytes {
+				t.Fatalf("job %d accepted with a %d-byte cache over %d bytes of memory", i, cfg.CacheSize, cfg.OffPkg.SizeBytes)
+			}
+		}
+		if n.Load() != 0 {
+			t.Fatal("request validation simulated")
 		}
 	})
 }
@@ -381,6 +447,78 @@ func TestSweepdStreamsStoredPayloads(t *testing.T) {
 	}
 	if got := n.Load(); got != 2 {
 		t.Errorf("%d simulations for 2 distinct cells over two passes, want 2", got)
+	}
+}
+
+// TestSweepdCacheStatsWire pins the cache counters' wire form: the
+// done event and GET /v1/stats carry resultcache.Stats, so each raw
+// cache object has exactly the keys hits, misses, stored and evicted,
+// and the values are the store's own counters.
+func TestSweepdCacheStatsWire(t *testing.T) {
+	svc, url := newTestSweepServer(t, 1, 0)
+	canon, err := remoteTestOpts().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(&sweepapi.Request{Options: canon,
+		Jobs: []sweepapi.Job{{Design: "cTLB", Workload: "sphinx3"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cacheObject decodes one raw JSON object's "cache" member and
+	// checks its key set.
+	cacheObject := func(what string, raw []byte) CacheStats {
+		t.Helper()
+		var outer map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &outer); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		var fields map[string]uint64
+		if err := json.Unmarshal(outer["cache"], &fields); err != nil {
+			t.Fatalf("%s cache object %s: %v", what, outer["cache"], err)
+		}
+		keys := make([]string, 0, len(fields))
+		for k := range fields {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if want := []string{"evicted", "hits", "misses", "stored"}; !reflect.DeepEqual(keys, want) {
+			t.Fatalf("%s cache keys = %v, want %v", what, keys, want)
+		}
+		return CacheStats{Hits: fields["hits"], Misses: fields["misses"],
+			Stored: fields["stored"], Evicted: fields["evicted"]}
+	}
+
+	resp, err := http.Post(url+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done []byte
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if strings.Contains(sc.Text(), `"type":"done"`) {
+			done = append([]byte(nil), sc.Bytes()...)
+		}
+	}
+	resp.Body.Close()
+	if done == nil {
+		t.Fatal("no done event")
+	}
+	if got, want := cacheObject("done event", done), (CacheStats{Misses: 1, Stored: 1}); got != want {
+		t.Errorf("done cache = %+v, want %+v", got, want)
+	}
+
+	resp, err = http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cacheObject("/v1/stats", raw), svc.store.Stats(); got != want {
+		t.Errorf("/v1/stats cache = %+v, want the store's %+v", got, want)
 	}
 }
 

@@ -502,6 +502,25 @@ func (o Options) Validate() error {
 	if o.Shift > 10 {
 		return fmt.Errorf("taglessdram: Shift %d unreasonably large", o.Shift)
 	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"CacheMB", o.CacheMB}, {"L2TLBEntries", int64(o.L2TLBEntries)}, {"Alpha", int64(o.Alpha)}, {"MSHRs", int64(o.MSHRs)}} {
+		if f.v < 0 {
+			return fmt.Errorf("taglessdram: %s must be non-negative, got %d", f.name, f.v)
+		}
+	}
+	// The DRAM cache caches the off-package memory and the L2 TLB maps
+	// its pages, so neither may be larger than it. The bound also keeps
+	// CacheMB's byte size from overflowing, and the tables these knobs
+	// size within what the host can allocate.
+	offPkg := config.Default().OffPkg.SizeBytes >> o.Shift
+	if o.CacheMB > offPkg/config.MB {
+		return fmt.Errorf("taglessdram: CacheMB %d exceeds the %d MB of off-package memory it caches", o.CacheMB, offPkg/config.MB)
+	}
+	if int64(o.L2TLBEntries) > offPkg/config.PageSize {
+		return fmt.Errorf("taglessdram: L2TLBEntries %d exceeds the %d pages of off-package memory", o.L2TLBEntries, offPkg/config.PageSize)
+	}
 	if o.Workers < 0 {
 		return fmt.Errorf("taglessdram: Workers must be non-negative, got %d", o.Workers)
 	}

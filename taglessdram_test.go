@@ -32,6 +32,28 @@ func TestOptionsValidate(t *testing.T) {
 	if err := o.Validate(); err == nil {
 		t.Error("absurd shift accepted")
 	}
+	// At the default shift the off-package memory is 8GB>>6 = 128MB:
+	// 32768 pages.
+	for _, c := range []struct {
+		name string
+		edit func(*Options)
+		ok   bool
+	}{
+		{"cache as large as memory", func(o *Options) { o.CacheMB = 128 }, true},
+		{"cache larger than memory", func(o *Options) { o.CacheMB = 129 }, false},
+		{"L2 TLB mapping every page", func(o *Options) { o.L2TLBEntries = 32768 }, true},
+		{"L2 TLB larger than memory", func(o *Options) { o.L2TLBEntries = 32769 }, false},
+		{"negative CacheMB", func(o *Options) { o.CacheMB = -1 }, false},
+		{"negative L2TLBEntries", func(o *Options) { o.L2TLBEntries = -1 }, false},
+		{"negative Alpha", func(o *Options) { o.Alpha = -1 }, false},
+		{"negative MSHRs", func(o *Options) { o.MSHRs = -1 }, false},
+	} {
+		o := DefaultOptions()
+		c.edit(&o)
+		if err := o.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok %t", c.name, err, c.ok)
+		}
+	}
 }
 
 func TestWorkloadLists(t *testing.T) {
