@@ -172,3 +172,83 @@ func TestGoldenDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// goldenSampleSpec is dense enough at goldenOptions() budgets for at
+// least 20 windows, with fast-forward covering at least twice the
+// references the windows simulate cycle-accurately.
+var goldenSampleSpec = taglessdram.SampleSpec{WindowRefs: 150, WarmRefs: 50, PeriodRefs: 800}
+
+// sampledFingerprint extends fingerprint with the sampled run's window
+// population and confidence half-width.
+func sampledFingerprint(r *taglessdram.Result) string {
+	s := r.Sampled
+	return fmt.Sprintf("%s win=%d mrefs=%d frefs=%d ci=%v",
+		fingerprint(r), s.Windows, s.MeasuredRefs, s.FastRefs, s.IPCCI95)
+}
+
+// goldenSampled pins sampled Results exactly: every organization on
+// streamcluster (its threads share one page table, so one core's walk
+// finds pages another core cached) and each goldenVariants knob on its
+// workload. Fast-forward's state transitions feed every window after the
+// first, so any drift in them shows here. The table stays out of
+// TestModelVersionPinsGoldens' digest: sampled cells are keyed
+// separately.
+var goldenSampled = map[string]string{
+	"streamcluster/Alloy":   `cyc=161665 in=157162 ipc=1.006095944871455 pc=[0.29540722959406696 0.2636930415498556 0.25152398621786376 0.30591316910488975] l3=2497,1207,0.48338005606728074,904.1313576291559 tlb=6766,118,0.01744014188590009 nc=0 e=0.0010777666666666667,1.54153968e-05,2.2980839999999998e-05,0 edp=6.014815859631288e-08 row=0.9748313440581214,0.9388544891640866 b=272664,82560 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0 win=34 mrefs=6766 frefs=19067 ci=0.2046937837687099`,
+	"streamcluster/BI":      `cyc=73363 in=156288 ipc=2.1939529135140026 pc=[0.7384438896011877 0.5622119815668203 0.5484882283785006 0.6647229391708886] l3=2617,359,0.13717997707298432,372.5857852502868 tlb=6735,130,0.019302152932442463 nc=0 e=0.0004890866666666667,1.3113712e-06,3.9486168e-05,0 edp=1.2957964998332091e-08 row=0.975,0.9606020362992475 b=22976,144512 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0 win=34 mrefs=6735 frefs=19104 ci=0.4216784065566772`,
+	"streamcluster/Banshee": `cyc=54903 in=158100 ipc=3.119012723294887 pc=[0.8589665388637155 0.9614014251781473 0.7797531808237218 0.8683511217599651] l3=2511,2428,0.9669454400637196,307.42453205894105 tlb=6800,108,0.01588235294117647 nc=0 e=0.00036602,1.97346784e-05,4.4625288e-05,0 edp=7.8763837650864e-09 row=0.9084278768233387,0.6504065040650406 b=319232,166592 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0 win=34 mrefs=6800 frefs=19064 ci=0.5064922958595196`,
+	"streamcluster/Ideal":   `cyc=38871 in=156416 ipc=4.24441694655589 pc=[1.2360198388096715 1.0636469479403448 1.0611042366389725 1.2041819012797075] l3=2550,2550,1,197.0011764705883 tlb=6741,126,0.018691588785046728 nc=0 e=0.00025914,9.66084e-06,0,0 edp=3.4828524838799995e-09 row=0.9658957271658173,0 b=163200,0 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0 win=34 mrefs=6741 frefs=19094 ci=0.49753783099642646`,
+	"streamcluster/NoL3":    `cyc=90105 in=155062 ipc=1.8943452380952381 pc=[0.4933627472233203 0.47358630952380953 0.594587493431424 0.548777092278609] l3=2447,0,0,488.81610134858937 tlb=6702,121,0.018054312145628172 nc=0 e=0.0006007,0,4.2814512e-05,0 edp=1.932795836792e-08 row=0,0.9599836668027767 b=0,156608 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0 win=34 mrefs=6702 frefs=19158 ci=0.4562441378484811`,
+	"streamcluster/SRAM":    `cyc=61602 in=158158 ipc=2.704341052333404 pc=[0.8858031503963079 0.7364246834140775 0.676085263083351 0.7351926916328877] l3=2719,2683,0.9867598381757999,308.7223243839653 tlb=6800,127,0.018676470588235294 nc=0 e=0.00041068,2.14714016e-05,3.9468384e-05,4.9157999999999996e-08 edp=9.6852500878824e-09 row=0.8743570903747244,0.5 b=319168,147456 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0.9867598381757999 win=34 mrefs=6800 frefs=19091 ci=0.5121490368294787`,
+	"streamcluster/cTLB":    `cyc=52432 in=156474 ipc=3.335402655630281 pc=[0.907832665776591 0.8651174980344195 0.8349900596421471 0.8338506639075702] l3=2492,2492,1,297.43418940609956 tlb=6741,118,0.017504821243139 nc=0 e=0.00034954666666666664,1.7394963199999997e-05,4.3515168e-05,0 edp=7.173690275248355e-09 row=0.9668115369419202,0.5 b=315136,160512 ctrl={Walks:118 NonCacheable:0 VictimHits:80 ColdFills:38 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 40 580 0] kc=[0 80 38 0] sram=0 win=34 mrefs=6741 frefs=19094 ci=0.6182314363883626`,
+	"variant/alias":         `cyc=261243 in=158315 ipc=0.5535485635434666 pc=[0.13838714088586665 0.8507708842932326 0.5082070809365632 0.9044897959183673] l3=2550,2550,1,984.7772549019629 tlb=11200,74,0.0066071428571428574 nc=0 e=0.0017416200000000001,2.9514764799999995e-05,8.4740064e-05,0 edp=1.6161143596673283e-07 row=0.8569798402434385,0.5 b=466304,312576 ctrl={Walks:74 NonCacheable:0 VictimHits:0 ColdFills:74 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 763.6081081081079 0] kc=[0 0 74 0] sram=0 win=56 mrefs=11200 frefs=32228 ci=0.8493642360060336`,
+	"variant/clock":         `cyc=257341 in=160587 ipc=0.6150548449460619 pc=[0.15376371123651547 0.8173954282462297 0.5335866655151568 0.9857448467521043] l3=2657,2657,1,925.9973654497588 tlb=11200,82,0.007321428571428572 nc=0 e=0.0017156066666666665,3.1558103999999996e-05,9.3901152e-05,0 edp=1.5792724853498753e-07 row=0.8627093954843409,0.5 b=505920,346368 ctrl={Walks:82 NonCacheable:0 VictimHits:0 ColdFills:82 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 638.2926829268291 0] kc=[0 0 82 0] sram=0 win=56 mrefs=11200 frefs=32196 ci=0.9228988046654767`,
+	"variant/hot":           `cyc=349454 in=160955 ipc=0.4330419477852743 pc=[0.10826048694631857 0.7248627316403569 0.5158425504229017 0.9456296016613177] l3=2791,2566,0.9193837334288786,1114.3231816553189 tlb=11200,132,0.011785714285714287 nc=444 e=0.0023296933333333335,2.48928896e-05,6.5998944e-05,0 edp=2.81961056308507e-07 row=0.8689523809523809,0.7657657657657657 b=385408,242496 ctrl={Walks:132 NonCacheable:78 VictimHits:0 ColdFills:54 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[40 0 557.6111111111111 0] kc=[78 0 54 0] sram=0 win=56 mrefs=11200 frefs=32216 ci=0.6973984888140675`,
+	"variant/lru":           `cyc=257341 in=160587 ipc=0.6150548449460619 pc=[0.15376371123651547 0.8173954282462297 0.5335866655151568 0.9857448467521043] l3=2657,2657,1,925.9973654497588 tlb=11200,82,0.007321428571428572 nc=0 e=0.0017156066666666665,3.1558103999999996e-05,9.3901152e-05,0 edp=1.5792724853498753e-07 row=0.8627093954843409,0.5 b=505920,346368 ctrl={Walks:82 NonCacheable:0 VictimHits:0 ColdFills:82 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 638.2926829268291 0] kc=[0 0 82 0] sram=0 win=56 mrefs=11200 frefs=32196 ci=0.9228988046654767`,
+	"variant/memwalk":       `cyc=99714 in=153450 ipc=1.627574649258886 pc=[0.4068936623147215 0.42272317403065823 0.42155937727838055 0.43545896352818275] l3=4939,4939,1,124.93925895930376 tlb=18600,595,0.03198924731182796 nc=0 e=0.00066476,4.3937723200000004e-05,4.7647104e-05,0 edp=2.51393893664736e-08 row=0.7418516296740651,0.7883597883597884 b=479936,175936 ctrl={Walks:595 NonCacheable:0 VictimHits:555 ColdFills:40 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 31.699099099099122 962.0000000000002 0] kc=[0 555 40 0] sram=0 win=93 mrefs=18600 frefs=54150 ci=0.3134420194240175`,
+	"variant/nc":            `cyc=86136 in=157408 ipc=2.0185029436501263 pc=[0.5397768517273828 0.5802805977590959 0.5330116378086858 0.5046257359125316] l3=2579,2563,0.9937960449786739,345.863125242342 tlb=8422,129,0.01531702683448112 nc=32 e=0.00057424,3.4856256e-05,0.000129910704,0 edp=2.121836783552e-08 row=0.9312920089619119,0.4669421487603306 b=626880,478336 ctrl={Walks:129 NonCacheable:16 VictimHits:0 ColdFills:113 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[40 0 933.2389380530976 0] kc=[16 0 113 0] sram=0 win=42 mrefs=8422 frefs=23608 ci=0.43899327901962526`,
+	"variant/smallcache":    `cyc=185235 in=159250 ipc=0.93505249673766 pc=[0.23582842927616718 0.233763124184415 0.23587466074512706 0.2630503787045476] l3=3311,3311,1,749.2056780428875 tlb=8520,146,0.017136150234741784 nc=0 e=0.0012349,6.76718608e-05,0.000286646352,0 edp=9.812627854933598e-08 row=0.9375175119080975,0.371571072319202 b=1256384,1063168 ctrl={Walks:146 NonCacheable:0 VictimHits:0 ColdFills:146 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:111 Writebacks:109 SyncEvictions:60 Shootdowns:111} km=[0 0 1798.2739726027398 0] kc=[0 0 146 0] sram=0 win=43 mrefs=8520 frefs=23506 ci=0.17366283252875556`,
+	"variant/super":         `cyc=142150 in=154444 ipc=1.2364247916896707 pc=[0.30910619792241767 0.3550767305781474 0.36244848549582986 0.3273504706856631] l3=3649,3648,0.9997259523157029,752.6878596875857 tlb=10800,21,0.0019444444444444444 nc=2 e=0.0009476666666666666,5.01281984e-05,0.000176422776,0 edp=5.563834589254222e-08 row=0.919202518363064,0.11049723756906077 b=888832,657984 ctrl={Walks:21 NonCacheable:1 VictimHits:0 ColdFills:20 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[40 0 2462.15 0] kc=[1 0 20 0] sram=0 win=54 mrefs=10800 frefs=31346 ci=0.3677086455129981`,
+	"variant/sync":          `cyc=195454 in=158492 ipc=0.903608970505183 pc=[0.2291694433015976 0.24336832985648005 0.22590224262629574 0.24008362283641282] l3=3114,3114,1,760.3583815028904 tlb=8486,138,0.016262078717888286 nc=0 e=0.0013030266666666666,6.34456032e-05,0.000269765856,0 edp=1.0660309555104782e-07 row=0.9422447156891932,0.38095238095238093 b=1182336,1000704 ctrl={Walks:138 NonCacheable:0 VictimHits:0 ColdFills:138 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:103 Writebacks:102 SyncEvictions:103 Shootdowns:103} km=[0 0 2164.2028985507254 0] kc=[0 0 138 0] sram=0 win=43 mrefs=8486 frefs=23560 ci=0.15804300438393268`,
+}
+
+// TestGoldenSampled runs the goldenSampled cells and compares each
+// against its pinned fingerprint.
+func TestGoldenSampled(t *testing.T) {
+	type cell struct {
+		design   taglessdram.Design
+		workload string
+		mod      func(*taglessdram.Options)
+	}
+	cells := map[string]cell{}
+	for _, d := range taglessdram.Organizations() {
+		cells["streamcluster/"+d.String()] = cell{d, "streamcluster", nil}
+	}
+	for name, v := range goldenVariants {
+		cells["variant/"+name] = cell{taglessdram.Tagless, v.workload, v.mod}
+	}
+	for key, c := range cells {
+		key, c := key, c
+		t.Run(key, func(t *testing.T) {
+			t.Parallel()
+			o := goldenOptions()
+			if c.mod != nil {
+				c.mod(&o)
+			}
+			spec := goldenSampleSpec
+			o.Sample = &spec
+			r, err := taglessdram.Run(c.design, c.workload, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := r.Sampled; s.Windows < 20 || s.FastRefs < 2*s.MeasuredRefs {
+				t.Errorf("spec too sparse: %d windows, %d fast-forwarded vs %d accurate refs",
+					s.Windows, s.FastRefs, s.MeasuredRefs)
+			}
+			want, ok := goldenSampled[key]
+			if got := sampledFingerprint(r); !ok || got != want {
+				t.Errorf("sampled fingerprint changed:\n got: %s\nwant: %s", got, want)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"testing"
 
 	"taglessdram/internal/config"
@@ -58,6 +59,58 @@ func TestSharedPagesAliasTable(t *testing.T) {
 	// Warmup attaches count too: check lifetime stats, not the delta.
 	if m.ctrl.Stats().AliasHits == 0 {
 		t.Fatal("no alias hits despite four processes sharing pages")
+	}
+}
+
+// TestSampledSharedAliasTable pins a sampled run of the alias table on
+// sharedMix exactly: fast-forward attaches processes to blocks other
+// processes filled, and the windows after each span measure that state.
+// The controller must stay consistent, and a fast-forwarded span must
+// reach the alias attach (its counters roll back at the span's end, so
+// they are read inside one).
+func TestSampledSharedAliasTable(t *testing.T) {
+	const want = `cyc=84281 in=161913 ipc=1.6215208848195115 pc=[0.6222418618353218 0.5964659629314938 0.4053802212048779 0.7559912854030502] l3=2855,2855,684.687215411558 tlb=11200,165 nc=0 b=494016,321024 ctrl={Walks:165 NonCacheable:0 VictimHits:40 ColdFills:76 PendingWaits:0 AliasHits:49 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} win=56 mrefs=11200 frefs=32244 ci=0.2757305653099641`
+	cfg := scaledConfig(config.Tagless, 6)
+	cfg.Tagless.SharedAliasTable = true
+	m, err := New(cfg, sharedMix(t, 0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.RunSampled(200_000, 200_000, SampleSpec{WindowRefs: 150, WarmRefs: 50, PeriodRefs: 800})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ctrl.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	s := r.Sampled
+	got := fmt.Sprintf("cyc=%d in=%d ipc=%v pc=%v l3=%d,%d,%v tlb=%d,%d nc=%d b=%d,%d ctrl=%+v win=%d mrefs=%d frefs=%d ci=%v",
+		r.Cycles, r.Instructions, r.IPC, r.PerCoreIPC, r.L3Accesses, r.L3Hits, r.AvgL3Latency,
+		r.TLBLookups, r.TLBMisses, r.NCAccesses, r.InPkgBytes, r.OffPkgBytes, r.Ctrl,
+		s.Windows, s.MeasuredRefs, s.FastRefs, s.IPCCI95)
+	if got != want {
+		t.Errorf("sampled alias-table run changed:\n got: %s\nwant: %s", got, want)
+	}
+
+	if err := m.ffBegin(); err != nil {
+		t.Fatal(err)
+	}
+	before := m.ctrl.Stats().AliasHits
+	var v trace.Visit
+	for i := 0; i < 20_000; i++ {
+		cc := m.nextCore(^uint64(0))
+		fetchVisit(cc, &v)
+		if err := m.ffVisit(cc, &v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attached := m.ctrl.Stats().AliasHits - before
+	m.ffEnd()
+	if attached == 0 {
+		t.Error("no alias attaches in 20000 fast-forwarded visits")
+	}
+	if err := m.ctrl.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
