@@ -22,149 +22,45 @@ func (c *Controller) Quiesced() bool {
 func (c *Controller) SetStats(s Stats) { c.stats = s }
 
 // FastTLBMiss is the functional cTLB miss handler the fast-forward path
-// uses: the same state transitions as HandleTLBMiss (walk, victim hit,
-// alias attach, allocate+fill, replenish) with no timing, no kernel events
-// and no device traffic. Fills and evictions complete immediately, so the
-// PU bit and the Filling/PendingEvict windows never become observable —
-// the documented approximation of the fast path. `at` stamps LRU recency
-// (the caller's core clock). The controller must be quiesced.
+// uses: HandleTLBMiss's state steps (walk, victim hit, alias attach,
+// allocate with inline eviction, install, replenish) with no timing, no
+// kernel events and no device traffic. Fills and evictions complete at
+// once, so the PU bit and the Filling/PendingEvict windows never become
+// observable — the documented approximation of the fast path. `at`
+// stamps LRU recency (the caller's core clock). The controller must be
+// quiesced.
 func (c *Controller) FastTLBMiss(at sim.Tick, coreID int, pt *mmu.PageTable, vpn uint64) (tlb.Entry, error) {
-	c.stats.Walks++
-	var pte *mmu.PTE
-	var err error
-	if c.cfg.RegionPages > 1 {
-		// Superpage mode: 4KB mappings (non-cacheable, shared) take
-		// precedence; everything else maps at region granularity.
-		if p, ok := pt.Lookup(vpn); ok && !p.Super {
-			pte = p
-		} else {
-			pte, err = pt.WalkRegion(vpn, uint64(c.cfg.RegionPages))
-		}
-	} else {
-		pte, err = pt.Walk(vpn)
-	}
+	pte, err := c.resolve(pt, vpn)
 	if err != nil {
 		return tlb.Entry{}, err
 	}
-
-	if pte.NC {
-		c.stats.NonCacheable++
-		return tlb.Entry{Frame: pte.Frame, NC: true}, nil
-	}
-
-	if pte.PU {
+	switch {
+	case pte.NC:
+		return c.nonCacheable(pte), nil
+	case pte.PU:
 		return tlb.Entry{}, fmt.Errorf("core: PU bit set during fast-forward (controller not quiesced)")
+	case pte.VC:
+		return c.victimHit(pte.Frame, coreID), nil
 	}
-
-	if pte.VC {
-		ca := pte.Frame
-		e := c.gipt.Entry(ca)
-		if e.State == PendingEvict {
-			e.State = Cached
-			c.allocQ.Enqueue(ca)
-			c.stats.Rescues++
-		}
-		c.gipt.SetResidence(ca, coreID, true)
-		c.stats.VictimHits++
+	// No fill is in flight, so the attach never takes its Filling arm.
+	if ca, _, ok := c.attachAlias(pte, coreID, at); ok {
 		return tlb.Entry{Frame: ca}, nil
 	}
-
-	if c.aliases != nil {
-		if ca, ok := c.aliases[pte.Frame]; ok {
-			if c.fastAttachAlias(ca, pte, coreID) {
-				return tlb.Entry{Frame: ca}, nil
-			}
-		}
-	}
-
-	// Cacheable but not cached: allocate at the header pointer and fill,
-	// completing the PTE rewrite inline.
-	ppn := pte.Frame
 	ca, ok := c.popFree()
 	if !ok {
-		ca, err = c.fastEvictInline(at)
+		v, err := c.inlineVictim()
 		if err != nil {
 			return tlb.Entry{}, err
 		}
+		ca = c.evictInline(at, v)
 	}
-	c.gipt.Insert(ca, ppn, pte, vpn&^uint64(c.cfg.RegionPages-1))
-	c.lastTouch[ca] = at
-	c.allocQ.Enqueue(ca)
-	if c.aliases != nil {
-		c.aliases[ppn] = ca
-		c.gipt.Entry(ca).Sharers = []*mmu.PTE{pte}
-	}
-	pte.Frame = ca
-	pte.VC = true
-	e := c.gipt.Entry(ca)
-	e.State = Cached
-	e.FillDone = at
-	c.gipt.SetResidence(ca, coreID, true)
-	c.stats.ColdFills++
-
+	// The fill lands at once: the fill event's body runs inline.
+	c.install(at, at, ca, pte, vpn, coreID)
+	c.completeFill(ca, pte)
 	if !c.cfg.SynchronousEviction {
 		c.fastReplenish(at)
 	}
 	return tlb.Entry{Frame: ca}, nil
-}
-
-// fastAttachAlias is attachAlias without the Filling case (impossible on
-// the quiesced fast path) or timing.
-func (c *Controller) fastAttachAlias(ca uint64, pte *mmu.PTE, coreID int) bool {
-	e := c.gipt.Entry(ca)
-	switch e.State {
-	case Cached:
-		pte.Frame = ca
-		pte.VC = true
-	case PendingEvict:
-		e.State = Cached
-		c.allocQ.Enqueue(ca)
-		c.stats.Rescues++
-		pte.Frame = ca
-		pte.VC = true
-	default:
-		return false // stale table entry; fall through to a fill
-	}
-	already := false
-	for _, p := range e.Sharers {
-		if p == pte {
-			already = true
-			break
-		}
-	}
-	if !already {
-		e.Sharers = append(e.Sharers, pte)
-	}
-	c.gipt.SetResidence(ca, coreID, true)
-	c.stats.AliasHits++
-	return true
-}
-
-// fastFinishEvict evicts victim ca immediately: write-back accounting,
-// PTE restore, GIPT invalidate, free-list push and the EvictHook (whose
-// on-die invalidations are state the fast path must keep faithful).
-func (c *Controller) fastFinishEvict(at sim.Tick, ca uint64) {
-	e := c.gipt.Entry(ca)
-	if e.Dirty {
-		c.stats.Writebacks++
-	}
-	c.inFlight++ // finishEviction decrements
-	c.finishEviction(at, ca, e.PPN, e.PTE, e.Dirty)
-}
-
-// fastEvictInline is evictInline for the fast path.
-func (c *Controller) fastEvictInline(at sim.Tick) (uint64, error) {
-	ca, ok := c.selectVictim()
-	if !ok {
-		return 0, fmt.Errorf("core: no evictable block (all %d resident or filling)", c.cfg.Blocks)
-	}
-	c.stats.SyncEvictions++
-	c.fastFinishEvict(at, ca)
-	ca2, ok := c.popFree()
-	if !ok {
-		panic("core: inline eviction freed no block")
-	}
-	return ca2, nil
 }
 
 // fastReplenish is the eviction daemon collapsed to its fixed point: top
@@ -176,6 +72,6 @@ func (c *Controller) fastReplenish(at sim.Tick) {
 		if !ok {
 			return
 		}
-		c.fastFinishEvict(at, ca)
+		c.evict(at, ca)
 	}
 }

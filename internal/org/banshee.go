@@ -86,7 +86,7 @@ func slotIndex(si uint64, way int) uint64 {
 	return si*bansheeWays + uint64(way)
 }
 
-// lookup finds ppn's way within its set, or -1.
+// lookupWay finds ppn's way within its set, or -1.
 func lookupWay(set []bansheeSlot, ppn uint64) int {
 	for w := range set {
 		if set[w].valid && set[w].ppn == ppn {
@@ -111,13 +111,23 @@ func victimWay(set []bansheeSlot) int {
 	return vi
 }
 
-// Access serves the miss: resident pages are bare in-package block
-// accesses (the mapping came with the translation — no tag latency);
-// non-resident pages either fill (frequency caught up with the victim)
-// or bypass straight to off-package DRAM.
-func (o *Banshee) Access(r Request) {
-	kind := kindOf(r.Write)
-	ppn := r.Frame
+// bansheeOutcome is what one lookup did to the page cache.
+type bansheeOutcome uint8
+
+const (
+	bansheeHit    bansheeOutcome = iota // resident: served in-package
+	bansheeFill                         // filled into a victim's frame
+	bansheeBypass                       // served off-package, victim aged
+)
+
+// lookup applies one access's FBR state transition: a hit bumps the
+// page's frequency counter; a miss counts toward the fill threshold and
+// either fills over the victim way — counting its dirty write-back and
+// the remapping's tag-buffer entry — or bypasses and ages the victim so a
+// persistently hot candidate eventually wins. It returns the outcome, the
+// page's frame slot (hit or fill), the displaced victim and whether the
+// fill flushed the tag buffer.
+func (o *Banshee) lookup(ppn uint64, write bool) (out bansheeOutcome, slot uint64, victim bansheeSlot, flush bool) {
 	si, set := o.set(ppn)
 	o.Lookups++
 	if w := lookupWay(set, ppn); w >= 0 {
@@ -126,36 +136,65 @@ func (o *Banshee) Access(r Request) {
 		if s.count != ^uint32(0) {
 			s.count++
 		}
-		if r.Write {
+		if write {
 			s.dirty = true
 		}
-		slot := slotIndex(si, w)
+		return bansheeHit, slotIndex(si, w), bansheeSlot{}, false
+	}
+	n := o.freq[ppn] + 1
+	o.freq[ppn] = n
+	w := victimWay(set)
+	v := &set[w]
+	if n < bansheeFillThreshold || (v.valid && n < v.count) {
+		o.Bypasses++
+		if v.valid && v.count > 0 {
+			v.count--
+		}
+		return bansheeBypass, 0, bansheeSlot{}, false
+	}
+	o.Fills++
+	victim = *v
+	if victim.valid && victim.dirty {
+		o.Writebacks++
+	}
+	delete(o.freq, ppn)
+	*v = bansheeSlot{ppn: ppn, valid: true, dirty: write, count: n}
+	// The remapping occupies a tag-buffer entry; a full buffer flushes
+	// its mappings to the memory-resident metadata.
+	o.tagBufUsed++
+	if o.tagBufUsed == bansheeTagBufEntries {
+		o.TagFlushes++
+		o.tagBufUsed = 0
+		flush = true
+	}
+	return bansheeFill, slotIndex(si, w), victim, flush
+}
+
+// Access serves the miss: resident pages are bare in-package block
+// accesses (the mapping came with the translation — no tag latency);
+// non-resident pages either fill (frequency caught up with the victim)
+// or bypass straight to off-package DRAM.
+func (o *Banshee) Access(r Request) {
+	kind := kindOf(r.Write)
+	out, slot, victim, flush := o.lookup(r.Frame, r.Write)
+	switch out {
+	case bansheeHit:
 		issue(r.CPU, o.p.Observe, r.Dep, true, func(at sim.Tick) sim.Tick {
 			res := o.p.InPkg.Access(at, slot*config.PageSize+r.Offset, config.BlockSize, kind)
 			charge(o.p.Lat, lat.InPkgQueue, lat.InPkgService, res)
 			return res.Done
 		})
-		return
-	}
-
-	n := o.freq[ppn] + 1
-	o.freq[ppn] = n
-	w := victimWay(set)
-	victim := &set[w]
-	if n >= bansheeFillThreshold && (!victim.valid || n >= victim.count) {
-		// Fill: critical block first, the requester resumes when its
-		// block arrives and the rest of the page streams in behind.
-		o.Fills++
+	case bansheeFill:
+		// Critical block first: the requester resumes when its block
+		// arrives and the rest of the page streams in behind.
 		at := r.CPU.Now()
-		slot := slotIndex(si, w)
 		if victim.valid && victim.dirty {
 			// Victim write-back happens in the background.
-			o.Writebacks++
 			rv := o.p.InPkg.Access(at, slot*config.PageSize, config.PageSize, dram.Read)
 			wv := o.p.OffPkg.Access(rv.Done, victim.ppn*config.PageSize, config.PageSize, dram.Write)
 			o.p.Lat.AddBackground(lat.Writeback, wv.Done-at)
 		}
-		base := ppn * config.PageSize
+		base := r.Frame * config.PageSize
 		blockOff := r.Offset &^ (config.BlockSize - 1)
 		crit := o.p.OffPkg.Access(at, base+blockOff, config.BlockSize, dram.Read)
 		// Stall attribution: the critical block's queue/service span the
@@ -166,47 +205,38 @@ func (o *Banshee) Access(r Request) {
 		o.p.InPkg.Access(crit.Done, slot*config.PageSize, config.PageSize, dram.Write)
 		r.CPU.Serialize(crit.Done)
 		o.p.Observe(crit.Done-at, false)
-
-		delete(o.freq, ppn)
-		*victim = bansheeSlot{ppn: ppn, valid: true, dirty: r.Write, count: n}
-		// The remapping occupies a tag-buffer entry; a full buffer
-		// flushes its mappings to the memory-resident metadata.
-		o.tagBufUsed++
-		if o.tagBufUsed == bansheeTagBufEntries {
+		if flush {
 			o.p.OffPkg.AccountTraffic(bansheeTagBufEntries*bansheeTagEntryBytes, dram.Write)
-			o.TagFlushes++
-			o.tagBufUsed = 0
 		}
-		return
+	case bansheeBypass:
+		issue(r.CPU, o.p.Observe, r.Dep, false, func(at sim.Tick) sim.Tick {
+			res := o.p.OffPkg.Access(at, r.Key, config.BlockSize, kind)
+			charge(o.p.Lat, lat.OffPkgQueue, lat.OffPkgService, res)
+			return res.Done
+		})
 	}
+}
 
-	// Bypass: the page is not hot enough to displace the victim; serve
-	// the block off-package and age the victim so a persistently hot
-	// candidate eventually wins.
-	o.Bypasses++
-	if victim.valid && victim.count > 0 {
-		victim.count--
+// markDirty marks ppn's page dirty when resident and returns its frame
+// slot.
+func (o *Banshee) markDirty(ppn uint64) (uint64, bool) {
+	si, set := o.set(ppn)
+	if w := lookupWay(set, ppn); w >= 0 {
+		set[w].dirty = true
+		return slotIndex(si, w), true
 	}
-	issue(r.CPU, o.p.Observe, r.Dep, false, func(at sim.Tick) sim.Tick {
-		res := o.p.OffPkg.Access(at, r.Key, config.BlockSize, kind)
-		charge(o.p.Lat, lat.OffPkgQueue, lat.OffPkgService, res)
-		return res.Done
-	})
+	return 0, false
 }
 
 // Writeback sinks the dirty victim into its cached page frame, or
 // off-package when the page is absent.
 func (o *Banshee) Writeback(at sim.Tick, key uint64) {
-	ppn := key / config.PageSize
-	si, set := o.set(ppn)
-	if w := lookupWay(set, ppn); w >= 0 {
-		set[w].dirty = true
-		slot := slotIndex(si, w)
-		res := o.p.InPkg.Access(at, slot*config.PageSize+key%config.PageSize, config.BlockSize, dram.Write)
-		o.p.Lat.AddBackground(lat.Writeback, res.Done-at)
-		return
+	var res dram.Result
+	if slot, ok := o.markDirty(key / config.PageSize); ok {
+		res = o.p.InPkg.Access(at, slot*config.PageSize+key%config.PageSize, config.BlockSize, dram.Write)
+	} else {
+		res = o.p.OffPkg.Access(at, key, config.BlockSize, dram.Write)
 	}
-	res := o.p.OffPkg.Access(at, key, config.BlockSize, dram.Write)
 	o.p.Lat.AddBackground(lat.Writeback, res.Done-at)
 }
 
@@ -228,57 +258,13 @@ func (o *Banshee) setCounters(v [6]uint64) {
 // FastBegin snapshots the counters for restoration in FastEnd.
 func (o *Banshee) FastBegin() { o.saved = o.counters() }
 
-// FastAccess applies the FBR state machine of Access — hit counting,
-// fill-threshold filtering, victim displacement, tag-buffer occupancy —
-// with no device traffic (a tag-buffer flush updates occupancy but books
-// no metadata write).
-func (o *Banshee) FastAccess(r FastRequest) {
-	ppn := r.Frame
-	_, set := o.set(ppn)
-	o.Lookups++
-	if w := lookupWay(set, ppn); w >= 0 {
-		s := &set[w]
-		o.Hits++
-		if s.count != ^uint32(0) {
-			s.count++
-		}
-		if r.Write {
-			s.dirty = true
-		}
-		return
-	}
-	n := o.freq[ppn] + 1
-	o.freq[ppn] = n
-	w := victimWay(set)
-	victim := &set[w]
-	if n >= bansheeFillThreshold && (!victim.valid || n >= victim.count) {
-		o.Fills++
-		if victim.valid && victim.dirty {
-			o.Writebacks++
-		}
-		delete(o.freq, ppn)
-		*victim = bansheeSlot{ppn: ppn, valid: true, dirty: r.Write, count: n}
-		o.tagBufUsed++
-		if o.tagBufUsed == bansheeTagBufEntries {
-			o.TagFlushes++
-			o.tagBufUsed = 0
-		}
-		return
-	}
-	o.Bypasses++
-	if victim.valid && victim.count > 0 {
-		victim.count--
-	}
-}
+// FastAccess applies Access's FBR state transition with no device
+// traffic (a tag-buffer flush updates occupancy but books no metadata
+// write).
+func (o *Banshee) FastAccess(r FastRequest) { o.lookup(r.Frame, r.Write) }
 
 // FastWriteback marks the victim's page dirty when resident.
-func (o *Banshee) FastWriteback(_ sim.Tick, key uint64) {
-	ppn := key / config.PageSize
-	_, set := o.set(ppn)
-	if w := lookupWay(set, ppn); w >= 0 {
-		set[w].dirty = true
-	}
-}
+func (o *Banshee) FastWriteback(_ sim.Tick, key uint64) { o.markDirty(key / config.PageSize) }
 
 // FastEnd restores the counters captured by FastBegin.
 func (o *Banshee) FastEnd() { o.setCounters(o.saved) }

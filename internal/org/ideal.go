@@ -20,6 +20,7 @@ func init() {
 // Ideal stores all data in in-package DRAM: every access hits, folded
 // into the in-package capacity.
 type Ideal struct {
+	noWarmState
 	p    Ports
 	mask uint64 // CacheSize-1 when a power of two, else 0
 }
@@ -54,16 +55,3 @@ func (o *Ideal) ResetStats() {}
 
 // Collect is a no-op: the design has no counters.
 func (o *Ideal) Collect(*Stats) {}
-
-// FastBegin is a no-op: the design has no counters to protect.
-func (o *Ideal) FastBegin() {}
-
-// FastAccess is a no-op: every access hits and the fold is stateless, so
-// a fast-forwarded access leaves nothing to warm.
-func (o *Ideal) FastAccess(FastRequest) {}
-
-// FastWriteback is a no-op: the design is stateless.
-func (o *Ideal) FastWriteback(sim.Tick, uint64) {}
-
-// FastEnd is a no-op.
-func (o *Ideal) FastEnd() {}

@@ -24,8 +24,11 @@ func init() {
 
 // Interleave is the "BI" heterogeneous-memory baseline: in-package DRAM
 // is mapped into the physical address space and pages interleave
-// OS-obliviously between the two devices.
+// OS-obliviously between the two devices. The mapping is a pure function
+// of the address, so the fast path has nothing to warm; it never calls
+// Map, which keeps the routing counters clean.
 type Interleave struct {
+	noWarmState
 	p     Ports
 	inter *dramcache.BankInterleaver
 }
@@ -67,21 +70,6 @@ func (o *Interleave) ResetStats() {
 
 // Collect is a no-op: the routing counters feed no Result field.
 func (o *Interleave) Collect(*Stats) {}
-
-// FastBegin is a no-op: the fast path never calls Map, so the routing
-// counters need no protection.
-func (o *Interleave) FastBegin() {}
-
-// FastAccess is a no-op: the interleave mapping is a pure function of the
-// address — there is no residence or replacement state to warm, and
-// skipping Map keeps the routing counters clean.
-func (o *Interleave) FastAccess(FastRequest) {}
-
-// FastWriteback is a no-op for the same reason.
-func (o *Interleave) FastWriteback(sim.Tick, uint64) {}
-
-// FastEnd is a no-op.
-func (o *Interleave) FastEnd() {}
 
 // interleaveState is the design's serializable state: only the routing
 // counters (the mapping itself is configuration).

@@ -16,6 +16,7 @@ func init() {
 // NoL3 is the baseline organization: every L2 miss is an off-package
 // block access; there is no DRAM cache.
 type NoL3 struct {
+	noWarmState
 	p Ports
 }
 
@@ -40,16 +41,3 @@ func (o *NoL3) ResetStats() {}
 
 // Collect is a no-op: the design has no counters.
 func (o *NoL3) Collect(*Stats) {}
-
-// FastBegin is a no-op: the design has no counters to protect.
-func (o *NoL3) FastBegin() {}
-
-// FastAccess is a no-op: the design is stateless, so a fast-forwarded
-// access leaves nothing to warm.
-func (o *NoL3) FastAccess(FastRequest) {}
-
-// FastWriteback is a no-op: the design is stateless.
-func (o *NoL3) FastWriteback(sim.Tick, uint64) {}
-
-// FastEnd is a no-op.
-func (o *NoL3) FastEnd() {}

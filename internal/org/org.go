@@ -120,7 +120,8 @@ type GaugeSource interface {
 }
 
 // Organization is one DRAM-cache design: it serves L2 misses and dirty
-// on-die victims, and reports its design-specific statistics.
+// on-die victims, reports its design-specific statistics, and supports
+// functional fast-forward.
 type Organization interface {
 	// Access performs the design-specific memory access for an L2 miss,
 	// issuing device traffic and charging the requesting core.
@@ -134,6 +135,7 @@ type Organization interface {
 	// Collect reports the design-specific counters of the measured
 	// window.
 	Collect(*Stats)
+	FastPath
 }
 
 // FastRequest is one L2-miss access on the functional fast-forward path:
@@ -152,21 +154,37 @@ type FastRequest struct {
 	Write  bool
 }
 
-// FastPath is implemented by organizations that support functional
-// fast-forward: FastAccess and FastWriteback apply the same
-// design-specific state transitions as Access and Writeback (residence,
-// replacement, dirtiness) with no device traffic, no kernel events and no
-// latency charging. FastBegin/FastEnd bracket each fast-forwarded span:
-// the design snapshots its statistics counters in FastBegin and restores
-// them in FastEnd, so fast-forwarded references warm state without
-// polluting measured-window counters. All seven built-in designs
-// implement it; the machine refuses to fast-forward otherwise.
+// FastPath is an Organization's functional fast-forward half.
+// FastAccess and FastWriteback apply the state transitions of Access and
+// Writeback (residence, replacement, dirtiness) by calling the same state
+// functions, with no device traffic, no kernel events and no latency
+// charging. FastBegin/FastEnd bracket each fast-forwarded span: the design
+// snapshots its statistics counters in FastBegin and restores them in
+// FastEnd, so fast-forwarded references warm state without polluting
+// measured-window counters.
 type FastPath interface {
 	FastBegin()
 	FastAccess(r FastRequest)
 	FastWriteback(at sim.Tick, key uint64)
 	FastEnd()
 }
+
+// noWarmState is the fast path of a design with no residence or
+// replacement state to warm: fast-forwarded accesses and write-backs
+// leave nothing behind and touch no counters.
+type noWarmState struct{}
+
+// FastBegin implements FastPath: there are no counters to protect.
+func (noWarmState) FastBegin() {}
+
+// FastAccess implements FastPath as a no-op.
+func (noWarmState) FastAccess(FastRequest) {}
+
+// FastWriteback implements FastPath as a no-op.
+func (noWarmState) FastWriteback(sim.Tick, uint64) {}
+
+// FastEnd implements FastPath as a no-op.
+func (noWarmState) FastEnd() {}
 
 // Snapshotter is implemented by organizations with design-specific
 // warmable state worth checkpointing (tag arrays, frequency counters,

@@ -9,26 +9,35 @@ import (
 	"taglessdram/internal/trace"
 )
 
-// This file is the functional fast-forward path: a second per-reference
-// engine that applies every state transition of step — TLB contents,
-// page-table classification, on-die cache residence and dirtiness, the
-// organization's tag/replacement state, the tagless controller's GIPT —
-// while skipping everything timing: no kernel events, no DRAM accesses,
-// no MSHR/stall modeling, no latency attribution. Fills and evictions
-// complete immediately (no in-flight windows), each core's clock advances
-// at issue width, and statistics counters are rolled back afterwards, so
-// a fast-forwarded span warms state without perturbing measured-window
-// statistics. The documented approximations — compressed timescales in
-// recency state, no PendingEvict rescue window, one LRU touch per block
-// instead of one per reference — are absorbed by the sampling error bound
-// the accuracy tests enforce.
+// This file is the functional fast-forward path. It is the accurate
+// step's engine with the timing left out, not a second engine: every
+// state transition is a call into the code step uses — the page
+// classification, TLB-key and on-die key rules (classify, tlbLookup,
+// onDieBase), the tagless controller's miss-handler steps
+// (core.Controller.FastTLBMiss) and each organization's state functions
+// (org.FastPath). The fast path differs only in:
 //
-// The engine consumes whole page visits (trace.NextVisit) when a core's
-// source is a *trace.Generator standing at a visit boundary, collapsing a
-// visit's E references into one TLB lookup and one cache access per
-// distinct block; any other position or source falls back to synthesizing
-// single-reference visits from Next, which keeps fast-forward available
-// (just slower) for arbitrary sources and mid-visit entry points.
+//   - no timing: no kernel events, no DRAM accesses, no MSHR/stall
+//     modeling, no latency attribution; each core's clock advances at
+//     issue width;
+//   - fills and evictions that complete at once, so no in-flight window
+//     (and no PendingEvict rescue window) is ever observable;
+//   - whole-visit batching: a generator standing at a visit boundary
+//     yields a whole page visit (trace.NextVisit), whose E references
+//     cost one TLB resolution and one cache access per distinct block;
+//     any other position or source yields single-reference visits from
+//     Next, which keeps fast-forward available (just slower) for
+//     arbitrary sources and mid-visit entry points;
+//   - an on-die presence filter standing in for the L1/L2 lookups (see
+//     ffVisit);
+//   - counter rollback: every statistics counter a span touches is
+//     restored at its end, so a span warms state without perturbing
+//     measured-window statistics.
+//
+// The approximations these imply — compressed timescales in recency
+// state, no rescue window, one LRU touch per block instead of one per
+// reference — are absorbed by the sampling error bound the accuracy
+// tests enforce.
 
 // ffCoreSaved holds one core's statistics counters across a
 // fast-forwarded span.
@@ -41,11 +50,8 @@ type ffCoreSaved struct {
 
 // ffBegin quiesces the event kernel (fast-forward cannot represent
 // in-flight work) and snapshots every counter the span would otherwise
-// pollute. It returns an error when the organization has no fast path.
+// pollute.
 func (m *Machine) ffBegin() error {
-	if m.fast == nil {
-		return fmt.Errorf("system: organization %T does not implement org.FastPath", m.org)
-	}
 	m.kernel.Run(0)
 	if m.ctrl != nil && !m.ctrl.Quiesced() {
 		return fmt.Errorf("system: controller not quiesced after kernel drain")
@@ -73,7 +79,7 @@ func (m *Machine) ffBegin() error {
 		s.tlbL1, s.tlbL2 = cc.tlbs.L1.Counters(), cc.tlbs.L2.Counters()
 		s.ptWalks, s.ptFaults = cc.pt.Walks, cc.pt.PageFaults
 	}
-	m.fast.FastBegin()
+	m.org.FastBegin()
 	return nil
 }
 
@@ -90,7 +96,7 @@ func (m *Machine) ffEnd() {
 		cc.tlbs.L2.SetCounters(s.tlbL2)
 		cc.pt.Walks, cc.pt.PageFaults = s.ptWalks, s.ptFaults
 	}
-	m.fast.FastEnd()
+	m.org.FastEnd()
 }
 
 // fetchVisit fills v with the core's next page visit: whole visits from a
@@ -175,87 +181,24 @@ func (m *Machine) ffVisit(cc *coreCtx, v *trace.Visit) error {
 	}
 	now := cc.cpu.Now()
 	vpn := v.Page
-
-	// Inter-process shared pages: map the common frame on first touch
-	// (step's per-reference check is idempotent after the first).
-	if v.Shared {
-		if _, ok := cc.lookup(vpn); !ok {
-			ppn, err := m.sharedFrame(vpn)
-			if err != nil {
-				return err
-			}
-			pte, err := cc.pt.MapShared(vpn, ppn)
-			if err != nil {
-				return err
-			}
-			if m.ctrl != nil && !m.cfg.Tagless.SharedAliasTable {
-				pte.NC = true
-			}
-		}
-	}
-
-	// Online hot-page filter, batched: the visit's E references all land
-	// on one page, so apply both threshold crossings (first touch marks
-	// non-cacheable, the HotFilterThreshold-th access clears it) in the
-	// order the per-reference path would.
-	if cc.hotCount != nil && !v.Shared {
-		old := cc.hotCount[vpn]
-		n := old + uint32(v.Refs)
-		cc.hotCount[vpn] = n
-		if old == 0 {
-			if pte, err := cc.pt.Walk(vpn); err == nil && !pte.VC {
-				pte.NC = true
-			}
-		}
-		if thr := uint32(m.cfg.Tagless.HotFilterThreshold); old < thr && n >= thr {
-			if pte, ok := cc.lookup(vpn); ok && pte.NC && !pte.VC {
-				pte.NC = false
-				cc.tlbs.Invalidate(vpn)
-			}
-		}
-	}
-
-	// Low-reuse non-cacheable classification (idempotent; once per visit).
-	if m.ctrl != nil && v.LowReuse && (m.spPages > 1 || m.ncThreshold > 0) {
-		if pte, ok := cc.lookup(vpn); !ok || (!pte.VC && !pte.NC) {
-			_ = cc.pt.SetNonCacheable(vpn)
-		}
+	if err := m.classify(cc, vpn, v.Refs, v.Shared, v.LowReuse); err != nil {
+		return err
 	}
 
 	// Address translation: one cTLB resolution covers the whole visit
 	// (repeats would hit the just-inserted entry on the accurate path).
-	lookupKey := vpn
-	superKey := false
-	if m.spPages > 1 && vpn < trace.SingletonBase {
-		if pte, ok := cc.lookup(vpn); !ok || pte.Super {
-			lookupKey = spKeyBit | vpn>>m.spShift
-			superKey = true
-		}
-	}
-	entry, lvl := cc.tlbs.Lookup(lookupKey)
-	if lvl == tlb.InL2 && m.tlbShared != nil && m.ctrl != nil {
-		// Shared-L2 refill parity with step: the sibling-installed
-		// translation now sits in this core's L1.
-		m.ctrl.NoteTLBResident(cc.id, entry)
-	}
+	entry, lvl, tlbKey, super := m.tlbLookup(cc, vpn)
 	if lvl == tlb.MissAll {
+		var err error
 		if m.ctrl != nil {
-			e, err := m.ctrl.FastTLBMiss(now, cc.id, cc.pt, vpn)
-			if err != nil {
-				return fmt.Errorf("system: core %d vpn %d: %w", cc.id, vpn, err)
-			}
-			entry = e
-			if superKey && e.NC {
-				lookupKey, superKey = vpn, false
-			}
+			entry, err = m.ctrl.FastTLBMiss(now, cc.id, cc.pt, vpn)
 		} else {
-			pte, err := cc.pt.Walk(vpn)
-			if err != nil {
-				return fmt.Errorf("system: core %d vpn %d: %w", cc.id, vpn, err)
-			}
-			entry = tlb.Entry{Frame: pte.Frame}
+			entry, err = cc.walkPhysical(vpn)
 		}
-		cc.tlbs.Insert(lookupKey, entry)
+		if err != nil {
+			return fmt.Errorf("system: core %d vpn %d: %w", cc.id, vpn, err)
+		}
+		cc.refill(tlbKey, vpn, entry)
 	}
 
 	// Per-block on-die cache state: one access per distinct block. The
@@ -270,17 +213,8 @@ func (m *Machine) ffVisit(cc *coreCtx, v *trace.Visit) error {
 	// an L1 victim's eventual write-back would leave). Filter misses still
 	// perform the real L2 access, so L2 contents keep warming with
 	// exactly the fill traffic that would change them. The visit's blocks
-	// share one page, so the key differs only in the block offset: hoist
-	// the page base out of the loop.
-	var keyBase uint64
-	switch {
-	case m.ctrl != nil && !entry.NC && superKey:
-		keyBase = entry.Frame<<m.caShift + (vpn&m.spMask)*config.PageSize
-	case m.ctrl != nil && entry.NC:
-		keyBase = paBit | (entry.Frame * config.PageSize)
-	default:
-		keyBase = entry.Frame * config.PageSize
-	}
+	// share one page, so the key differs only in the block offset.
+	keyBase := m.onDieBase(entry, vpn, super)
 	// Memo slot layout: bit 63 is the span-local "dirtiness applied"
 	// flag, bits 62..32 a 31-bit block tag, bits 31..0 the span epoch.
 	const ffDirtyBit = uint64(1) << 63
@@ -305,7 +239,7 @@ func (m *Machine) ffVisit(cc *coreCtx, v *trace.Visit) error {
 			if aw && *slot&ffDirtyBit == 0 {
 				*slot |= ffDirtyBit
 				if !cc.l2.MarkDirty(key) {
-					m.fast.FastWriteback(now, key)
+					m.org.FastWriteback(now, key)
 				}
 			}
 			continue
@@ -320,9 +254,9 @@ func (m *Machine) ffVisit(cc *coreCtx, v *trace.Visit) error {
 		if hit, victim, hasVictim := cc.l2.Access(key, aw); hit {
 			continue
 		} else if hasVictim && victim.Dirty {
-			m.fast.FastWriteback(now, victim.Addr)
+			m.org.FastWriteback(now, victim.Addr)
 		}
-		m.fast.FastAccess(org.FastRequest{
+		m.org.FastAccess(org.FastRequest{
 			At: now, Key: key, Frame: entry.Frame, Offset: blockOff,
 			NC: entry.NC, Write: fw,
 		})

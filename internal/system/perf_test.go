@@ -1,7 +1,6 @@
 package system
 
 import (
-	"reflect"
 	"testing"
 
 	"taglessdram/internal/config"
@@ -116,38 +115,5 @@ func TestStepAllocFree(t *testing.T) {
 				t.Fatalf("%v fast-forward allocates: %v allocs per 2000 references", d, allocs)
 			}
 		})
-	}
-}
-
-// TestSchedulerHeapMatchesScan verifies the indexed-min-heap core scheduler
-// is observationally identical to the original O(cores) scan: an 8-core
-// multi-threaded run (heap path) must produce exactly the same result as
-// the same run with the heap disabled (scan fallback).
-func TestSchedulerHeapMatchesScan(t *testing.T) {
-	run := func(forceScan bool) *Result {
-		cfg := config.Default()
-		cfg.Design = config.Tagless
-		cfg.CPU.Cores = 8
-		cfg.InPkg.SizeBytes >>= 6
-		cfg.OffPkg.SizeBytes >>= 6
-		cfg.CacheSize >>= 6
-		w, err := MultiThread("streamcluster", 6, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := New(cfg, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.forceScan = forceScan
-		r, err := m.Run(100_000, 100_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	heap, scan := run(false), run(true)
-	if !reflect.DeepEqual(heap, scan) {
-		t.Fatalf("heap scheduler diverged from scan:\nheap: %+v\nscan: %+v", heap, scan)
 	}
 }

@@ -82,9 +82,6 @@ func (m *Machine) RunSampled(warmup, measure uint64, spec SampleSpec) (*Result, 
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if m.fast == nil {
-		return nil, fmt.Errorf("system: organization %T does not implement org.FastPath", m.org)
-	}
 	if err := m.runPhase(warmup); err != nil {
 		return nil, err
 	}
@@ -107,9 +104,6 @@ func (m *Machine) MeasureSampled(measure uint64, spec SampleSpec) (*Result, erro
 	}
 	if m.warmedTo+measure < m.warmedTo {
 		return nil, fmt.Errorf("system: warmup+measure overflows (warmup=%d measure=%d)", m.warmedTo, measure)
-	}
-	if m.fast == nil {
-		return nil, fmt.Errorf("system: organization %T does not implement org.FastPath", m.org)
 	}
 
 	m.beginMeasurement()
