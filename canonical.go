@@ -143,6 +143,9 @@ func preimageFor(design Design, name string, w system.Workload, o Options) (stri
 		return "", err
 	}
 	cfg := configFor(design, o)
+	if err := cfg.Validate(); err != nil {
+		return "", err
+	}
 	return fmt.Sprintf(
 		"taglessdram result-cache preimage v2\nmodel=%d\ndesign=%d(%s)\nworkload=%q\ntrace=%s\noptions=%s\nconfig=%+v\n",
 		modelVersion, int(design), design, name, td,

@@ -81,12 +81,14 @@ func TestCanonicalCoversExactlySemanticFields(t *testing.T) {
 
 // mutateField sets v to a value different from its current one, covering
 // every kind Options uses. Returns false for kinds it cannot mutate.
+// Integers step by 2 so a zero knob lands on a valid setting (a
+// hot-filter threshold of 1 is rejected).
 func mutateField(v reflect.Value) bool {
 	switch v.Kind() {
 	case reflect.Bool:
 		v.SetBool(!v.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(v.Int() + 1)
+		v.SetInt(v.Int() + 2)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		v.SetUint(v.Uint() + 1)
 	case reflect.Float32, reflect.Float64:

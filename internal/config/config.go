@@ -422,18 +422,31 @@ func (c *SystemConfig) Validate() error {
 	if c.Design == SRAMTag && c.SRAMTag.Ways <= 0 {
 		return fmt.Errorf("config: SRAM-tag ways must be positive")
 	}
-	if c.Design == Tagless && c.Tagless.Alpha <= 0 {
-		return fmt.Errorf("config: tagless alpha must be positive")
-	}
-	if sp := c.Tagless.SuperpagePages; sp > 1 {
-		if sp&(sp-1) != 0 {
-			return fmt.Errorf("config: superpage size %d not a power of two", sp)
+	if c.Design == Tagless {
+		// Only the tagless design reads these knobs, so only its
+		// configuration is held to them.
+		t := c.Tagless
+		if t.Alpha <= 0 {
+			return fmt.Errorf("config: tagless alpha must be positive")
 		}
-		if c.CachePages()%sp != 0 {
-			return fmt.Errorf("config: superpage size %d does not divide cache pages %d", sp, c.CachePages())
+		blocks := c.CachePages()
+		if sp := t.SuperpagePages; sp > 1 {
+			if sp&(sp-1) != 0 {
+				return fmt.Errorf("config: superpage size %d not a power of two", sp)
+			}
+			if blocks%sp != 0 {
+				return fmt.Errorf("config: superpage size %d does not divide cache pages %d", sp, blocks)
+			}
+			if t.HotFilterThreshold > 0 {
+				return fmt.Errorf("config: the hot-page filter operates at 4KB granularity and cannot combine with superpages")
+			}
+			blocks /= sp
 		}
-		if c.Tagless.HotFilterThreshold > 0 {
-			return fmt.Errorf("config: the hot-page filter operates at 4KB granularity and cannot combine with superpages")
+		if t.Alpha > blocks {
+			return fmt.Errorf("config: tagless alpha %d exceeds the cache's %d blocks", t.Alpha, blocks)
+		}
+		if t.HotFilterThreshold == 1 {
+			return fmt.Errorf("config: a hot-filter threshold of 1 promotes every page on its first access, which is the filter off; use 0")
 		}
 	}
 	if c.PageWalkCycles <= 0 {

@@ -108,6 +108,12 @@ func TestValidateCatchesErrors(t *testing.T) {
 		{"cache too big", func(c *SystemConfig) { c.CacheSize = 2 * GB }, "exceeds"},
 		{"cache unaligned", func(c *SystemConfig) { c.CacheSize = PageSize + 1 }, "multiple"},
 		{"zero alpha", func(c *SystemConfig) { c.Tagless.Alpha = 0 }, "alpha"},
+		{"alpha above blocks", func(c *SystemConfig) { c.Tagless.Alpha = c.CachePages() + 1 }, "exceeds the cache's"},
+		{"alpha above superpage blocks", func(c *SystemConfig) {
+			c.Tagless.SuperpagePages = 512
+			c.Tagless.Alpha = c.CachePages()/512 + 1
+		}, "exceeds the cache's"},
+		{"hot filter threshold 1", func(c *SystemConfig) { c.Tagless.HotFilterThreshold = 1 }, "use 0"},
 		{"zero walk", func(c *SystemConfig) { c.PageWalkCycles = 0 }, "walk"},
 	}
 	for _, tc := range cases {

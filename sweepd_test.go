@@ -102,6 +102,16 @@ var malformedRequests = []struct {
 		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "cache_mb": 17592186044416}}]}`},
 	{"TLB larger than off-package memory", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
 		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "l2_tlb_entries": 1099511627776}}]}`},
+	{"negative hot_filter_threshold", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "hot_filter_threshold": -1}}]}`},
+	{"negative nc_access_threshold", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "nc_access_threshold": -1}}]}`},
+	{"hot filter threshold 1", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "hot_filter_threshold": 1}}]}`},
+	{"superpages with hot filter", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "superpages": true, "hot_filter_threshold": 8}}]}`},
+	{"alpha above cache blocks", `{"jobs": [{"design": "cTLB", "workload": "sphinx3",
+		"options": {"shift": 6, "warmup": 1000, "measure": 1000, "seed": 1, "alpha": 5000}}]}`},
 }
 
 // TestSweepdRejectsMalformedRequests pins the service's validation: every
@@ -711,6 +721,9 @@ func TestWireOptionsFingerprintRoundTrip(t *testing.T) {
 	if got, err := back.Canonical(); err != nil || !bytes.Equal(got, canon) {
 		t.Fatalf("canonical options drifted across the wire (%v):\n got %s\nwant %s", err, got, canon)
 	}
+	// A tagless job cannot combine superpages with the hot filter, so the
+	// fingerprint leg drops superpages on both sides.
+	o.Superpages, back.Superpages = false, false
 	fp0, err := (Job{Design: Tagless, Workload: "sphinx3", Options: o}).Fingerprint()
 	if err != nil {
 		t.Fatal(err)

@@ -101,7 +101,8 @@ type Options struct {
 	SharedAliasTable bool `json:"shared_alias_table,omitempty"`
 	// HotFilterThreshold enables the online CHOP-style hot-page filter:
 	// pages start non-cacheable and are promoted after this many
-	// accesses. Needs no offline profile, unlike NCAccessThreshold.
+	// accesses. 0 turns the filter off; otherwise the value is at least
+	// 2. Needs no offline profile, unlike NCAccessThreshold.
 	HotFilterThreshold int `json:"hot_filter_threshold,omitempty"`
 	// Superpages maps application regions as superpages (Section 6).
 	// The region size is the paper's 2MB scaled by Shift (at the default
@@ -505,7 +506,10 @@ func (o Options) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    int64
-	}{{"CacheMB", o.CacheMB}, {"L2TLBEntries", int64(o.L2TLBEntries)}, {"Alpha", int64(o.Alpha)}, {"MSHRs", int64(o.MSHRs)}} {
+	}{
+		{"CacheMB", o.CacheMB}, {"L2TLBEntries", int64(o.L2TLBEntries)}, {"Alpha", int64(o.Alpha)}, {"MSHRs", int64(o.MSHRs)},
+		{"NCAccessThreshold", int64(o.NCAccessThreshold)}, {"HotFilterThreshold", int64(o.HotFilterThreshold)},
+	} {
 		if f.v < 0 {
 			return fmt.Errorf("taglessdram: %s must be non-negative, got %d", f.name, f.v)
 		}

@@ -47,6 +47,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative L2TLBEntries", func(o *Options) { o.L2TLBEntries = -1 }, false},
 		{"negative Alpha", func(o *Options) { o.Alpha = -1 }, false},
 		{"negative MSHRs", func(o *Options) { o.MSHRs = -1 }, false},
+		{"negative NCAccessThreshold", func(o *Options) { o.NCAccessThreshold = -1 }, false},
+		{"negative HotFilterThreshold", func(o *Options) { o.HotFilterThreshold = -1 }, false},
 	} {
 		o := DefaultOptions()
 		c.edit(&o)
