@@ -48,12 +48,12 @@ type sharedPair struct {
 
 // coreCheckpoint is one core's serialized private state.
 type coreCheckpoint struct {
-	Active bool
-	Table  int // index into checkpointState.Tables
-	Group  int // index into checkpointState.SharedGens
-	CPU    cpu.State
-	TLB1   tlb.State
-	TLB2   tlb.State
+	Active   bool
+	Table    int // index into checkpointState.Tables
+	Group    int // index into checkpointState.SharedGens
+	CPU      cpu.State
+	TLB1     tlb.State
+	TLB2     tlb.State
 	L1       cache.State
 	L2       cache.State
 	Gen      trace.GenState
