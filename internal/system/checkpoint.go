@@ -94,18 +94,15 @@ func (m *Machine) Warmup(warmup uint64) error {
 	if m.measuring {
 		return fmt.Errorf("system: Warmup called after the measured phase began")
 	}
-	if err := m.runPhase(warmup); err != nil {
+	if err := m.warm(warmup); err != nil {
 		return err
 	}
 	m.kernel.Run(0)
-	if warmup > m.warmedTo {
-		m.warmedTo = warmup
-	}
 	return nil
 }
 
-// Measure runs the measured phase after Warmup (or LoadCheckpoint) and
-// collects the Result.
+// Measure runs the measured phase after Warmup, LoadCheckpoint or Run's
+// own warm-up, and collects the Result.
 func (m *Machine) Measure(measure uint64) (*Result, error) {
 	if measure == 0 {
 		return nil, fmt.Errorf("system: measure phase must be positive")
@@ -118,6 +115,7 @@ func (m *Machine) Measure(measure uint64) (*Result, error) {
 	if err := m.runPhase(target); err != nil {
 		return nil, err
 	}
+	// Let in-flight accesses and background evictions finish.
 	for _, cc := range m.cores {
 		cc.cpu.Drain()
 	}

@@ -149,27 +149,12 @@ func (m *Machine) collect() *Result {
 	m.org.Collect(&os)
 	r.Ctrl = os.Ctrl
 	r.SRAMHitRate = os.SRAMHitRate
-	tagPJ := os.TagEnergyPJ
 
 	for i := range m.kindLat {
 		r.MissKindMean[i] = m.kindLat[i].Value()
 		r.MissKindCount[i] = m.kindLat[i].Count()
 	}
-
-	activeCores := 0
-	for _, cc := range m.cores {
-		if cc.active {
-			activeCores++
-		}
-	}
-	em := energy.Model{
-		Cores:          activeCores,
-		CorePowerWatts: m.cfg.CorePowerWatts,
-		FreqGHz:        m.cfg.CPU.FreqGHz,
-	}
-	r.Energy = em.Account(r.Cycles, m.inPkg.EnergyPJ(), m.offPkg.EnergyPJ(), tagPJ)
-	r.EDPJs = energy.EDP(r.Energy.TotalJ(), r.Cycles, m.cfg.CPU.FreqGHz)
-	r.Seconds = float64(r.Cycles) / (m.cfg.CPU.FreqGHz * 1e9)
+	m.price(r)
 
 	r.InPkgRowHitRate = m.inPkg.RowHitRate()
 	r.OffPkgRowHitRate = m.offPkg.RowHitRate()
@@ -189,6 +174,22 @@ func (m *Machine) collect() *Result {
 		r.EpochsDropped = m.sampler.Dropped()
 	}
 	return r
+}
+
+// price sets r's energy, energy-delay product and wall time from its
+// measured cycles. PerCoreIPC holds one entry per active core, so it
+// also counts the cores drawing power.
+func (m *Machine) price(r *Result) {
+	var os org.Stats
+	m.org.Collect(&os)
+	em := energy.Model{
+		Cores:          len(r.PerCoreIPC),
+		CorePowerWatts: m.cfg.CorePowerWatts,
+		FreqGHz:        m.cfg.CPU.FreqGHz,
+	}
+	r.Energy = em.Account(r.Cycles, m.inPkg.EnergyPJ(), m.offPkg.EnergyPJ(), os.TagEnergyPJ)
+	r.EDPJs = energy.EDP(r.Energy.TotalJ(), r.Cycles, m.cfg.CPU.FreqGHz)
+	r.Seconds = float64(r.Cycles) / (m.cfg.CPU.FreqGHz * 1e9)
 }
 
 // Metrics flattens the result into named metrics, convenient for diffing

@@ -12,7 +12,9 @@ import (
 
 // Run executes the workload: every active core retires `warmup`
 // instructions to populate caches and TLBs, statistics reset, and the
-// measured phase runs for `measure` instructions per core.
+// measured phase runs for `measure` instructions per core. Unlike
+// Warmup, the warm-up phase does not quiesce the event kernel: in-flight
+// fills and evictions carry into the measured phase.
 func (m *Machine) Run(warmup, measure uint64) (*Result, error) {
 	if measure == 0 {
 		return nil, fmt.Errorf("system: measure phase must be positive")
@@ -22,19 +24,22 @@ func (m *Machine) Run(warmup, measure uint64) (*Result, error) {
 	if warmup+measure < warmup {
 		return nil, fmt.Errorf("system: warmup+measure overflows uint64 (warmup=%d measure=%d)", warmup, measure)
 	}
+	if err := m.warm(warmup); err != nil {
+		return nil, err
+	}
+	return m.Measure(measure)
+}
+
+// warm runs the warm-up phase to `warmup` instructions per core and
+// makes it the measured phase's starting point.
+func (m *Machine) warm(warmup uint64) error {
 	if err := m.runPhase(warmup); err != nil {
-		return nil, err
+		return err
 	}
-	m.beginMeasurement()
-	if err := m.runPhase(warmup + measure); err != nil {
-		return nil, err
+	if warmup > m.warmedTo {
+		m.warmedTo = warmup
 	}
-	// Let in-flight accesses and background evictions finish.
-	for _, cc := range m.cores {
-		cc.cpu.Drain()
-	}
-	m.kernel.Run(0)
-	return m.collect(), nil
+	return nil
 }
 
 // runPhase advances every active core until it has retired `target`

@@ -3,8 +3,6 @@ package system
 import (
 	"fmt"
 
-	"taglessdram/internal/energy"
-	"taglessdram/internal/org"
 	"taglessdram/internal/sim"
 	"taglessdram/internal/stats"
 )
@@ -82,11 +80,8 @@ func (m *Machine) RunSampled(warmup, measure uint64, spec SampleSpec) (*Result, 
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if err := m.runPhase(warmup); err != nil {
+	if err := m.warm(warmup); err != nil {
 		return nil, err
-	}
-	if warmup > m.warmedTo {
-		m.warmedTo = warmup
 	}
 	return m.MeasureSampled(measure, spec)
 }
@@ -251,22 +246,7 @@ func (m *Machine) MeasureSampled(measure uint64, spec SampleSpec) (*Result, erro
 	// pooling per-window max-cycles, which accumulates skew and biases
 	// low.
 	r.IPC = float64(len(r.PerCoreIPC)) * minCore
-	var os org.Stats
-	m.org.Collect(&os)
-	activeCores := 0
-	for _, cc := range m.cores {
-		if cc.active {
-			activeCores++
-		}
-	}
-	em := energy.Model{
-		Cores:          activeCores,
-		CorePowerWatts: m.cfg.CorePowerWatts,
-		FreqGHz:        m.cfg.CPU.FreqGHz,
-	}
-	r.Energy = em.Account(r.Cycles, m.inPkg.EnergyPJ(), m.offPkg.EnergyPJ(), os.TagEnergyPJ)
-	r.EDPJs = energy.EDP(r.Energy.TotalJ(), r.Cycles, m.cfg.CPU.FreqGHz)
-	r.Seconds = float64(r.Cycles) / (m.cfg.CPU.FreqGHz * 1e9)
+	m.price(r)
 	// The CI quantifies the sampling error of the headline estimator:
 	// the slowest core's pooled instructions/cycles ratio over the
 	// window population, whose delta-method CI the Ratio accumulator
