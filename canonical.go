@@ -105,12 +105,12 @@ func (o Options) cacheable() bool {
 // are generated deterministically from exactly this state, so two equal
 // digests mean byte-identical reference streams — and editing a profile
 // in internal/trace invalidates every cached run that used it.
-func traceDigest(w system.Workload) (string, bool) {
+func traceDigest(w system.Workload) (string, error) {
 	if len(w.Sources) > 0 {
 		// Recorded sources replay external files; their bytes are not
 		// captured by the profile parameters, so such workloads are not
 		// fingerprintable (the facade never builds them).
-		return "", false
+		return "", fmt.Errorf("taglessdram: workload %s is not fingerprintable", w.Name)
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "name=%q seed=%d multithreaded=%t cores=%d\n",
@@ -118,7 +118,7 @@ func traceDigest(w system.Workload) (string, bool) {
 	for i, p := range w.PerCore {
 		fmt.Fprintf(h, "core%d=%+v\n", i, p)
 	}
-	return hex.EncodeToString(h.Sum(nil)), true
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // preimageFor builds the full canonical encoding of a run's semantic
@@ -129,9 +129,9 @@ func traceDigest(w system.Workload) (string, bool) {
 // deterministic. The preimage is stored alongside each cache entry for
 // auditability; its SHA-256 is the cache key.
 func preimageFor(design Design, name string, w system.Workload, o Options) (string, error) {
-	td, ok := traceDigest(w)
-	if !ok {
-		return "", fmt.Errorf("taglessdram: workload %s is not fingerprintable", name)
+	td, err := traceDigest(w)
+	if err != nil {
+		return "", err
 	}
 	// Project away knobs this design never reads — both in the canonical
 	// options line and, because configFor maps them into cfg.Tagless, in
@@ -152,12 +152,9 @@ func preimageFor(design Design, name string, w system.Workload, o Options) (stri
 		canon, *cfg), nil
 }
 
-// preimage is preimageFor on a named Job, resolving its workload first.
+// preimage is preimageFor on a Job, resolving its workload first.
 func (j Job) preimage() (string, error) {
-	if err := j.Options.Validate(); err != nil {
-		return "", err
-	}
-	w, err := workloadFor(j.Workload, j.Options)
+	w, err := j.resolve()
 	if err != nil {
 		return "", err
 	}

@@ -21,17 +21,21 @@ type SampleSpec = system.SampleSpec
 type SampledInfo = system.SampledInfo
 
 // CheckpointStore is an in-memory warm-state cache for sweeps: the first
-// run of each (workload, configuration, warm-up, seed) combination warms
-// up cycle-accurately and deposits its serialized post-warmup state; every
+// run of each (workload, configuration, warm-up) combination warms up
+// cycle-accurately and deposits its serialized post-warmup state; every
 // later run with the same key restores it and skips straight to the
 // measured phase. The store is safe for concurrent use, so one store can
 // back a parallel sweep — two workers racing on the same key both warm up
 // and deposit identical bytes (warm-up is deterministic), which is
 // wasteful but correct.
 //
-// Keys include the full machine configuration: a checkpoint encodes
-// design-specific state (the tagless controller's GIPT, cache tag arrays),
-// so a warm state is only valid for an identically configured machine.
+// A workload is keyed by its trace digest, as in the result-cache key:
+// its seed and every per-core profile parameter, not its name. So a
+// study's modified mix or a one-core run-alone program never restores
+// the state of the named workload it is built from. Keys also include the
+// full machine configuration: a checkpoint encodes design-specific state
+// (the tagless controller's GIPT, cache tag arrays), so a warm state is
+// only valid for an identically configured machine.
 type CheckpointStore struct {
 	mu sync.Mutex
 	m  map[string][]byte
@@ -62,11 +66,15 @@ func (s *CheckpointStore) Len() int {
 	return len(s.m)
 }
 
-// checkpointKey identifies a warm state: the workload and everything that
-// shapes the machine reaching it. SystemConfig is a pure value struct, so
-// its %+v rendering is deterministic.
-func checkpointKey(cfg *config.SystemConfig, workload string, o Options) string {
-	return fmt.Sprintf("%s|seed=%d|warmup=%d|cfg=%+v", workload, o.Seed, o.Warmup, *cfg)
+// checkpointKey identifies a warm state: the workload's trace digest and
+// everything that shapes the machine reaching it. SystemConfig is a pure
+// value struct, so its %+v rendering is deterministic.
+func checkpointKey(cfg *config.SystemConfig, w system.Workload, o Options) (string, error) {
+	td, err := traceDigest(w)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("trace=%s|warmup=%d|cfg=%+v", td, o.Warmup, *cfg), nil
 }
 
 // runMachine executes one built machine under the Options' execution
@@ -78,7 +86,7 @@ func checkpointKey(cfg *config.SystemConfig, workload string, o Options) string 
 // warm state comes from, in precedence order: the CheckpointLoad file, a
 // CheckpointStore hit, or a fresh cycle-accurate warm-up (deposited into
 // the store and/or CheckpointSave file for the next run).
-func runMachine(m *system.Machine, cfg *config.SystemConfig, workload string, o Options) (*Result, error) {
+func runMachine(m *system.Machine, cfg *config.SystemConfig, w system.Workload, o Options) (*Result, error) {
 	if o.CheckpointSave == "" && o.CheckpointLoad == "" && o.Checkpoints == nil {
 		if o.Sample != nil {
 			return m.RunSampled(o.Warmup, o.Measure, *o.Sample)
@@ -99,7 +107,10 @@ func runMachine(m *system.Machine, cfg *config.SystemConfig, workload string, o 
 		}
 		warmed = true
 	case o.Checkpoints != nil:
-		key = checkpointKey(cfg, workload, o)
+		var err error
+		if key, err = checkpointKey(cfg, w, o); err != nil {
+			return nil, err
+		}
 		if data, ok := o.Checkpoints.get(key); ok {
 			if err := m.LoadCheckpoint(bytes.NewReader(data)); err != nil {
 				return nil, err

@@ -9,7 +9,6 @@ import (
 	"taglessdram/internal/core"
 	"taglessdram/internal/lat"
 	"taglessdram/internal/stats"
-	"taglessdram/internal/sweep"
 	"taglessdram/internal/system"
 	"taglessdram/internal/trace"
 )
@@ -589,22 +588,25 @@ func RunSharedPages(ctx context.Context, o Options, mix string, sharedFrac float
 		{"cTLB (shared pages non-cacheable)", Tagless, false},
 		{"cTLB (PA->CA alias table)", Tagless, true},
 	}
-	// These runs need a modified workload (per-core shared fractions), so
-	// they go straight to the generic engine rather than through Job/Run —
-	// runWorkload still gives them result-cache read-through, since the
-	// trace digest covers the modified per-core profiles.
-	res, err := sweep.Run(ctx, variants, func(_ context.Context, v variant) (*Result, error) {
+	// Each cell runs the mix with modified per-core profiles (shared
+	// fractions), which no workload name resolves to: the jobs carry the
+	// built workload, and the trace digest in their keys covers the
+	// modified profiles. They sweep in-process even with a Server, since
+	// the wire names workloads.
+	jobs := make([]Job, len(variants))
+	for i, v := range variants {
 		w, err := system.Mix(mix, o.Shift, o.Seed)
 		if err != nil {
 			return nil, err
 		}
-		for i := range w.PerCore {
-			w.PerCore[i].SharedFrac = sharedFrac
+		for c := range w.PerCore {
+			w.PerCore[c].SharedFrac = sharedFrac
 		}
 		oo := o
 		oo.SharedAliasTable = v.alias
-		return runWorkload(v.design, fmt.Sprintf("shared-page study %s", v.name), w, oo)
-	}, o.sweepOptions())
+		jobs[i] = Job{Design: v.design, Workload: w.Name, Options: oo, built: &w}
+	}
+	res, err := sweepRun(ctx, jobs, o.sweepOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -808,29 +810,21 @@ func RunFairness(ctx context.Context, o Options, mix string) ([]FairnessRow, err
 	if err != nil {
 		return nil, err
 	}
-	// Alone runs: every program of the mix on a single core, per design.
-	// These build a one-core workload directly, so they use the generic
-	// engine; the (design, program) grid is flattened into one sweep.
-	type aloneJob struct {
-		design Design
-		idx    int
-		prog   string
-	}
-	var alones []aloneJob
+	// Alone runs: every program of the mix on a single core, per design,
+	// seeded as its core of the mix is. No name resolves to a one-core
+	// program, so these jobs carry the built workload and sweep
+	// in-process, like the shared-page study's.
+	var alones []Job
 	for _, d := range designs {
 		for i, prog := range progs {
-			alones = append(alones, aloneJob{d, i, prog})
+			w, err := system.SingleProgramOn(prog, 1, o.Shift, o.Seed+uint64(i)*7919)
+			if err != nil {
+				return nil, err
+			}
+			alones = append(alones, Job{Design: d, Workload: w.Name, Options: o, built: &w})
 		}
 	}
-	aloneRes, err := sweep.Run(ctx, alones, func(_ context.Context, j aloneJob) (*Result, error) {
-		w, err := system.SingleProgramOn(j.prog, 1, o.Shift, o.Seed+uint64(j.idx)*7919)
-		if err != nil {
-			return nil, err
-		}
-		// One-core workloads aren't name-resolvable, so they use
-		// runWorkload: same generic engine, same cache read-through.
-		return runWorkload(j.design, fmt.Sprintf("%s alone/%v", j.prog, j.design), w, o)
-	}, o.sweepOptions())
+	aloneRes, err := sweepRun(ctx, alones, o.sweepOptions())
 	if err != nil {
 		return nil, err
 	}

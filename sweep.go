@@ -6,6 +6,7 @@ import (
 
 	"taglessdram/internal/resultcache"
 	"taglessdram/internal/sweep"
+	"taglessdram/internal/system"
 )
 
 // Job names one simulation of a sweep: a cache design, a workload and the
@@ -14,6 +15,11 @@ type Job struct {
 	Design   Design
 	Workload string
 	Options  Options
+	// built, when set, is the workload the job runs: one a study built
+	// because no name resolves to it, like the shared-page study's
+	// modified mix. Workload then only labels it; the cache key digests
+	// the built workload's profiles either way.
+	built *system.Workload
 }
 
 // SweepProgress is the snapshot passed to Options.Progress after each
@@ -134,40 +140,16 @@ func sweepRunShared(ctx context.Context, jobs []Job, opt sweep.Options, sh share
 	probe := sh.probe
 	return sweep.Run(ctx, idx, func(_ context.Context, ij ijob) (settled, error) {
 		i, j := ij.i, ij.j
-		// Per-run throughput summaries would arrive unserialized from
-		// worker goroutines; the sweep engine's own OnProgress is the
-		// single reporting channel for sweeps. Likewise per-job metric
-		// sinks and trace writers would interleave across workers: the
-		// sweep-level MetricsSink (called in submission order after the
-		// sweep) is the structured-export channel, and event tracing is
-		// a single-run affair. Shared Checkpoints and ResultCache stores
-		// deliberately pass through: both are concurrency-safe, and
-		// sweeps are exactly where warm-once and replay-instead-of-rerun
-		// pay off.
-		j.Options.Progress = nil
-		j.Options.MetricsSink = nil
+		// A kernel-event trace is a single-run affair: jobs would
+		// interleave on the shared writer. No other observer needs
+		// clearing, since settling a job calls none: a sweep reports
+		// through the engine's OnProgress and runJobs' MetricsSink. Shared
+		// Checkpoints and ResultCache stores deliberately pass through:
+		// both are concurrency-safe, and sweeps are exactly where
+		// warm-once and replay-instead-of-rerun pay off.
 		j.Options.TraceEvents = nil
-		j.Options.OnSweepAccepted = nil
 		if probe != nil {
 			probe.jobStart(i)
-		}
-		run := func(o Options) (*Result, error) {
-			r, err := Run(j.Design, j.Workload, o)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%v: %w", j.Workload, j.Design, err)
-			}
-			return r, nil
-		}
-		// encode renders a Result this job simulated as its payload.
-		encode := func(r *Result) ([]byte, error) {
-			if probe != nil {
-				probe.jobEncode(i)
-			}
-			payload, err := resultcache.Encode(r)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%v: taglessdram: encoding result: %w", j.Workload, j.Design, err)
-			}
-			return payload, nil
 		}
 		// finish hands the job its own copy in the form the sweep asked
 		// for. Only the two conversions that cannot be avoided run here:
@@ -178,7 +160,7 @@ func sweepRunShared(ctx context.Context, jobs []Job, opt sweep.Options, sh share
 			case err != nil:
 			case sh.payloads:
 				if s.payload == nil {
-					s.payload, err = encode(s.r)
+					s.payload, err = probe.encode(i, s.r)
 				}
 				s.r = nil
 			case !shared:
@@ -187,13 +169,16 @@ func sweepRunShared(ctx context.Context, jobs []Job, opt sweep.Options, sh share
 			default:
 				s.r, err = resultcache.Clone(s.r)
 			}
+			if err != nil {
+				err = fmt.Errorf("%s/%v: %w", j.Workload, j.Design, err)
+			}
 			if probe != nil {
 				probe.jobDone(i, cached, err)
 			}
 			return s, err
 		}
 		if !j.Options.cacheable() {
-			r, err := run(j.Options)
+			r, err := j.simulate()
 			return finish(settled{r: r}, false, false, err)
 		}
 		var k jobKey
@@ -202,10 +187,9 @@ func sweepRunShared(ctx context.Context, jobs []Job, opt sweep.Options, sh share
 		} else {
 			key, pre, err := j.fingerprint()
 			if err != nil {
-				// Not fingerprintable (e.g. invalid options, unknown
-				// workload): fall through and let Run report the error.
-				r, err := run(j.Options)
-				return finish(settled{r: r}, false, false, err)
+				// Not fingerprintable: invalid options or an unknown
+				// workload, which simulating would report the same way.
+				return finish(settled{}, false, false, err)
 			}
 			k = jobKey{key, pre}
 		}
@@ -213,41 +197,9 @@ func sweepRunShared(ctx context.Context, jobs []Job, opt sweep.Options, sh share
 		// body itself (shared == false), so the read below never races.
 		hit := false
 		s, shared, err := sh.flight.Do(k.key, func() (settled, error) {
-			store := j.Options.ResultCache
-			if store == nil {
-				r, err := run(j.Options)
-				return settled{r: r}, err
-			}
-			// The read-through lives here rather than inside Run so the
-			// lookup and the simulation are separately observable — the
-			// store counts exactly one lookup per non-deduplicated job,
-			// same as before.
-			var cached settled
-			if sh.payloads {
-				cached.payload, hit = store.Payload(k.key)
-			} else {
-				cached.r, hit = store.Get(k.key)
-			}
-			if probe != nil {
-				probe.jobLookup(i, hit)
-			}
-			if hit {
-				return cached, nil
-			}
-			o := j.Options
-			o.ResultCache = nil
-			fresh, err := run(o)
-			if err != nil {
-				return settled{}, err
-			}
-			payload, err := encode(fresh)
-			if err != nil {
-				return settled{}, err
-			}
-			if err := store.PutPayload(k.key, k.pre, payload); err != nil {
-				return settled{}, fmt.Errorf("%s/%v: taglessdram: result cache: %w", j.Workload, j.Design, err)
-			}
-			return settled{r: fresh, payload: payload}, nil
+			s, h, err := j.settle(k, sh.payloads, probe, i)
+			hit = h
+			return s, err
 		})
 		if sh.forget {
 			// Idempotent: whichever of the sharers gets here first drops
@@ -257,6 +209,56 @@ func sweepRunShared(ctx context.Context, jobs []Job, opt sweep.Options, sh share
 		}
 		return finish(s, shared, hit || shared, err)
 	}, opt)
+}
+
+// settle is the one result-cache read-through of every job, whether it
+// comes from Run, a sweep, the sweep service or a study. A cacheable job
+// with a store is looked up under k — as a Result, or as its stored
+// payload bytes when payloads is set — and on a miss simulates, is
+// encoded once and stored; any other job just simulates. hit reports a
+// store hit. The lookup and the encode are separately observable through
+// probe (nil outside the sweep service) as sweep lane i's milestones.
+// A failed store write fails the job.
+func (j Job) settle(k jobKey, payloads bool, probe *sweepProbe, i int) (s settled, hit bool, err error) {
+	store := j.Options.ResultCache
+	if store == nil || !j.Options.cacheable() {
+		s.r, err = j.simulate()
+		return s, false, err
+	}
+	if payloads {
+		s.payload, hit = store.Payload(k.key)
+	} else {
+		s.r, hit = store.Get(k.key)
+	}
+	if probe != nil {
+		probe.jobLookup(i, hit)
+	}
+	if hit {
+		return s, true, nil
+	}
+	if s.r, err = j.simulate(); err != nil {
+		return settled{}, false, err
+	}
+	if s.payload, err = probe.encode(i, s.r); err != nil {
+		return settled{}, false, err
+	}
+	if err := store.PutPayload(k.key, k.pre, s.payload); err != nil {
+		return settled{}, false, fmt.Errorf("taglessdram: result cache: %w", err)
+	}
+	return s, false, nil
+}
+
+// encode renders a Result a job simulated as its payload, first marking
+// the start of sweep lane i's encode phase on a non-nil probe.
+func (p *sweepProbe) encode(i int, r *Result) ([]byte, error) {
+	if p != nil {
+		p.jobEncode(i)
+	}
+	payload, err := resultcache.Encode(r)
+	if err != nil {
+		return nil, fmt.Errorf("taglessdram: encoding result: %w", err)
+	}
+	return payload, nil
 }
 
 // runJobs is the figure/table runners' shared entry point: the fan-out

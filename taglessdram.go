@@ -158,17 +158,18 @@ type Options struct {
 	// (cmd/sweepd); every RunFigureN/RunTableN sweep is then submitted
 	// there via RemoteSweep instead of simulating in-process. Results
 	// come back through the result cache's own codec, so remote sweeps
-	// are byte-identical to local ones. Studies that must build their
-	// workloads by hand (RunSharedPages, RunFairness's alone-runs) still
-	// simulate locally. Non-semantic: where a job runs never changes its
-	// Result.
+	// are byte-identical to local ones. The cells whose workloads a study
+	// builds by hand (RunSharedPages, RunFairness's alone-runs) are Jobs
+	// like any other, but the wire names workloads, so those cells sweep
+	// in-process under the same options. Non-semantic: where a job runs
+	// never changes its Result.
 	Server string `json:"-"`
 	// Progress, when non-nil, is called after each simulation of a sweep
 	// completes (done/total counts, elapsed wall time, ETA). Calls are
 	// serialized but may come from worker goroutines. A single Run calls
-	// it once, after the simulation finishes, with a one-line throughput
-	// summary (trace references and kernel events per wall-clock second)
-	// in the Summary field.
+	// it once, after the run settles, with a one-line summary in the
+	// Summary field: trace references and kernel events per wall-clock
+	// second, or "result cache hit".
 	Progress func(SweepProgress) `json:"-"`
 	// OnSweepAccepted, when non-nil, is called once per remote sweep as
 	// the sweep service accepts the grid, with the server-assigned sweep
@@ -217,19 +218,21 @@ type Options struct {
 	// must match the saving run exactly.
 	CheckpointLoad string `json:"-"`
 	// Checkpoints, when non-nil, is a shared in-memory warm-state store:
-	// sweeps warm each (workload, configuration, warm-up, seed)
-	// combination once and every later matching job skips straight to the
-	// measured phase. Safe for concurrent workers.
+	// sweeps warm each (workload, configuration, warm-up) combination
+	// once and every later matching job skips straight to the measured
+	// phase. A workload is identified by its trace digest, as in the cache
+	// key, so its seed is part of it. Safe for concurrent workers.
 	Checkpoints *CheckpointStore `json:"-"`
 	// ResultCache, when non-nil, is a persistent content-addressed store
-	// of completed Results: before simulating, Run looks up the job's
-	// fingerprint (Job.Fingerprint — model version, design, workload +
-	// trace digest, semantic options, resolved configuration) and replays
-	// a cached Result byte-identically instead of re-simulating; fresh
-	// results are stored for future runs. Sound because runs are
-	// bit-reproducible. Runs that load/save checkpoint files or request
-	// kernel-event traces bypass the cache. Safe for concurrent workers
-	// and processes sharing one directory.
+	// of completed Results: before simulating, a job — from Run, a sweep
+	// or a study — looks up its fingerprint (Job.Fingerprint — model
+	// version, design, workload + trace digest, semantic options, resolved
+	// configuration) and replays a cached Result byte-identically instead
+	// of re-simulating; fresh results are stored for future runs, and a
+	// job whose Result cannot be stored fails with a result-cache error.
+	// Sound because runs are bit-reproducible. Runs that load/save
+	// checkpoint files or request kernel-event traces bypass the cache.
+	// Safe for concurrent workers and processes sharing one directory.
 	ResultCache *ResultCache `json:"-"`
 }
 
@@ -338,40 +341,40 @@ func workloadFor(name string, o Options) (system.Workload, error) {
 // replayed from the cache instead of re-simulated — byte-identically,
 // because every run is bit-reproducible.
 func Run(design Design, workload string, o Options) (*Result, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	if o.Warmup == 0 {
-		o.Warmup = o.Measure
-	}
 	start := time.Now()
-	if o.ResultCache == nil || !o.cacheable() {
-		return simulate(design, workload, o, start)
+	j := Job{Design: design, Workload: workload, Options: o}
+	var k jobKey
+	if o.ResultCache != nil && o.cacheable() {
+		key, pre, err := j.fingerprint()
+		if err != nil {
+			return nil, err
+		}
+		k = jobKey{key, pre}
 	}
-	key, pre, err := (Job{Design: design, Workload: workload, Options: o}).fingerprint()
+	s, hit, err := j.settle(k, false, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	if r, ok := o.ResultCache.Get(key); ok {
-		if o.MetricsSink != nil {
-			o.MetricsSink(r)
+	if o.MetricsSink != nil {
+		o.MetricsSink(s.r)
+	}
+	if o.Progress != nil {
+		wall := time.Since(start)
+		summary := "result cache hit"
+		if !hit {
+			var refsPerSec, eventsPerSec float64
+			if secs := wall.Seconds(); secs > 0 {
+				refsPerSec = float64(s.r.References) / secs
+				eventsPerSec = float64(s.r.KernelEvents) / secs
+			}
+			summary = fmt.Sprintf("%.2fM refs/s, %.2fM events/s", refsPerSec/1e6, eventsPerSec/1e6)
 		}
-		if o.Progress != nil {
-			o.Progress(SweepProgress{
-				Done: 1, Total: 1, Elapsed: time.Since(start),
-				Summary: fmt.Sprintf("%s/%v: result cache hit", workload, design),
-			})
-		}
-		return r, nil
+		o.Progress(SweepProgress{
+			Done: 1, Total: 1, Elapsed: wall,
+			Summary: fmt.Sprintf("%s/%v: %s", workload, design, summary),
+		})
 	}
-	r, err := simulate(design, workload, o, start)
-	if err != nil {
-		return nil, err
-	}
-	if err := o.ResultCache.Put(key, pre, r); err != nil {
-		return r, fmt.Errorf("taglessdram: result cache: %w", err)
-	}
-	return r, nil
+	return s.r, nil
 }
 
 // simulateHook, when non-nil, observes every actual machine simulation.
@@ -380,17 +383,22 @@ func Run(design Design, workload string, o Options) (*Result, error) {
 // calls from sweep workers.
 var simulateHook func(design Design, workload string)
 
-// simulate builds the machine and executes the run — the cache-oblivious
-// body of Run.
-func simulate(design Design, workload string, o Options, start time.Time) (*Result, error) {
-	if simulateHook != nil {
-		simulateHook(design, workload)
-	}
-	w, err := workloadFor(workload, o)
+// simulate builds the job's machine and executes the run: the one
+// simulation body behind Run, sweeps, the sweep service and the studies.
+// It calls no observer; a kernel-event trace is part of the run itself.
+func (j Job) simulate() (*Result, error) {
+	w, err := j.resolve()
 	if err != nil {
 		return nil, err
 	}
-	cfg := configFor(design, o)
+	if simulateHook != nil {
+		simulateHook(j.Design, j.Workload)
+	}
+	o := j.Options
+	if o.Warmup == 0 {
+		o.Warmup = o.Measure
+	}
+	cfg := configFor(j.Design, o)
 	m, err := system.New(cfg, w)
 	if err != nil {
 		return nil, err
@@ -403,80 +411,28 @@ func simulate(design Design, workload string, o Options, start time.Time) (*Resu
 		tracer = sim.NewTracer(o.TraceEventLimit)
 		m.SetTracer(tracer)
 	}
-	r, err := runMachine(m, cfg, workload, o)
-	if err == nil && tracer != nil {
-		if werr := tracer.WriteJSON(o.TraceEvents); werr != nil {
-			return r, fmt.Errorf("taglessdram: writing trace events: %w", werr)
-		}
-	}
-	if err == nil && o.MetricsSink != nil {
-		o.MetricsSink(r)
-	}
-	if err == nil && o.Progress != nil {
-		wall := time.Since(start)
-		var refsPerSec, eventsPerSec float64
-		if secs := wall.Seconds(); secs > 0 {
-			refsPerSec = float64(r.References) / secs
-			eventsPerSec = float64(r.KernelEvents) / secs
-		}
-		o.Progress(SweepProgress{
-			Done: 1, Total: 1, Elapsed: wall,
-			Summary: fmt.Sprintf("%s/%v: %.2fM refs/s, %.2fM events/s",
-				workload, design, refsPerSec/1e6, eventsPerSec/1e6),
-		})
-	}
-	return r, err
-}
-
-// runWorkload simulates an explicitly built workload — one the name
-// resolver cannot produce, like the shared-page study's modified mixes
-// or the fairness study's single-core alone-runs — with the same
-// result-cache read-through as Run. The trace digest covers every
-// per-core profile parameter, so modified workloads fingerprint soundly.
-// These paths always execute the plain warm-up+measure pair; the
-// checkpoint options don't apply and are cleared so the key reflects how
-// the run actually executes. tag prefixes any simulation error.
-func runWorkload(design Design, tag string, w system.Workload, o Options) (*Result, error) {
-	if o.Warmup == 0 {
-		o.Warmup = o.Measure
-	}
-	o.CheckpointSave, o.CheckpointLoad, o.Checkpoints = "", "", nil
-	sim := func() (*Result, error) {
-		if simulateHook != nil {
-			simulateHook(design, w.Name)
-		}
-		m, err := system.New(configFor(design, o), w)
-		if err != nil {
-			return nil, err
-		}
-		if o.EpochRefs > 0 {
-			m.AttachSampler(obs.NewSampler(o.EpochRefs, o.EpochCapacity))
-		}
-		r, err := m.Run(o.Warmup, o.Measure)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", tag, err)
-		}
-		return r, nil
-	}
-	if o.ResultCache == nil || !o.cacheable() {
-		return sim()
-	}
-	pre, err := preimageFor(design, w.Name, w, o)
-	if err != nil {
-		return sim()
-	}
-	key := resultcache.KeyOf(pre)
-	if r, ok := o.ResultCache.Get(key); ok {
-		return r, nil
-	}
-	r, err := sim()
+	r, err := runMachine(m, cfg, w, o)
 	if err != nil {
 		return nil, err
 	}
-	if err := o.ResultCache.Put(key, pre, r); err != nil {
-		return r, fmt.Errorf("taglessdram: result cache: %w", err)
+	if tracer != nil {
+		if err := tracer.WriteJSON(o.TraceEvents); err != nil {
+			return nil, fmt.Errorf("taglessdram: writing trace events: %w", err)
+		}
 	}
 	return r, nil
+}
+
+// resolve validates the job's options and returns the workload it runs:
+// the one a study built, or the one its name resolves to.
+func (j Job) resolve() (system.Workload, error) {
+	if err := j.Options.Validate(); err != nil {
+		return system.Workload{}, err
+	}
+	if j.built != nil {
+		return *j.built, nil
+	}
+	return workloadFor(j.Workload, j.Options)
 }
 
 // SPECWorkloads lists the 11 single-programmed workloads (Figure 7 order).
