@@ -346,9 +346,6 @@ type SRAMTagConfig struct {
 	Ways int // set associativity of the page cache (16 in Table 3)
 }
 
-// CyclesPerNS returns how many CPU cycles elapse per nanosecond.
-func (c *SystemConfig) CyclesPerNS() float64 { return c.CPU.FreqGHz }
-
 // NSToCycles converts nanoseconds to (rounded-up) CPU cycles.
 func (c *SystemConfig) NSToCycles(ns float64) int {
 	return int(math.Ceil(ns * c.CPU.FreqGHz))

@@ -48,12 +48,3 @@ func EDP(totalJ float64, cycles uint64, freqGHz float64) float64 {
 	seconds := float64(cycles) / (freqGHz * 1e9)
 	return totalJ * seconds
 }
-
-// NormalizedEDP returns this run's EDP relative to a baseline's; values
-// below 1 are better, matching the paper's "normalized EDP" plots.
-func NormalizedEDP(edp, baselineEDP float64) float64 {
-	if baselineEDP == 0 {
-		return 0
-	}
-	return edp / baselineEDP
-}

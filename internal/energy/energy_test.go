@@ -32,15 +32,6 @@ func TestEDP(t *testing.T) {
 	}
 }
 
-func TestNormalizedEDP(t *testing.T) {
-	if got := NormalizedEDP(5, 10); got != 0.5 {
-		t.Errorf("normalized = %v, want 0.5", got)
-	}
-	if got := NormalizedEDP(5, 0); got != 0 {
-		t.Errorf("zero baseline = %v, want 0", got)
-	}
-}
-
 func TestBreakdownString(t *testing.T) {
 	b := Breakdown{CoreJ: 1, InPkgJ: 2, OffPkgJ: 3, TagJ: 4}
 	s := b.String()

@@ -344,11 +344,3 @@ func MaxTick(a, b Tick) Tick {
 	}
 	return b
 }
-
-// MinTick returns the smaller of a and b.
-func MinTick(a, b Tick) Tick {
-	if a < b {
-		return a
-	}
-	return b
-}

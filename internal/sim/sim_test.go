@@ -257,7 +257,4 @@ func TestMinMaxTick(t *testing.T) {
 	if MaxTick(3, 5) != 5 || MaxTick(5, 3) != 5 {
 		t.Error("MaxTick wrong")
 	}
-	if MinTick(3, 5) != 3 || MinTick(5, 3) != 3 {
-		t.Error("MinTick wrong")
-	}
 }

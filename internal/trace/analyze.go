@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"taglessdram/internal/lat"
@@ -155,20 +154,4 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// CompareProfiles measures generators for every named profile and returns
-// one report per name, in the given order (a calibration aid).
-func CompareProfiles(names []string, n uint64, shift uint, seed uint64) (map[string]Report, error) {
-	out := make(map[string]Report, len(names))
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	for _, name := range sorted {
-		p, err := ProfileByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = Analyze(NewGenerator(p.Scaled(shift), seed), n)
-	}
-	return out, nil
 }

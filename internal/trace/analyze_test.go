@@ -75,24 +75,6 @@ func TestAnalyzeZero(t *testing.T) {
 	_ = r.String() // must not panic
 }
 
-func TestCompareProfiles(t *testing.T) {
-	reports, err := CompareProfiles([]string{"sphinx3", "mcf"}, 50000, 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	// mcf is far more memory-bound than sphinx3.
-	if reports["mcf"].BlockMPKI <= reports["sphinx3"].BlockMPKI {
-		t.Fatalf("mcf MPKI %.1f not above sphinx3 %.1f",
-			reports["mcf"].BlockMPKI, reports["sphinx3"].BlockMPKI)
-	}
-	if _, err := CompareProfiles([]string{"nope"}, 10, 6, 1); err == nil {
-		t.Fatal("unknown profile accepted")
-	}
-}
-
 // TestAnalyzeAllProfiles sanity-checks every calibrated profile: measured
 // MPKI within 2x of spec, footprint within bounds, write fraction close.
 func TestAnalyzeAllProfiles(t *testing.T) {
