@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"testing"
+
+	"taglessdram/internal/flat"
 )
 
 // pinnedHist is the fixed histogram whose image TestHistImagePinned pins.
@@ -16,16 +18,28 @@ func pinnedHist() *Hist {
 	return &h
 }
 
+// image renders h's standalone image.
+func image(h *Hist) []byte {
+	w := flat.NewWriter(nil)
+	h.WriteImage(w)
+	return w.Bytes()
+}
+
+// decode reads a standalone image into h: ReadImage plus Done, which
+// rejects trailing bytes.
+func decode(h *Hist, data []byte) error {
+	rd := flat.NewReader(data)
+	h.ReadImage(rd)
+	return rd.Done()
+}
+
 // TestHistImagePinned pins the exact bytes of one histogram's image.
 // The result cache stores these bytes and the sweep service streams them
 // to clients without decoding, so changing the image layout requires
 // bumping resultcache's entryFormat in the same change; update this pin
 // only together with that bump.
 func TestHistImagePinned(t *testing.T) {
-	img, err := pinnedHist().GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := image(pinnedHist())
 	const want = "01" + // version
 		"01000102000000000100000000000000000000000001" + // buckets 0..21: 1 zero, 1 in [2,3], 2 in [4,7], 1 in [128,255], 1 in [2^20,2^21)
 		"00000000000000000000000000000000000000000000000000000000000000000000000000000000000000" + // buckets 22..64: empty
@@ -53,7 +67,7 @@ func TestHistImageRejectsNestedGob(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got Hist
-	if err := got.GobDecode(buf.Bytes()); err == nil {
+	if err := decode(&got, buf.Bytes()); err == nil {
 		t.Fatal("flat decoder accepted a nested-gob histogram image")
 	}
 	if got != (Hist{}) {
@@ -68,22 +82,14 @@ func TestHistImageRejectsNestedGob(t *testing.T) {
 // padded or overlong varint, the old nested gob stream.
 func FuzzHistDecode(f *testing.F) {
 	for _, h := range []*Hist{{}, pinnedHist()} {
-		img, err := h.GobEncode()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(img)
+		f.Add(image(h))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var h Hist
-		if err := h.GobDecode(data); err != nil {
+		if err := decode(&h, data); err != nil {
 			return
 		}
-		img, err := h.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(img, data) {
+		if img := image(&h); !bytes.Equal(img, data) {
 			t.Fatalf("decoded %x, re-encodes as %x", data, img)
 		}
 	})

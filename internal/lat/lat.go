@@ -16,11 +16,11 @@
 package lat
 
 import (
-	"encoding/binary"
 	"errors"
 	"math"
 	"math/bits"
 
+	"taglessdram/internal/flat"
 	"taglessdram/internal/sim"
 )
 
@@ -226,50 +226,40 @@ func (h *Hist) Rows() []BucketRow {
 // Reset discards all samples.
 func (h *Hist) Reset() { *h = Hist{} }
 
-// histImageVersion tags Hist's serialized image. The image is what the
+// histImageVersion tags Hist's flat image. The image is what the
 // persistent result cache stores for the latency tail metrics, so
 // changing its layout requires bumping the cache's entry format too.
 const histImageVersion = 1
 
-// GobEncode implements gob.GobEncoder. The image is flat: one version
-// byte, then NumBuckets+3 uvarints — the bucket counts, then total, sum
-// and max. Empty buckets cost one byte each.
-func (h *Hist) GobEncode() ([]byte, error) {
-	buf := make([]byte, 1, 1+(NumBuckets+3)*2)
-	buf[0] = histImageVersion
+// WriteImage appends h's flat image to w: one version byte, then
+// NumBuckets+3 uvarints — the bucket counts, then total, sum and max.
+// Empty buckets cost one byte each.
+func (h *Hist) WriteImage(w *flat.Writer) {
+	w.Byte(histImageVersion)
 	for _, c := range h.counts {
-		buf = binary.AppendUvarint(buf, c)
+		w.Uvarint(c)
 	}
-	buf = binary.AppendUvarint(buf, h.total)
-	buf = binary.AppendUvarint(buf, h.sum)
-	return binary.AppendUvarint(buf, h.max), nil
+	w.Uvarint(h.total)
+	w.Uvarint(h.sum)
+	w.Uvarint(h.max)
 }
 
-// GobDecode implements gob.GobDecoder. An unknown version byte, a short
-// or malformed image, or trailing bytes are errors; h is only written
-// when the whole image decodes.
-func (h *Hist) GobDecode(data []byte) error {
-	if len(data) == 0 || data[0] != histImageVersion {
-		return errors.New("lat: unknown histogram image version")
+// ReadImage reads an image WriteImage wrote. An unknown version byte or
+// a short or malformed image fails rd; h is only written when the whole
+// image reads.
+func (h *Hist) ReadImage(rd *flat.Reader) {
+	if v := rd.Byte(); v != histImageVersion && rd.Err() == nil {
+		rd.Fail(errors.New("lat: unknown histogram image version"))
 	}
 	var vals [NumBuckets + 3]uint64
-	rest := data[1:]
 	for i := range vals {
-		v, n := binary.Uvarint(rest)
-		// A multi-byte uvarint ending in a zero byte is a padded
-		// encoding of a smaller value; only the minimal form is valid,
-		// so every accepted image is exactly what GobEncode writes.
-		if n <= 0 || n > 1 && rest[n-1] == 0 {
-			return errors.New("lat: short or malformed histogram image")
-		}
-		vals[i], rest = v, rest[n:]
+		vals[i] = rd.Uvarint()
 	}
-	if len(rest) != 0 {
-		return errors.New("lat: trailing bytes after histogram image")
+	if rd.Err() != nil {
+		return
 	}
 	copy(h.counts[:], vals[:NumBuckets])
 	h.total, h.sum, h.max = vals[NumBuckets], vals[NumBuckets+1], vals[NumBuckets+2]
-	return nil
 }
 
 // Breakdown accumulates attributed cycles per component over many

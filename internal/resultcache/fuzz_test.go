@@ -3,7 +3,6 @@ package resultcache
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"os"
 	"testing"
 )
@@ -45,13 +44,16 @@ func FuzzStoreEntry(f *testing.F) {
 			}
 			return
 		}
-		var e envelope
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
+		e, err := decodeEnvelope(data)
+		if err != nil {
 			t.Fatalf("hit on an entry whose envelope does not decode: %v", err)
 		}
-		if e.Format != entryFormat || e.Key != fuzzKey.String() ||
-			sha256.Sum256(payload) != e.Sum || !bytes.Equal(payload, e.Payload) {
-			t.Fatalf("hit on an unverified entry: format %d, key %s", e.Format, e.Key)
+		if e.format != entryFormat || e.key != fuzzKey ||
+			sha256.Sum256(payload) != e.sum || !bytes.Equal(payload, e.payload) {
+			t.Fatalf("hit on an unverified entry: format %d, key %s", e.format, e.key)
+		}
+		if !bytes.Equal(e.encode(), data) {
+			t.Fatal("hit on an entry that is not its envelope's own image")
 		}
 		// Get decodes the verified payload: a hit, or a miss that evicts.
 		if _, ok := s.Get(fuzzKey); !ok && s.Len() != 0 {

@@ -20,6 +20,9 @@
 //     entries are treated as misses and evicted — never surfaced as
 //     errors, because the cache must always be allowed to fall back to
 //     simulating.
+//   - An entry is a flat image (internal/flat) around the Result's own
+//     flat image: both decoders accept exactly the bytes their encoders
+//     write, and a forged length cannot make them allocate.
 //
 // Entries are read and written at two levels. Payload and PutPayload
 // move an entry's payload bytes — the Encode image of a Result — without
@@ -35,16 +38,17 @@
 package resultcache
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"taglessdram/internal/flat"
 	"taglessdram/internal/system"
 )
 
@@ -60,22 +64,52 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // entryFormat versions the on-disk envelope layout and the payload codec
 // inside it. A mismatch means the entry was written by an incompatible
-// build and is evicted as a miss. Format 2 carries lat.Hist's flat image
-// in place of its nested gob stream; because hits are streamed to
-// clients without decoding, this stamp is what keeps a format-1 payload
-// from reaching one.
-const entryFormat = 2
+// build and is evicted as a miss. Format 3 is the flat envelope around
+// the Result's flat image (format 2 was gob around gob); because hits
+// are streamed to clients without decoding, this stamp is what keeps an
+// older payload from reaching one.
+const entryFormat = 3
 
-// envelope is the on-disk form of one entry. Payload is the gob-encoded
-// system.Result; Sum is its SHA-256, verified on every load. Preimage is
-// the human-readable canonical job identity the key was hashed from, so
-// an entry can always be audited against the job it claims to answer.
+// envelope is one entry, stored as its flat image: the format byte, the
+// 32 raw key bytes, the length-prefixed preimage, the payload's 32-byte
+// SHA-256 sum, then the length-prefixed payload — Result.MarshalBinary's
+// image, verified against sum on every load. The preimage is the
+// human-readable canonical job identity the key was hashed from, so an
+// entry can always be audited against the job it claims to answer. A
+// decoded envelope's preimage and payload alias the file's bytes.
 type envelope struct {
-	Format   int
-	Key      string
-	Preimage string
-	Sum      [sha256.Size]byte
-	Payload  []byte
+	format   byte
+	key      Key
+	preimage []byte
+	sum      [sha256.Size]byte
+	payload  []byte
+}
+
+func (e *envelope) encode() []byte {
+	w := flat.NewWriter(make([]byte, 0, 1+len(e.key)+len(e.sum)+
+		2*binary.MaxVarintLen64+len(e.preimage)+len(e.payload)))
+	w.Byte(e.format)
+	w.Raw(e.key[:])
+	w.Blob(e.preimage)
+	w.Raw(e.sum[:])
+	w.Blob(e.payload)
+	return w.Bytes()
+}
+
+func decodeEnvelope(data []byte) (envelope, error) {
+	var e envelope
+	rd := flat.NewReader(data)
+	if e.format = rd.Byte(); e.format != entryFormat && rd.Err() == nil {
+		return e, fmt.Errorf("resultcache: entry format %d, want %d", e.format, entryFormat)
+	}
+	copy(e.key[:], rd.Raw(len(e.key)))
+	e.preimage = rd.Blob()
+	copy(e.sum[:], rd.Raw(len(e.sum)))
+	e.payload = rd.Blob()
+	if err := rd.Done(); err != nil {
+		return e, fmt.Errorf("resultcache: envelope: %w", err)
+	}
+	return e, nil
 }
 
 // Stats are a store's lifetime counters (monotonic, safe to read
@@ -156,7 +190,7 @@ func (s *Store) Get(key Key) (*system.Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	r, err := decodeResult(payload)
+	r, err := Decode(payload)
 	if err != nil {
 		s.evict(key)
 		return nil, false
@@ -174,12 +208,12 @@ func (s *Store) load(key Key) ([]byte, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	payload, err := verifyEntry(key, data)
+	e, err := verifyEntry(key, data)
 	if err != nil {
 		s.evict(key)
 		return nil, false
 	}
-	return payload, true
+	return e.payload, true
 }
 
 // evict removes an unusable entry, so a fresh Put replaces it, and counts
@@ -192,30 +226,27 @@ func (s *Store) evict(key Key) {
 }
 
 // verifyEntry validates one on-disk envelope against the key it was
-// looked up under and returns its payload.
-func verifyEntry(key Key, data []byte) ([]byte, error) {
-	var e envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("resultcache: envelope: %w", err)
+// looked up under: its format, its key and its payload's checksum.
+func verifyEntry(key Key, data []byte) (envelope, error) {
+	e, err := decodeEnvelope(data)
+	if err != nil {
+		return e, err
 	}
-	if e.Format != entryFormat {
-		return nil, fmt.Errorf("resultcache: entry format %d, want %d", e.Format, entryFormat)
+	if e.key != key {
+		return e, fmt.Errorf("resultcache: entry keyed %s under %s", e.key, key)
 	}
-	if e.Key != key.String() {
-		return nil, fmt.Errorf("resultcache: entry keyed %s under %s", e.Key, key)
+	if sha256.Sum256(e.payload) != e.sum {
+		return e, errors.New("resultcache: payload checksum mismatch")
 	}
-	if sha256.Sum256(e.Payload) != e.Sum {
-		return nil, fmt.Errorf("resultcache: payload checksum mismatch")
-	}
-	return e.Payload, nil
+	return e, nil
 }
 
 // Put stores a result under key, recording the canonical preimage the
 // key was derived from: Encode plus PutPayload.
 func (s *Store) Put(key Key, preimage string, r *system.Result) error {
-	payload, err := encodeResult(r)
+	payload, err := Encode(r)
 	if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
+		return err
 	}
 	return s.PutPayload(key, preimage, payload)
 }
@@ -225,22 +256,18 @@ func (s *Store) Put(key Key, preimage string, r *system.Result) error {
 // write is atomic: concurrent readers either see the complete new entry
 // or whatever was there before.
 func (s *Store) PutPayload(key Key, preimage string, payload []byte) error {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(envelope{
-		Format:   entryFormat,
-		Key:      key.String(),
-		Preimage: preimage,
-		Sum:      sha256.Sum256(payload),
-		Payload:  payload,
-	})
-	if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
+	e := envelope{
+		format:   entryFormat,
+		key:      key,
+		preimage: []byte(preimage),
+		sum:      sha256.Sum256(payload),
+		payload:  payload,
 	}
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(e.encode()); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("resultcache: %w", err)
@@ -258,17 +285,20 @@ func (s *Store) PutPayload(key Key, preimage string, payload []byte) error {
 }
 
 // Preimage returns the stored canonical preimage of an entry, for
-// auditing what job identity a cached result answers.
+// auditing what job identity a cached result answers. It vouches only
+// for an entry the store would serve: a missing, damaged, mis-keyed or
+// version-mismatched entry gives ("", false). It neither counts nor
+// evicts.
 func (s *Store) Preimage(key Key) (string, bool) {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		return "", false
 	}
-	var e envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
+	e, err := verifyEntry(key, data)
+	if err != nil {
 		return "", false
 	}
-	return e.Preimage, true
+	return string(e.preimage), true
 }
 
 // Len counts the entries currently on disk.
@@ -280,32 +310,23 @@ func (s *Store) Len() int {
 	return len(matches)
 }
 
-// Encode renders a Result in the cache's own payload codec. The bytes
-// are exactly what a cache entry's payload carries, so a Decode on the
-// far side of any transport (the sweep service streams stored payloads
-// base64-coded inside JSON events) reconstructs the Result
+// Encode renders a Result in the cache's own payload codec: its flat
+// image (system.Result.MarshalBinary), a function of the Result alone.
+// The bytes are exactly what a cache entry's payload carries, so a
+// Decode on the far side of any transport (the sweep service streams
+// stored payloads base64-coded inside JSON) reconstructs the Result
 // bit-identically — the same guarantee a cache hit gives.
-func Encode(r *system.Result) ([]byte, error) { return encodeResult(r) }
-
-// Decode reverses Encode.
-func Decode(payload []byte) (*system.Result, error) { return decodeResult(payload) }
-
-// encodeResult/decodeResult are the payload codec: plain gob of the
-// Result value. Every field of system.Result (and its nested metric
-// types) either exports its state or, like lat.Hist, implements the gob
-// interfaces with its own flat image, so the round trip is lossless —
-// Clone and the hit path both rely on that.
-func encodeResult(r *system.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, err
+func Encode(r *system.Result) ([]byte, error) {
+	if r == nil {
+		return nil, errors.New("resultcache: encoding a nil Result")
 	}
-	return buf.Bytes(), nil
+	return r.MarshalBinary()
 }
 
-func decodeResult(payload []byte) (*system.Result, error) {
+// Decode reverses Encode. It accepts exactly the images Encode writes.
+func Decode(payload []byte) (*system.Result, error) {
 	r := new(system.Result)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(r); err != nil {
+	if err := r.UnmarshalBinary(payload); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -314,11 +335,11 @@ func decodeResult(payload []byte) (*system.Result, error) {
 // Clone deep-copies a result through the cache's own codec, so a cloned
 // result carries exactly what a cache hit would.
 func Clone(r *system.Result) (*system.Result, error) {
-	payload, err := encodeResult(r)
+	payload, err := Encode(r)
 	if err != nil {
 		return nil, err
 	}
-	return decodeResult(payload)
+	return Decode(payload)
 }
 
 // Flight deduplicates identical in-flight (and already-completed) jobs
@@ -361,7 +382,9 @@ func (f *Flight[V]) Forget(key Key) {
 
 // Do runs fn under key, deduplicating against concurrent and past calls
 // with the same key. shared reports whether the returned value came
-// from another caller's execution.
+// from another caller's execution. If fn panics, the panic becomes the
+// call's error, so every sharer gets an error that names it, and the
+// caller that ran fn panics again with the same value.
 func (f *Flight[V]) Do(key Key, fn func() (V, error)) (v V, shared bool, err error) {
 	f.mu.Lock()
 	if c, ok := f.calls[key]; ok {
@@ -374,6 +397,12 @@ func (f *Flight[V]) Do(key Key, fn func() (V, error)) (v V, shared bool, err err
 	f.mu.Unlock()
 
 	defer close(c.done)
+	defer func() {
+		if p := recover(); p != nil {
+			c.err = fmt.Errorf("resultcache: shared call panicked: %v", p)
+			panic(p)
+		}
+	}()
 	c.v, c.err = fn()
 	return c.v, false, c.err
 }

@@ -6,10 +6,12 @@ import (
 	"encoding/gob"
 	"errors"
 	"os"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
-	"taglessdram/internal/lat"
+	"taglessdram/internal/dram"
 	"taglessdram/internal/system"
 )
 
@@ -76,58 +78,53 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 	}
 }
 
-// rewriteEnvelope loads the entry under key, lets mutate edit the decoded
-// envelope, and writes it back — building precisely-damaged entries the
-// loader must reject.
-func rewriteEnvelope(t *testing.T, s *Store, key Key, mutate func(*envelope)) {
+// rewriteEnvelope loads the entry under key and replaces it with the
+// bytes damage makes of its decoded envelope — building precisely
+// damaged entries the loader must reject.
+func rewriteEnvelope(t *testing.T, s *Store, key Key, damage func(envelope) []byte) {
 	t.Helper()
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
+	e, err := decodeEnvelope(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	mutate(&e)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.path(key), buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(s.path(key), damage(e), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// formatOnePayload renders a Result payload the way entry format 1 did:
-// plain gob, with each lat.Hist as a nested gob stream of its fields.
-// The types mirror the fields of system.Result they stand in for; gob
-// matches fields by name.
-func formatOnePayload(t testing.TB) []byte {
+// formatTwoEntry renders an entry the way entry format 2 did: a gob
+// envelope around a gob payload. The types mirror the old envelope and
+// the fields of system.Result they stand in for; gob matches fields by
+// name.
+func formatTwoEntry(t testing.TB, key Key, preimage string) []byte {
 	t.Helper()
-	type histWire struct {
-		Counts [lat.NumBuckets]uint64
-		Total  uint64
-		Sum    uint64
-		Max    uint64
-	}
-	var counts [lat.NumBuckets]uint64
-	counts[3], counts[8] = 2, 1
-	var hist bytes.Buffer
-	if err := gob.NewEncoder(&hist).Encode(histWire{Counts: counts, Total: 3, Sum: 214, Max: 200}); err != nil {
-		t.Fatal(err)
-	}
-	type summary struct{ L3Lat, HandlerLat formatOneHist }
 	type result struct {
 		Workload   string
 		Cycles     uint64
 		PerCoreIPC []float64
-		Latency    summary
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(result{Workload: "unit", Cycles: 67890, PerCoreIPC: []float64{1.25, 0.75}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(payload.Bytes()); err == nil {
+		t.Fatal("the current codec decoded a gob payload")
+	}
+	type envelope struct {
+		Format   int
+		Key      string
+		Preimage string
+		Sum      [sha256.Size]byte
+		Payload  []byte
 	}
 	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(result{
-		Workload: "unit", Cycles: 67890, PerCoreIPC: []float64{1.25, 0.75},
-		Latency: summary{formatOneHist(hist.Bytes()), formatOneHist(hist.Bytes())},
+	err := gob.NewEncoder(&buf).Encode(envelope{
+		Format: 2, Key: key.String(), Preimage: preimage,
+		Sum: sha256.Sum256(payload.Bytes()), Payload: payload.Bytes(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,35 +132,25 @@ func formatOnePayload(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// formatOneHist carries a format-1 histogram image as its gob encoding.
-type formatOneHist []byte
-
-func (h formatOneHist) GobEncode() ([]byte, error) { return h, nil }
-
 func TestDamagedEntriesMissAndEvict(t *testing.T) {
-	old := formatOnePayload(t)
-	if _, err := Decode(old); err == nil {
-		t.Fatal("the current codec decoded a format-1 payload")
-	}
+	previous := formatTwoEntry(t, KeyOf("job"), "job")
 	cases := []struct {
 		name   string
-		mutate func(*envelope)
+		damage func(envelope) []byte
 		// undecodable: the envelope verifies and only its payload fails
 		// to decode. Payload, which hands out verified bytes without
 		// decoding them, serves such an entry; Get misses.
 		undecodable bool
 	}{
-		{"wrong-format", func(e *envelope) { e.Format = entryFormat + 1 }, false},
-		{"previous-format", func(e *envelope) {
-			e.Format = 1
-			e.Payload = old
-			e.Sum = sha256.Sum256(old)
-		}, false},
-		{"mis-keyed", func(e *envelope) { e.Key = KeyOf("some other job").String() }, false},
-		{"checksum-mismatch", func(e *envelope) { e.Payload[0] ^= 0xff }, false},
-		{"payload-garbage", func(e *envelope) {
-			e.Payload = []byte("junk")
-			e.Sum = sha256.Sum256(e.Payload) // matching checksum, undecodable payload
+		{"wrong-format", func(e envelope) []byte { e.format = entryFormat + 1; return e.encode() }, false},
+		{"previous-format", func(envelope) []byte { return previous }, false},
+		{"mis-keyed", func(e envelope) []byte { e.key = KeyOf("some other job"); return e.encode() }, false},
+		{"checksum-mismatch", func(e envelope) []byte { e.payload[0] ^= 0xff; return e.encode() }, false},
+		{"trailing-bytes", func(e envelope) []byte { return append(e.encode(), 0) }, false},
+		{"payload-garbage", func(e envelope) []byte {
+			e.payload = []byte("junk")
+			e.sum = sha256.Sum256(e.payload) // matching checksum, undecodable payload
+			return e.encode()
 		}, true},
 	}
 	lookups := []struct {
@@ -185,7 +172,10 @@ func TestDamagedEntriesMissAndEvict(t *testing.T) {
 					if err := s.Put(key, "job", sampleResult()); err != nil {
 						t.Fatal(err)
 					}
-					rewriteEnvelope(t, s, key, tc.mutate)
+					rewriteEnvelope(t, s, key, tc.damage)
+					if _, ok := s.Preimage(key); ok != tc.undecodable {
+						t.Fatalf("Preimage vouches %t for an entry the store verifies %t", ok, tc.undecodable)
+					}
 
 					if tc.undecodable && lk.name == "Payload" {
 						if !lk.lookup(s, key) {
@@ -212,6 +202,36 @@ func TestDamagedEntriesMissAndEvict(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestPreimageVouchesOnlyForServedEntries copies one job's entry file to
+// another job's path: the store refuses to serve it there, so Preimage
+// must not vouch for it either.
+func TestPreimageVouchesOnlyForServedEntries(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := KeyOf("job-a"), KeyOf("job-b")
+	if err := s.Put(a, "job-a", sampleResult()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(s.path(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path(b), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if pre, ok := s.Preimage(b); ok || pre != "" {
+		t.Fatalf("Preimage(b) = %q, %t for job-a's entry; want \"\", false", pre, ok)
+	}
+	if _, ok := s.Payload(b); ok {
+		t.Fatal("Payload(b) served job-a's entry")
+	}
+	if pre, ok := s.Preimage(a); !ok || pre != "job-a" {
+		t.Fatalf("Preimage(a) = %q, %t; want job-a, true", pre, ok)
 	}
 }
 
@@ -307,6 +327,50 @@ func TestFlightDedupsConcurrentAndCompletedCalls(t *testing.T) {
 	}
 	if _, shared, err := f.Do(KeyOf("bad"), func() (*system.Result, error) { return sampleResult(), nil }); !shared || err != boom {
 		t.Fatalf("memoized error call = shared %t, err %v", shared, err)
+	}
+}
+
+// TestFlightPanicFailsSharers: a waiter sharing a call whose leader
+// panics gets an error that names the panic, not a zero value with a nil
+// error, and the leader still panics with the original value.
+func TestFlightPanicFailsSharers(t *testing.T) {
+	f := NewFlight[*system.Result]()
+	key := KeyOf("job")
+	entered, gate := make(chan struct{}), make(chan struct{})
+	leader := make(chan any)
+	go func() {
+		defer func() { leader <- recover() }()
+		f.Do(key, func() (*system.Result, error) {
+			close(entered)
+			<-gate
+			panic("boom")
+		})
+	}()
+	<-entered
+	type outcome struct {
+		r      *system.Result
+		shared bool
+		err    error
+	}
+	waiter := make(chan outcome)
+	go func() {
+		r, shared, err := f.Do(key, func() (*system.Result, error) {
+			t.Error("the waiter ran fn")
+			return nil, nil
+		})
+		waiter <- outcome{r, shared, err}
+	}()
+	// A waiter that reaches Do after the leader failed reads the same
+	// memoized call, so the outcome below does not depend on this pause;
+	// it only makes the blocked waiter the usual case.
+	time.Sleep(10 * time.Millisecond)
+	close(gate)
+	if p := <-leader; p != "boom" {
+		t.Fatalf("leader recovered %v, want the original panic", p)
+	}
+	got := <-waiter
+	if got.r != nil || !got.shared || got.err == nil || !strings.Contains(got.err.Error(), "boom") {
+		t.Fatalf("waiter got (%v, shared %t, %v), want a shared error naming the panic", got.r, got.shared, got.err)
 	}
 }
 
@@ -414,6 +478,7 @@ func TestForgetDropsMemoButNotWaiters(t *testing.T) {
 // results through this pair).
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	want := sampleResult()
+	want.InPkgBankStats = []dram.BankStat{}
 	payload, err := Encode(want)
 	if err != nil {
 		t.Fatal(err)
@@ -426,8 +491,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		got.Cycles != want.Cycles || len(got.PerCoreIPC) != 2 || got.PerCoreIPC[1] != 0.75 {
 		t.Fatalf("round trip mangled the result: %+v", got)
 	}
+	if got.InPkgBankStats != nil {
+		t.Fatal("an empty slice decoded to a non-nil one")
+	}
 	if _, err := Decode([]byte("junk")); err == nil {
 		t.Fatal("Decode accepted garbage")
+	}
+	if _, err := Encode(nil); err == nil {
+		t.Fatal("Encode accepted a nil Result")
 	}
 }
 

@@ -22,7 +22,7 @@
 // interleaved "progress" events as jobs complete, then — on success —
 // one "result" per job in submission order followed by one "done", or a
 // single terminal "error". Result payloads are the result cache's own
-// gob encoding (base64 inside JSON), so a decoded result is
+// flat result image (base64 inside JSON), so a decoded result is
 // bit-identical to what an in-process run would have produced. A cached
 // cell's result is the payload stored in the server's result cache,
 // byte for byte: the server verifies the entry but never decodes or
@@ -99,8 +99,9 @@ type Event struct {
 	ETAMS     int64 `json:"eta_ms,omitempty"`
 
 	// result: one job's completed simulation. Result is the result
-	// cache's gob payload (encoding/json base64-codes []byte), for a
-	// cached job the stored entry's payload as it is. Cached reports
+	// cache's payload, the flat result image resultcache.Decode reads
+	// (encoding/json base64-codes []byte); for a cached job it is the
+	// stored entry's payload as it is. Cached reports
 	// that the job was answered without simulating (a store hit or a
 	// deduplicated duplicate).
 	Job         int    `json:"job,omitempty"`

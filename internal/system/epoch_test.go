@@ -8,7 +8,7 @@ import (
 )
 
 // runSampled runs one design with an attached epoch sampler.
-func runSampled(t *testing.T, design config.L3Design, epochRefs uint64, instr uint64) *Result {
+func runSampled(t testing.TB, design config.L3Design, epochRefs uint64, instr uint64) *Result {
 	t.Helper()
 	cfg := scaledConfig(design, 6)
 	w, err := SingleProgram("sphinx3", 6, 1)

@@ -193,6 +193,13 @@ func sweepRunShared(ctx context.Context, jobs []Job, opt sweep.Options, sh share
 			}
 			k = jobKey{key, pre}
 		}
+		if sh.forget {
+			// Idempotent: whichever of the sharers gets here first drops
+			// the memo entry; waiters already inside the call still share
+			// its result. Deferred, so a leader whose job panics forgets
+			// its call too.
+			defer sh.flight.Forget(k.key)
+		}
 		// hit is only written when this goroutine executes the flight
 		// body itself (shared == false), so the read below never races.
 		hit := false
@@ -201,12 +208,6 @@ func sweepRunShared(ctx context.Context, jobs []Job, opt sweep.Options, sh share
 			hit = h
 			return s, err
 		})
-		if sh.forget {
-			// Idempotent: whichever of the sharers gets here first drops
-			// the memo entry; waiters already inside the call still share
-			// its result.
-			sh.flight.Forget(k.key)
-		}
 		return finish(s, shared, hit || shared, err)
 	}, opt)
 }

@@ -48,10 +48,12 @@ var sweepPhases = []string{"validate", "cache-lookup", "simulate", "encode", "st
 // duplicates share the in-flight execution, later ones replay from the
 // store.
 //
-// A cell's result travels as the result cache's payload bytes: a hit
-// streams the verified stored payload as it is, and a fresh simulation
-// is encoded once, for the store and the stream alike, so the server
-// never decodes a Result.
+// A cell's result travels as the result cache's payload bytes, the
+// Result's flat image: a hit streams the verified stored payload as it
+// is, and a fresh simulation is encoded once, for the store and the
+// stream alike, so the server never decodes a Result. The image is a
+// function of the Result alone, so a replayed cell carries the bytes
+// any process would render for it.
 //
 // Every request additionally feeds the service telemetry layer: GET
 // /metrics is a Prometheus text exposition of the cache counters,
