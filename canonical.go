@@ -1,8 +1,6 @@
 package taglessdram
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -100,27 +98,6 @@ func (o Options) cacheable() bool {
 	return o.CheckpointSave == "" && o.CheckpointLoad == "" && o.TraceEvents == nil
 }
 
-// traceDigest fingerprints the resolved workload: its identity, seed,
-// threading model and every per-core profile parameter. Synthetic traces
-// are generated deterministically from exactly this state, so two equal
-// digests mean byte-identical reference streams — and editing a profile
-// in internal/trace invalidates every cached run that used it.
-func traceDigest(w system.Workload) (string, error) {
-	if len(w.Sources) > 0 {
-		// Recorded sources replay external files; their bytes are not
-		// captured by the profile parameters, so such workloads are not
-		// fingerprintable (the facade never builds them).
-		return "", fmt.Errorf("taglessdram: workload %s is not fingerprintable", w.Name)
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "name=%q seed=%d multithreaded=%t cores=%d\n",
-		w.Name, w.Seed, w.MultiThreaded, len(w.PerCore))
-	for i, p := range w.PerCore {
-		fmt.Fprintf(h, "core%d=%+v\n", i, p)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
 // preimageFor builds the full canonical encoding of a run's semantic
 // identity: format and model versions, the design, the workload and its
 // trace digest, the semantic Options, and the fully resolved machine
@@ -129,7 +106,7 @@ func traceDigest(w system.Workload) (string, error) {
 // deterministic. The preimage is stored alongside each cache entry for
 // auditability; its SHA-256 is the cache key.
 func preimageFor(design Design, name string, w system.Workload, o Options) (string, error) {
-	td, err := traceDigest(w)
+	td, err := system.TraceDigest(w)
 	if err != nil {
 		return "", err
 	}

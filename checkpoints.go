@@ -66,15 +66,15 @@ func (s *CheckpointStore) Len() int {
 	return len(s.m)
 }
 
-// checkpointKey identifies a warm state: the workload's trace digest and
-// everything that shapes the machine reaching it. SystemConfig is a pure
-// value struct, so its %+v rendering is deterministic.
+// checkpointKey identifies a warm state: the identity a checkpoint
+// carries (the workload's trace digest and the resolved configuration)
+// and the warm-up length.
 func checkpointKey(cfg *config.SystemConfig, w system.Workload, o Options) (string, error) {
-	td, err := traceDigest(w)
+	trace, machine, err := system.Identity(cfg, w)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("trace=%s|warmup=%d|cfg=%+v", td, o.Warmup, *cfg), nil
+	return fmt.Sprintf("trace=%s|warmup=%d|cfg=%s", trace, o.Warmup, machine), nil
 }
 
 // runMachine executes one built machine under the Options' execution

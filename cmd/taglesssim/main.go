@@ -38,7 +38,7 @@ func main() {
 	flag.BoolVar(&o.Refresh, "refresh", o.Refresh, "model DRAM refresh blackouts")
 	flag.IntVar(&o.TraceEventLimit, "trace-max", o.TraceEventLimit, "trace window size in events (0 = default)")
 	flag.StringVar(&o.CheckpointSave, "checkpoint-save", o.CheckpointSave, "write the post-warmup machine state to this file before measuring")
-	flag.StringVar(&o.CheckpointLoad, "checkpoint-load", o.CheckpointLoad, "restore post-warmup state from this file instead of warming up (config and workload must match)")
+	flag.StringVar(&o.CheckpointLoad, "checkpoint-load", o.CheckpointLoad, "restore post-warmup state from this file instead of warming up (refused unless config and workload match)")
 	var sample taglessdram.SampleSpec
 	flag.Uint64Var(&sample.WindowRefs, "sample-window", 0, "SMARTS sampling: cycle-accurate window length in trace references (0 = full cycle-accurate run)")
 	flag.Uint64Var(&sample.PeriodRefs, "sample-period", 0, "SMARTS sampling: references per period; the period minus the window fast-forwards functionally")

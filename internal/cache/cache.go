@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"taglessdram/internal/config"
+	"taglessdram/internal/flat"
 )
 
 // invalidTag marks an empty way. Real tags are block numbers (addr >> shift)
@@ -322,63 +323,43 @@ func (c *Cache) SetCounters(v [4]uint64) {
 	c.Accesses, c.Hits, c.Misses, c.Writebacks = v[0], v[1], v[2], v[3]
 }
 
-// State is a cache's serializable state: contents, recency and counters.
-// Geometry comes from construction and is not part of the state.
-type State struct {
-	Tags      []uint64
-	Used      []uint64
-	Dirty     []bool
-	Tick      uint64
-	LastBlock uint64
-	LastIdx   int
-	Counters  [4]uint64
+// Each calls fn with the base address of every valid line, in slot
+// order.
+func (c *Cache) Each(fn func(addr uint64)) {
+	for _, t := range c.tags {
+		if t != invalidTag {
+			fn(t << c.shift)
+		}
+	}
 }
 
-// State snapshots the cache. The serialized form keeps timestamps and
-// dirty bits as separate slices, independent of the packed in-memory
-// layout.
-func (c *Cache) State() State {
-	st := State{
-		Tags:      append([]uint64(nil), c.tags...),
-		Used:      make([]uint64, len(c.used)),
-		Dirty:     make([]bool, len(c.used)),
-		Tick:      c.tick,
-		LastBlock: c.lastBlock,
-		LastIdx:   c.lastIdx,
-		Counters:  c.Counters(),
+// Visit hands the cache's checkpoint state to c: every way's tag and
+// recency word (LRU stamp and dirty bit), the LRU clock, the same-line
+// memo and the counters. Geometry comes from construction: the line
+// count must match, and a decoded memo line must exist. The page-group
+// presence counts are derived from the tags, so a decoder rebuilds them.
+func (c *Cache) Visit(fc *flat.Codec) {
+	fc.Fixed(len(c.tags), "cache lines")
+	for i := range c.tags {
+		fc.U64(&c.tags[i])
+		fc.U64(&c.used[i])
 	}
-	for i, u := range c.used {
-		st.Used[i] = u >> 1
-		st.Dirty[i] = u&1 == 1
+	fc.U64(&c.tick)
+	fc.U64(&c.lastBlock)
+	fc.Int(&c.lastIdx)
+	if c.lastIdx < 0 || c.lastIdx >= len(c.tags) {
+		fc.Fail(fmt.Errorf("cache: memo line %d outside %d lines", c.lastIdx, len(c.tags)))
 	}
-	return st
-}
-
-// SetState restores a snapshot taken from an identically-configured cache.
-func (c *Cache) SetState(st State) {
-	if len(st.Tags) != len(c.tags) {
-		panic(fmt.Sprintf("cache: state geometry mismatch (%d vs %d ways)", len(st.Tags), len(c.tags)))
-	}
-	copy(c.tags, st.Tags)
-	for i := range c.pageCnt {
-		c.pageCnt[i] = 0
-	}
-	if c.pageCnt != nil {
+	fc.U64(&c.Accesses)
+	fc.U64(&c.Hits)
+	fc.U64(&c.Misses)
+	fc.U64(&c.Writebacks)
+	if fc.Decoding() && c.pageCnt != nil {
+		clear(c.pageCnt)
 		for _, t := range c.tags {
 			if t != invalidTag {
 				*c.pageGroup(t)++
 			}
 		}
 	}
-	for i := range c.used {
-		var d uint64
-		if i < len(st.Dirty) && st.Dirty[i] {
-			d = 1
-		}
-		c.used[i] = st.Used[i]<<1 | d
-	}
-	c.tick = st.Tick
-	c.lastBlock = st.LastBlock
-	c.lastIdx = st.LastIdx
-	c.SetCounters(st.Counters)
 }

@@ -2,158 +2,107 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
+	"taglessdram/internal/flat"
 	"taglessdram/internal/mmu"
-	"taglessdram/internal/sim"
 )
 
-// PTERef names a page-table entry by position instead of by pointer: the
-// owning table's index in the system's table set and the vpn the entry is
-// keyed under (the region base for superpage entries). Checkpoints store
-// refs; restore resolves them against the freshly rebuilt tables.
-type PTERef struct {
-	Table int
-	VPN   uint64
+// Visit hands the counters to c in declaration order.
+func (s *Stats) Visit(c *flat.Codec) {
+	for _, v := range []*uint64{
+		&s.Walks, &s.NonCacheable, &s.VictimHits, &s.ColdFills, &s.PendingWaits, &s.AliasHits,
+		&s.Rescues, &s.Evictions, &s.Writebacks, &s.SyncEvictions, &s.Shootdowns,
+	} {
+		c.U64(v)
+	}
 }
 
-// PTECodec translates between *mmu.PTE pointers and stable PTERefs during
-// checkpoint save and restore. The system layer, which owns the table set,
-// provides both directions: Encode reports false for a pointer it cannot
-// attribute, Decode returns nil for a ref that resolves to nothing.
-type PTECodec struct {
-	Encode func(*mmu.PTE) (PTERef, bool)
-	Decode func(PTERef) *mmu.PTE
-}
-
-// GIPTEntryState is one serialized GIPT row.
-type GIPTEntryState struct {
-	PPN       uint64
-	PTE       PTERef
-	HasPTE    bool
-	VPN       uint64
-	Residence uint64
-	State     BlockState
-	Dirty     bool
-	Sharers   []PTERef
-	FillDone  sim.Tick
-}
-
-// AliasState is one serialized alias-table binding.
-type AliasState struct {
-	PPN uint64
-	CA  uint64
-}
-
-// CtrlState is the controller's serializable state. Only a quiesced
-// controller can be captured: pending fills, daemon-queue entries and
-// in-flight evictions have no representation.
-type CtrlState struct {
-	FreeList  []uint64
-	FreeHead  int
-	AllocQ    []uint64
-	LastTouch []sim.Tick
-	RefBit    []bool
-	Cursor    uint64
-	Aliases   []AliasState
-	Stats     Stats
-	GIPT      []GIPTEntryState
-}
-
-// Snapshot captures the controller and GIPT, encoding PTE pointers
-// through the codec.
-func (c *Controller) Snapshot(codec *PTECodec) (*CtrlState, error) {
+// Visit hands the controller's checkpoint state to c: the GIPT, the free
+// list from its header pointer on, the allocation queue, recency and
+// CLOCK bits, the LRU cursor, the alias table and the counters. PTE
+// pointers cross through pte, which the system layer supplies because it
+// owns the page tables they point into.
+//
+// Only a quiesced controller has a state image: pending fills, queued
+// and in-flight evictions have none, so both sides refuse them, and
+// every block is free or cached. A decoded cache address must name one
+// of the controller's blocks, the free list must hold every free block
+// once, and a cached block must have a PTE; anything else fails c.
+func (c *Controller) Visit(fc *flat.Codec, pte func(*flat.Codec, **mmu.PTE)) {
 	if !c.Quiesced() {
-		return nil, fmt.Errorf("core: cannot snapshot: %d pending fills, %d in-flight evictions, %d queued",
-			len(c.pendings), c.inFlight, c.freeQ.Len())
+		fc.Fail(fmt.Errorf("core: controller not quiesced: %d pending fills, %d in-flight evictions, %d queued",
+			len(c.pendings), c.inFlight, c.freeQ.Len()))
+		return
 	}
-	st := &CtrlState{
-		FreeList:  append([]uint64(nil), c.freeList[c.freeHead:]...),
-		AllocQ:    append([]uint64(nil), c.allocQ.q[c.allocQ.head:]...),
-		LastTouch: append([]sim.Tick(nil), c.lastTouch...),
-		RefBit:    append([]bool(nil), c.refBit...),
-		Cursor:    c.cursor,
-		Stats:     c.stats,
-		GIPT:      make([]GIPTEntryState, len(c.gipt.entries)),
-	}
-	if c.aliases != nil {
-		st.Aliases = make([]AliasState, 0, len(c.aliases))
-		for ppn, ca := range c.aliases {
-			st.Aliases = append(st.Aliases, AliasState{PPN: ppn, CA: ca})
+	blocks := len(c.gipt.entries)
+	fc.Fixed(blocks, "GIPT blocks")
+	ca := func(v *uint64) {
+		fc.U64(v)
+		if *v >= uint64(blocks) {
+			fc.Fail(fmt.Errorf("core: cache address %d beyond the %d blocks", *v, blocks))
 		}
-		sort.Slice(st.Aliases, func(i, j int) bool { return st.Aliases[i].PPN < st.Aliases[j].PPN })
 	}
+	free := 0
 	for i := range c.gipt.entries {
 		e := &c.gipt.entries[i]
-		if e.State == Filling {
-			return nil, fmt.Errorf("core: cannot snapshot: CA-%d still filling", i)
+		fc.Byte((*byte)(&e.State))
+		switch e.State {
+		case Free:
+			free++
+		case Cached:
+			pte(fc, &e.PTE)
+		default:
+			fc.Fail(fmt.Errorf("core: CA-%d is %v", i, e.State))
 		}
-		es := &st.GIPT[i]
-		es.PPN, es.VPN, es.Residence = e.PPN, e.VPN, e.Residence
-		es.State, es.Dirty, es.FillDone = e.State, e.Dirty, e.FillDone
-		if e.PTE != nil {
-			ref, ok := codec.Encode(e.PTE)
-			if !ok {
-				return nil, fmt.Errorf("core: CA-%d references a PTE outside the table set", i)
-			}
-			es.PTE, es.HasPTE = ref, true
-		}
-		for _, p := range e.Sharers {
-			ref, ok := codec.Encode(p)
-			if !ok {
-				return nil, fmt.Errorf("core: CA-%d sharer references a PTE outside the table set", i)
-			}
-			es.Sharers = append(es.Sharers, ref)
+		fc.U64(&e.PPN)
+		fc.U64(&e.VPN)
+		fc.U64(&e.Residence)
+		fc.Bool(&e.Dirty)
+		fc.U64((*uint64)(&e.FillDone))
+		flat.Resize(&e.Sharers, fc.Count(len(e.Sharers), 2))
+		for j := range e.Sharers {
+			pte(fc, &e.Sharers[j])
 		}
 	}
-	return st, nil
-}
 
-// Restore rebuilds controller and GIPT state from a snapshot taken on an
-// identically-configured controller, resolving PTERefs through the codec.
-// The target must be quiesced (a freshly built machine is).
-func (c *Controller) Restore(codec *PTECodec, st *CtrlState) error {
-	if !c.Quiesced() {
-		return fmt.Errorf("core: cannot restore over in-flight work")
+	// The free list from the header pointer on, which a decoder takes as
+	// its whole list: one entry per free block.
+	list := c.freeList[c.freeHead:]
+	n := fc.Count(len(list), 1)
+	if n != free {
+		fc.Fail(fmt.Errorf("core: %d blocks are free but the free list holds %d", free, n))
+		n = 0
 	}
-	if len(st.GIPT) != len(c.gipt.entries) {
-		return fmt.Errorf("core: GIPT size mismatch (%d vs %d blocks)", len(st.GIPT), len(c.gipt.entries))
+	flat.Resize(&list, n)
+	var seen []bool
+	if fc.Decoding() {
+		seen = make([]bool, blocks)
 	}
-	c.freeList = append(c.freeList[:0], st.FreeList...)
-	c.freeHead = 0
-	c.allocQ = FreeQueue{q: append([]uint64(nil), st.AllocQ...)}
-	c.freeQ = FreeQueue{}
-	copy(c.lastTouch, st.LastTouch)
-	copy(c.refBit, st.RefBit)
-	c.cursor = st.Cursor
+	for i := range list {
+		ca(&list[i])
+		if b := list[i]; fc.Decoding() && fc.Err() == nil {
+			if seen[b] || c.gipt.entries[b].State != Free {
+				fc.Fail(fmt.Errorf("core: the free list holds CA-%d twice, or while it is %v", b, c.gipt.entries[b].State))
+			}
+			seen[b] = true
+		}
+	}
+	q := c.allocQ.q[c.allocQ.head:]
+	flat.Resize(&q, fc.Count(len(q), 1))
+	for i := range q {
+		ca(&q[i])
+	}
+	if fc.Decoding() {
+		c.freeList, c.freeHead = list, 0
+		c.allocQ = FreeQueue{q: q}
+	}
+	for i := range c.lastTouch {
+		fc.U64((*uint64)(&c.lastTouch[i]))
+		fc.Bool(&c.refBit[i])
+	}
+	ca(&c.cursor)
 	if c.aliases != nil {
-		c.aliases = make(map[uint64]uint64, len(st.Aliases))
-		for _, a := range st.Aliases {
-			c.aliases[a.PPN] = a.CA
-		}
+		flat.Map(fc, &c.aliases, func(fc *flat.Codec, v *uint64) { ca(v) })
 	}
-	c.stats = st.Stats
-	for i := range st.GIPT {
-		es := &st.GIPT[i]
-		e := &c.gipt.entries[i]
-		*e = GIPTEntry{
-			PPN: es.PPN, VPN: es.VPN, Residence: es.Residence,
-			State: es.State, Dirty: es.Dirty, FillDone: es.FillDone,
-		}
-		if es.HasPTE {
-			pte := codec.Decode(es.PTE)
-			if pte == nil {
-				return fmt.Errorf("core: CA-%d PTE ref %+v resolves to nothing", i, es.PTE)
-			}
-			e.PTE = pte
-		}
-		for _, ref := range es.Sharers {
-			pte := codec.Decode(ref)
-			if pte == nil {
-				return fmt.Errorf("core: CA-%d sharer ref %+v resolves to nothing", i, ref)
-			}
-			e.Sharers = append(e.Sharers, pte)
-		}
-	}
-	return nil
+	c.stats.Visit(fc)
 }

@@ -6,7 +6,12 @@
 // accounting (Equations 1 and 4 both charge the TLB miss penalty serially).
 package cpu
 
-import "taglessdram/internal/sim"
+import (
+	"fmt"
+
+	"taglessdram/internal/flat"
+	"taglessdram/internal/sim"
+)
 
 // Core is one simulated core's retirement clock and MSHR window.
 type Core struct {
@@ -153,38 +158,19 @@ func (c *Core) IPC() float64 {
 	return float64(c.Instructions) / float64(c.now)
 }
 
-// State is a core's serializable state. IssueWidth and MSHRs are
-// construction parameters and are not part of the state.
-type State struct {
-	Now          sim.Tick
-	PendInstr    int
-	Window       []sim.Tick
-	Instructions uint64
-	MemOps       uint64
-	StallCycles  uint64
-	SerialCycles uint64
-}
-
-// State snapshots the core.
-func (c *Core) State() State {
-	return State{
-		Now:          c.now,
-		PendInstr:    c.pendInstr,
-		Window:       append([]sim.Tick(nil), c.window...),
-		Instructions: c.Instructions,
-		MemOps:       c.MemOps,
-		StallCycles:  c.StallCycles,
-		SerialCycles: c.SerialCycles,
+// Visit hands the core's checkpoint state to c: its clock, the
+// sub-cycle instruction remainder, the MSHR window and the counters.
+// IssueWidth and MSHRs are construction inputs; a decoded window larger
+// than MSHRs fails.
+func (c *Core) Visit(fc *flat.Codec) {
+	fc.U64((*uint64)(&c.now))
+	fc.Int(&c.pendInstr)
+	flat.Uints(fc, &c.window)
+	if len(c.window) > c.MSHRs {
+		fc.Fail(fmt.Errorf("cpu: %d in-flight accesses exceed %d MSHRs", len(c.window), c.MSHRs))
 	}
-}
-
-// SetState restores a snapshot taken from an identically-configured core.
-func (c *Core) SetState(st State) {
-	c.now = st.Now
-	c.pendInstr = st.PendInstr
-	c.window = append(c.window[:0], st.Window...)
-	c.Instructions = st.Instructions
-	c.MemOps = st.MemOps
-	c.StallCycles = st.StallCycles
-	c.SerialCycles = st.SerialCycles
+	fc.U64(&c.Instructions)
+	fc.U64(&c.MemOps)
+	fc.U64(&c.StallCycles)
+	fc.U64(&c.SerialCycles)
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"taglessdram/internal/config"
+	"taglessdram/internal/flat"
 	"taglessdram/internal/sim"
 )
 
@@ -373,95 +374,37 @@ func (d *Device) ResetStats() {
 	}
 }
 
-// BankState is one bank's serializable state.
-type BankState struct {
-	OpenRow int64
-	ActAt   sim.Tick
-	FreeAt  sim.Tick
-	Busy    sim.Tick
-	Hits    uint64
-	Confls  uint64
-}
-
-// BusState is one data bus's serializable state.
-type BusState struct {
-	FreeAt sim.Tick
-	Busy   sim.Tick
-}
-
-// DeviceState is a device's serializable state: bank/row/bus timing state
-// plus every counter. Configuration and derived timings are construction
-// inputs and are not part of the state.
-type DeviceState struct {
-	Banks    []BankState
-	Buses    []BusState
-	RankActs [][4]sim.Tick
-
-	Refreshes, FAWStalls uint64
-	Accesses, RowHits    uint64
-	RowMisses, RowConfls uint64
-	Activates            uint64
-	BitsRead, BitsWrit   uint64
-	BitsIO               uint64
-	LastAccess           sim.Tick
-}
-
-// State snapshots the device.
-func (d *Device) State() DeviceState {
-	st := DeviceState{
-		Banks:      make([]BankState, len(d.banks)),
-		Buses:      make([]BusState, len(d.buses)),
-		RankActs:   append([][4]sim.Tick(nil), d.rankActs...),
-		Refreshes:  d.Refreshes,
-		FAWStalls:  d.FAWStalls,
-		Accesses:   d.Accesses,
-		RowHits:    d.RowHits,
-		RowMisses:  d.RowMisses,
-		RowConfls:  d.RowConfls,
-		Activates:  d.Activates,
-		BitsRead:   d.BitsRead,
-		BitsWrit:   d.BitsWrit,
-		BitsIO:     d.BitsIO,
-		LastAccess: d.lastAccess,
-	}
+// Visit hands the device's checkpoint state to c: each bank's timeline,
+// open row, activation time and window counters, each data bus's
+// timeline, every rank's four-activate window and the device counters.
+// Configuration and derived timings are construction inputs; the bank,
+// bus and rank counts must match.
+func (d *Device) Visit(c *flat.Codec) {
+	c.Fixed(len(d.banks), "DRAM banks")
 	for i := range d.banks {
 		b := &d.banks[i]
-		freeAt, busy := b.res.State()
-		st.Banks[i] = BankState{
-			OpenRow: b.openRow, ActAt: b.actAt,
-			FreeAt: freeAt, Busy: busy,
-			Hits: b.hits, Confls: b.confls,
+		b.res.Visit(c)
+		c.I64(&b.openRow)
+		c.U64((*uint64)(&b.actAt))
+		c.U64(&b.hits)
+		c.U64(&b.confls)
+	}
+	c.Fixed(len(d.buses), "DRAM buses")
+	for i := range d.buses {
+		d.buses[i].Visit(c)
+	}
+	c.Fixed(len(d.rankActs), "DRAM ranks")
+	for i := range d.rankActs {
+		for j := range d.rankActs[i] {
+			c.U64((*uint64)(&d.rankActs[i][j]))
 		}
 	}
-	for i := range d.buses {
-		freeAt, busy := d.buses[i].State()
-		st.Buses[i] = BusState{FreeAt: freeAt, Busy: busy}
+	for _, v := range []*uint64{
+		&d.Refreshes, &d.FAWStalls, &d.Accesses, &d.RowHits, &d.RowMisses, &d.RowConfls,
+		&d.Activates, &d.BitsRead, &d.BitsWrit, &d.BitsIO, (*uint64)(&d.lastAccess),
+	} {
+		c.U64(v)
 	}
-	return st
-}
-
-// SetState restores a snapshot taken from an identically-configured device.
-func (d *Device) SetState(st DeviceState) {
-	if len(st.Banks) != len(d.banks) || len(st.Buses) != len(d.buses) {
-		panic(fmt.Sprintf("dram %s: state geometry mismatch", d.Name))
-	}
-	for i := range d.banks {
-		b := &d.banks[i]
-		bs := st.Banks[i]
-		b.openRow, b.actAt = bs.OpenRow, bs.ActAt
-		b.res.SetState(bs.FreeAt, bs.Busy)
-		b.hits, b.confls = bs.Hits, bs.Confls
-	}
-	for i := range d.buses {
-		d.buses[i].SetState(st.Buses[i].FreeAt, st.Buses[i].Busy)
-	}
-	copy(d.rankActs, st.RankActs)
-	d.Refreshes, d.FAWStalls = st.Refreshes, st.FAWStalls
-	d.Accesses, d.RowHits = st.Accesses, st.RowHits
-	d.RowMisses, d.RowConfls = st.RowMisses, st.RowConfls
-	d.Activates = st.Activates
-	d.BitsRead, d.BitsWrit, d.BitsIO = st.BitsRead, st.BitsWrit, st.BitsIO
-	d.lastAccess = st.LastAccess
 }
 
 // BankStat is one bank's measured-window activity: row outcomes and

@@ -1,6 +1,10 @@
 package dramcache
 
-import "fmt"
+import (
+	"fmt"
+
+	"taglessdram/internal/flat"
+)
 
 // TADBytes is the size of one tag-and-data unit in the block-based cache:
 // a 64-byte line plus an 8-byte tag, streamed out of DRAM in one burst as
@@ -152,35 +156,19 @@ func (c *BlockCache) SetCounters(v [4]uint64) {
 	c.Lookups, c.Hits, c.MissFills, c.Writebacks = v[0], v[1], v[2], v[3]
 }
 
-// BlockSlotState is one serialized TAD slot of the block cache.
-type BlockSlotState struct {
-	Tag   uint64
-	Valid bool
-	Dirty bool
-}
-
-// BlockCacheState is the cache's serializable state.
-type BlockCacheState struct {
-	Slots    []BlockSlotState
-	Counters [4]uint64
-}
-
-// State snapshots the cache.
-func (c *BlockCache) State() BlockCacheState {
-	st := BlockCacheState{Slots: make([]BlockSlotState, len(c.sets)), Counters: c.Counters()}
+// Visit hands the cache's checkpoint state to c: every slot's tag, valid
+// and dirty bits, then the counters. The slot count is a construction
+// input and must match.
+func (c *BlockCache) Visit(fc *flat.Codec) {
+	fc.Fixed(len(c.sets), "block-cache slots")
 	for i := range c.sets {
-		st.Slots[i] = BlockSlotState{Tag: c.sets[i].tag, Valid: c.sets[i].valid, Dirty: c.sets[i].dirty}
+		s := &c.sets[i]
+		fc.U64(&s.tag)
+		fc.Bool(&s.valid)
+		fc.Bool(&s.dirty)
 	}
-	return st
-}
-
-// SetState restores a snapshot taken from an identically-sized cache.
-func (c *BlockCache) SetState(st BlockCacheState) {
-	if len(st.Slots) != len(c.sets) {
-		panic(fmt.Sprintf("dramcache: block-cache state mismatch (%d vs %d slots)", len(st.Slots), len(c.sets)))
-	}
-	for i := range c.sets {
-		c.sets[i] = blockSlot{tag: st.Slots[i].Tag, valid: st.Slots[i].Valid, dirty: st.Slots[i].Dirty}
-	}
-	c.SetCounters(st.Counters)
+	fc.U64(&c.Lookups)
+	fc.U64(&c.Hits)
+	fc.U64(&c.MissFills)
+	fc.U64(&c.Writebacks)
 }

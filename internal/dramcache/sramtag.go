@@ -5,7 +5,11 @@
 // internal/core; the NoL3 and Ideal settings need no state.
 package dramcache
 
-import "fmt"
+import (
+	"fmt"
+
+	"taglessdram/internal/flat"
+)
 
 // Victim describes a page displaced from the SRAM-tag cache.
 type Victim struct {
@@ -201,52 +205,27 @@ func (c *PageCache) SetCounters(v [5]uint64) {
 	c.Lookups, c.Hits, c.MissFills, c.Evictions, c.Writebacks = v[0], v[1], v[2], v[3], v[4]
 }
 
-// PageSlotState is one serialized page frame of the SRAM-tag cache.
-type PageSlotState struct {
-	PPN   uint64
-	Valid bool
-	Dirty bool
-	Used  uint64
-}
-
-// PageCacheState is the cache's serializable state (set-major slots).
-type PageCacheState struct {
-	Slots    []PageSlotState
-	Tick     uint64
-	Counters [5]uint64
-}
-
-// State snapshots the cache.
-func (c *PageCache) State() PageCacheState {
-	st := PageCacheState{
-		Slots:    make([]PageSlotState, 0, len(c.sets)*c.ways),
-		Tick:     c.tick,
-		Counters: c.Counters(),
-	}
+// Visit hands the cache's checkpoint state to c: every frame's page,
+// valid and dirty bits and LRU stamp in set order, the LRU clock and the
+// counters. Geometry is a construction input; the frame count must
+// match.
+func (c *PageCache) Visit(fc *flat.Codec) {
+	fc.Fixed(c.Pages(), "page-cache frames")
 	for _, set := range c.sets {
 		for w := range set {
 			s := &set[w]
-			st.Slots = append(st.Slots, PageSlotState{PPN: s.ppn, Valid: s.valid, Dirty: s.dirty, Used: s.used})
+			fc.U64(&s.ppn)
+			fc.Bool(&s.valid)
+			fc.Bool(&s.dirty)
+			fc.U64(&s.used)
 		}
 	}
-	return st
-}
-
-// SetState restores a snapshot taken from an identically-sized cache.
-func (c *PageCache) SetState(st PageCacheState) {
-	if len(st.Slots) != len(c.sets)*c.ways {
-		panic(fmt.Sprintf("dramcache: page-cache state mismatch (%d vs %d slots)", len(st.Slots), len(c.sets)*c.ways))
-	}
-	i := 0
-	for _, set := range c.sets {
-		for w := range set {
-			s := st.Slots[i]
-			set[w] = pslot{ppn: s.PPN, valid: s.Valid, dirty: s.Dirty, used: s.Used}
-			i++
-		}
-	}
-	c.tick = st.Tick
-	c.SetCounters(st.Counters)
+	fc.U64(&c.tick)
+	fc.U64(&c.Lookups)
+	fc.U64(&c.Hits)
+	fc.U64(&c.MissFills)
+	fc.U64(&c.Evictions)
+	fc.U64(&c.Writebacks)
 }
 
 // BankInterleaver implements the "BI" heterogeneous-memory baseline: the

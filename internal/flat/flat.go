@@ -1,7 +1,10 @@
 // Package flat is the byte-level codec behind the simulator's flat binary
-// images: the result cache's entry envelope, the Result payload inside it
-// and lat.Hist's histogram image. A Writer appends values; a Reader
-// consumes them in the same order.
+// images: the result cache's entry envelope, the Result payload inside
+// it, lat.Hist's histogram image and the warm-state checkpoint of a whole
+// machine. A Writer appends values; a Reader consumes them in the same
+// order. A Codec wraps one or the other, so a single visit function — a
+// list of a value's fields in image order — describes an image in both
+// directions.
 //
 // The Reader accepts only what a Writer produces: minimal varints,
 // lengths and counts that the bytes left can hold, and, at Done, no
@@ -44,8 +47,11 @@ func (w *Writer) Bool(v bool) {
 // Uvarint appends v as a minimal unsigned varint.
 func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
+// Varint appends v as a minimal zigzag varint.
+func (w *Writer) Varint(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
+
 // Int appends v as a minimal zigzag varint.
-func (w *Writer) Int(v int) { w.buf = binary.AppendVarint(w.buf, int64(v)) }
+func (w *Writer) Int(v int) { w.Varint(int64(v)) }
 
 // Float64 appends v's 8 IEEE-754 bytes, little-endian, so every value
 // survives exactly: NaN payloads, −0 and ±Inf included.
@@ -143,10 +149,15 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
+// Varint reads a minimal zigzag varint.
+func (r *Reader) Varint() int64 {
+	u := r.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
 // Int reads a minimal zigzag varint that must fit an int.
 func (r *Reader) Int() int {
-	u := r.Uvarint()
-	v := int64(u>>1) ^ -int64(u&1)
+	v := r.Varint()
 	if int64(int(v)) != v {
 		r.Fail(fmt.Errorf("flat: %d overflows int", v))
 		return 0

@@ -20,18 +20,12 @@ func pinnedHist() *Hist {
 
 // image renders h's standalone image.
 func image(h *Hist) []byte {
-	w := flat.NewWriter(nil)
-	h.WriteImage(w)
-	return w.Bytes()
+	img, _ := flat.Encode(nil, h.Visit)
+	return img
 }
 
-// decode reads a standalone image into h: ReadImage plus Done, which
-// rejects trailing bytes.
-func decode(h *Hist, data []byte) error {
-	rd := flat.NewReader(data)
-	h.ReadImage(rd)
-	return rd.Done()
-}
+// decode reads a standalone image into h; trailing bytes fail.
+func decode(h *Hist, data []byte) error { return flat.Decode(data, h.Visit) }
 
 // TestHistImagePinned pins the exact bytes of one histogram's image.
 // The result cache stores these bytes and the sweep service streams them

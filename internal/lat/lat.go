@@ -16,7 +16,6 @@
 package lat
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 
@@ -231,35 +230,21 @@ func (h *Hist) Reset() { *h = Hist{} }
 // changing its layout requires bumping the cache's entry format too.
 const histImageVersion = 1
 
-// WriteImage appends h's flat image to w: one version byte, then
-// NumBuckets+3 uvarints — the bucket counts, then total, sum and max.
-// Empty buckets cost one byte each.
-func (h *Hist) WriteImage(w *flat.Writer) {
-	w.Byte(histImageVersion)
-	for _, c := range h.counts {
-		w.Uvarint(c)
+// Visit hands h's flat image to c: one version byte, then NumBuckets+3
+// uvarints — the bucket counts, then total, sum and max. Empty buckets
+// cost one byte each. A decoding c that fails leaves h unwritten.
+func (h *Hist) Visit(c *flat.Codec) {
+	x := *h
+	c.Fixed(histImageVersion, "histogram image version")
+	for i := range x.counts {
+		c.U64(&x.counts[i])
 	}
-	w.Uvarint(h.total)
-	w.Uvarint(h.sum)
-	w.Uvarint(h.max)
-}
-
-// ReadImage reads an image WriteImage wrote. An unknown version byte or
-// a short or malformed image fails rd; h is only written when the whole
-// image reads.
-func (h *Hist) ReadImage(rd *flat.Reader) {
-	if v := rd.Byte(); v != histImageVersion && rd.Err() == nil {
-		rd.Fail(errors.New("lat: unknown histogram image version"))
+	c.U64(&x.total)
+	c.U64(&x.sum)
+	c.U64(&x.max)
+	if c.Decoding() && c.Err() == nil {
+		*h = x
 	}
-	var vals [NumBuckets + 3]uint64
-	for i := range vals {
-		vals[i] = rd.Uvarint()
-	}
-	if rd.Err() != nil {
-		return
-	}
-	copy(h.counts[:], vals[:NumBuckets])
-	h.total, h.sum, h.max = vals[NumBuckets], vals[NumBuckets+1], vals[NumBuckets+2]
 }
 
 // Breakdown accumulates attributed cycles per component over many

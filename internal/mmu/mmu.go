@@ -15,7 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+
+	"taglessdram/internal/flat"
 )
 
 // ErrOutOfMemory is returned when the backing store has no free frames.
@@ -289,12 +291,7 @@ func (pt *PageTable) Pages() int { return pt.pages }
 // pointers alias the table, like Walk's. Iteration stops when fn returns
 // false.
 func (pt *PageTable) Range(fn func(vpn uint64, pte *PTE) bool) {
-	bases := make([]uint64, 0, len(pt.root))
-	for b := range pt.root {
-		bases = append(bases, b)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	for _, b := range bases {
+	for _, b := range pt.bases() {
 		l := pt.root[b]
 		for w, set := range l.present {
 			for set != 0 {
@@ -308,73 +305,71 @@ func (pt *PageTable) Range(fn func(vpn uint64, pte *PTE) bool) {
 	}
 }
 
-// LeafState is one serialized leaf arena of a page table.
-type LeafState struct {
-	Base    uint64
-	Present [leafPages / 64]uint64
-	PTEs    [leafPages]PTE
-}
-
-// TableState is a page table's serializable state (ASID and the backing
-// allocator are construction inputs).
-type TableState struct {
-	Leaves     []LeafState
-	Pages      int
-	Walks      uint64
-	PageFaults uint64
-}
-
-// State snapshots the table, leaves sorted by base for stable output.
-func (pt *PageTable) State() TableState {
-	st := TableState{
-		Leaves:     make([]LeafState, 0, len(pt.root)),
-		Pages:      pt.pages,
-		Walks:      pt.Walks,
-		PageFaults: pt.PageFaults,
-	}
+// bases lists the table's leaf bases in ascending order.
+func (pt *PageTable) bases() []uint64 {
 	bases := make([]uint64, 0, len(pt.root))
 	for b := range pt.root {
 		bases = append(bases, b)
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	for _, b := range bases {
-		l := pt.root[b]
-		st.Leaves = append(st.Leaves, LeafState{Base: l.base, Present: l.present, PTEs: l.ptes})
+	slices.Sort(bases)
+	return bases
+}
+
+// leafMinBytes is the image size of a leaf with nothing present.
+const leafMinBytes = 1 + leafPages/64
+
+// Visit hands the table's checkpoint state to c: its leaves in ascending
+// base order — each its base, its presence bitmap and the entries
+// present — then the walk counters. A decoder builds fresh leaves, so
+// PTE pointers handed out earlier do not survive and callers re-resolve
+// them; it fails unless the bases ascend strictly, and it rebuilds the
+// page count. An entry's PU bit is not part of the image: a checkpoint is
+// taken with no fill in flight.
+func (pt *PageTable) Visit(c *flat.Codec) {
+	var bases []uint64
+	if !c.Decoding() {
+		bases = pt.bases()
 	}
-	return st
-}
-
-// SetState rebuilds the table from a snapshot. Previously handed-out PTE
-// pointers are invalidated; callers must re-resolve them (the checkpoint
-// layer re-links GIPT and alias references through Lookup).
-func (pt *PageTable) SetState(st TableState) {
-	pt.root = make(map[uint64]*ptLeaf, len(st.Leaves))
-	pt.last = nil
-	for i := range st.Leaves {
-		ls := &st.Leaves[i]
-		l := &ptLeaf{base: ls.Base, present: ls.Present, ptes: ls.PTEs}
-		pt.root[l.base] = l
+	n := c.Count(len(bases), leafMinBytes)
+	if c.Decoding() {
+		pt.root, pt.last, pt.pages = make(map[uint64]*ptLeaf, n), nil, 0
 	}
-	pt.pages = st.Pages
-	pt.Walks = st.Walks
-	pt.PageFaults = st.PageFaults
+	for i := 0; i < n && c.Err() == nil; i++ {
+		l := new(ptLeaf)
+		if !c.Decoding() {
+			l = pt.root[bases[i]]
+		}
+		c.U64(&l.base)
+		for w := range l.present {
+			c.U64(&l.present[w])
+			for set := l.present[w]; set != 0; set &= set - 1 {
+				p := &l.ptes[w<<6+bits.TrailingZeros64(set)]
+				c.U64(&p.Frame)
+				c.Bool(&p.VC)
+				c.Bool(&p.NC)
+				c.Bool(&p.Super)
+			}
+			if c.Decoding() {
+				pt.pages += bits.OnesCount64(l.present[w])
+			}
+		}
+		if c.Decoding() {
+			if i > 0 && l.base <= bases[i-1] {
+				c.Fail(fmt.Errorf("mmu: leaf %d does not ascend", l.base))
+			}
+			pt.root[l.base] = l
+			bases = append(bases, l.base)
+		}
+	}
+	c.U64(&pt.Walks)
+	c.U64(&pt.PageFaults)
 }
 
-// AllocState is a FrameAllocator's serializable state.
-type AllocState struct {
-	Next uint64
-	Free []uint64
-}
-
-// State snapshots the allocator.
-func (a *FrameAllocator) State() AllocState {
-	return AllocState{Next: a.next, Free: append([]uint64(nil), a.free...)}
-}
-
-// SetState restores a snapshot taken from an allocator of equal capacity.
-func (a *FrameAllocator) SetState(st AllocState) {
-	a.next = st.Next
-	a.free = append(a.free[:0], st.Free...)
+// Visit hands the allocator's checkpoint state to c: the bump pointer and
+// the free list. The capacity is a construction input.
+func (a *FrameAllocator) Visit(c *flat.Codec) {
+	c.U64(&a.next)
+	flat.Uints(c, &a.free)
 }
 
 // CachedPages counts entries with VC set — used to validate the invariant

@@ -4,6 +4,7 @@ import (
 	"taglessdram/internal/config"
 	"taglessdram/internal/dram"
 	"taglessdram/internal/dramcache"
+	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
 	"taglessdram/internal/sim"
 )
@@ -93,18 +94,8 @@ func (o *Alloy) FastWriteback(_ sim.Tick, key uint64) {
 // FastEnd restores the counters captured by FastBegin.
 func (o *Alloy) FastEnd() { o.cache.SetCounters(o.saved) }
 
-// SnapshotOrg captures the block cache (slots and counters).
-func (o *Alloy) SnapshotOrg() ([]byte, error) { return encodeState(o.cache.State()) }
-
-// RestoreOrg restores a snapshot taken from an identically-sized cache.
-func (o *Alloy) RestoreOrg(data []byte) error {
-	var st dramcache.BlockCacheState
-	if err := decodeState(data, &st); err != nil {
-		return err
-	}
-	o.cache.SetState(st)
-	return nil
-}
+// Visit hands c the block cache (slots and counters).
+func (o *Alloy) Visit(c *flat.Codec) { o.cache.Visit(c) }
 
 // Collect is a no-op: the block cache's counters feed no Result field.
 func (o *Alloy) Collect(*Stats) {}

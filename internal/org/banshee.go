@@ -2,10 +2,10 @@ package org
 
 import (
 	"fmt"
-	"sort"
 
 	"taglessdram/internal/config"
 	"taglessdram/internal/dram"
+	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
 	"taglessdram/internal/sim"
 )
@@ -269,66 +269,28 @@ func (o *Banshee) FastWriteback(_ sim.Tick, key uint64) { o.markDirty(key / conf
 // FastEnd restores the counters captured by FastBegin.
 func (o *Banshee) FastEnd() { o.setCounters(o.saved) }
 
-// bansheeSlotState mirrors bansheeSlot with exported fields for gob.
-type bansheeSlotState struct {
-	PPN   uint64
-	Valid bool
-	Dirty bool
-	Count uint32
-}
-
-// bansheeFreq is one serialized frequency-counter pair.
-type bansheeFreq struct {
-	PPN   uint64
-	Count uint32
-}
-
-// bansheeState is the design's serializable state.
-type bansheeState struct {
-	Sets       []bansheeSlotState
-	Freq       []bansheeFreq // sorted by PPN for a stable encoding
-	TagBufUsed int
-	Counters   [6]uint64
-}
-
-// SnapshotOrg captures slots, frequency counters, tag-buffer occupancy
-// and statistics.
-func (o *Banshee) SnapshotOrg() ([]byte, error) {
-	st := bansheeState{
-		Sets:       make([]bansheeSlotState, len(o.sets)),
-		Freq:       make([]bansheeFreq, 0, len(o.freq)),
-		TagBufUsed: o.tagBufUsed,
-		Counters:   o.counters(),
+// Visit hands c the design's checkpoint state: every slot's page, valid
+// and dirty bits and frequency counter, the candidates' frequency
+// counters, the tag-buffer occupancy and the counters. The slot count is
+// a construction input and must match; a decoded occupancy must leave
+// room in the tag buffer.
+func (o *Banshee) Visit(c *flat.Codec) {
+	c.Fixed(len(o.sets), "Banshee slots")
+	for i := range o.sets {
+		s := &o.sets[i]
+		c.U64(&s.ppn)
+		c.Bool(&s.valid)
+		c.Bool(&s.dirty)
+		c.U32(&s.count)
 	}
-	for i, s := range o.sets {
-		st.Sets[i] = bansheeSlotState{PPN: s.ppn, Valid: s.valid, Dirty: s.dirty, Count: s.count}
+	flat.Map(c, &o.freq, (*flat.Codec).U32)
+	c.Int(&o.tagBufUsed)
+	if o.tagBufUsed < 0 || o.tagBufUsed >= bansheeTagBufEntries {
+		c.Fail(fmt.Errorf("org: Banshee tag buffer holds %d of %d entries", o.tagBufUsed, bansheeTagBufEntries))
 	}
-	for ppn, n := range o.freq {
-		st.Freq = append(st.Freq, bansheeFreq{PPN: ppn, Count: n})
+	for _, v := range []*uint64{&o.Lookups, &o.Hits, &o.Fills, &o.Bypasses, &o.Writebacks, &o.TagFlushes} {
+		c.U64(v)
 	}
-	sort.Slice(st.Freq, func(i, j int) bool { return st.Freq[i].PPN < st.Freq[j].PPN })
-	return encodeState(st)
-}
-
-// RestoreOrg restores a snapshot taken from an identically-sized cache.
-func (o *Banshee) RestoreOrg(data []byte) error {
-	var st bansheeState
-	if err := decodeState(data, &st); err != nil {
-		return err
-	}
-	if len(st.Sets) != len(o.sets) {
-		return fmt.Errorf("org: banshee state mismatch (%d vs %d slots)", len(st.Sets), len(o.sets))
-	}
-	for i, s := range st.Sets {
-		o.sets[i] = bansheeSlot{ppn: s.PPN, valid: s.Valid, dirty: s.Dirty, count: s.Count}
-	}
-	o.freq = make(map[uint64]uint32, len(st.Freq))
-	for _, f := range st.Freq {
-		o.freq[f.PPN] = f.Count
-	}
-	o.tagBufUsed = st.TagBufUsed
-	o.setCounters(st.Counters)
-	return nil
 }
 
 // Collect is a no-op: the design's counters feed no Result field (the

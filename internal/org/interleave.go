@@ -4,6 +4,7 @@ import (
 	"taglessdram/internal/config"
 	"taglessdram/internal/dram"
 	"taglessdram/internal/dramcache"
+	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
 	"taglessdram/internal/sim"
 )
@@ -71,23 +72,9 @@ func (o *Interleave) ResetStats() {
 // Collect is a no-op: the routing counters feed no Result field.
 func (o *Interleave) Collect(*Stats) {}
 
-// interleaveState is the design's serializable state: only the routing
-// counters (the mapping itself is configuration).
-type interleaveState struct {
-	InPkg, OffPkg uint64
-}
-
-// SnapshotOrg captures the routing counters.
-func (o *Interleave) SnapshotOrg() ([]byte, error) {
-	return encodeState(interleaveState{InPkg: o.inter.InPkgAccesses, OffPkg: o.inter.OffPkgAccesses})
-}
-
-// RestoreOrg restores counters captured by SnapshotOrg.
-func (o *Interleave) RestoreOrg(data []byte) error {
-	var st interleaveState
-	if err := decodeState(data, &st); err != nil {
-		return err
-	}
-	o.inter.InPkgAccesses, o.inter.OffPkgAccesses = st.InPkg, st.OffPkg
-	return nil
+// Visit hands c the routing counters: the design's only state (the
+// mapping itself is configuration).
+func (o *Interleave) Visit(c *flat.Codec) {
+	c.U64(&o.inter.InPkgAccesses)
+	c.U64(&o.inter.OffPkgAccesses)
 }

@@ -15,8 +15,6 @@
 package org
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -24,6 +22,7 @@ import (
 	"taglessdram/internal/core"
 	"taglessdram/internal/cpu"
 	"taglessdram/internal/dram"
+	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
 	"taglessdram/internal/obs"
 	"taglessdram/internal/sim"
@@ -120,8 +119,8 @@ type GaugeSource interface {
 }
 
 // Organization is one DRAM-cache design: it serves L2 misses and dirty
-// on-die victims, reports its design-specific statistics, and supports
-// functional fast-forward.
+// on-die victims, reports its design-specific statistics, supports
+// functional fast-forward and checkpoints its state.
 type Organization interface {
 	// Access performs the design-specific memory access for an L2 miss,
 	// issuing device traffic and charging the requesting core.
@@ -135,6 +134,13 @@ type Organization interface {
 	// Collect reports the design-specific counters of the measured
 	// window.
 	Collect(*Stats)
+	// Visit hands the design's checkpoint state to c — tag arrays,
+	// frequency counters, measurement baselines — checking decoded
+	// geometry against its own. A design with no state visits nothing.
+	// The tagless controller is not part of it: the machine owns the page
+	// tables its PTE pointers resolve against and visits the controller
+	// itself.
+	Visit(c *flat.Codec)
 	FastPath
 }
 
@@ -169,10 +175,14 @@ type FastPath interface {
 	FastEnd()
 }
 
-// noWarmState is the fast path of a design with no residence or
-// replacement state to warm: fast-forwarded accesses and write-backs
-// leave nothing behind and touch no counters.
+// noWarmState is the fast path and checkpoint of a design with no
+// residence or replacement state to warm: fast-forwarded accesses and
+// write-backs leave nothing behind and touch no counters, and there is
+// nothing to checkpoint.
 type noWarmState struct{}
+
+// Visit implements Organization: there is no state.
+func (noWarmState) Visit(*flat.Codec) {}
 
 // FastBegin implements FastPath: there are no counters to protect.
 func (noWarmState) FastBegin() {}
@@ -185,33 +195,6 @@ func (noWarmState) FastWriteback(sim.Tick, uint64) {}
 
 // FastEnd implements FastPath as a no-op.
 func (noWarmState) FastEnd() {}
-
-// Snapshotter is implemented by organizations with design-specific
-// warmable state worth checkpointing (tag arrays, frequency counters,
-// measurement baselines). The encoding is opaque to the caller; restore
-// must only be attempted against an identically-configured organization.
-// The tagless controller's state is NOT part of SnapshotOrg — the machine
-// owns the page tables its PTE pointers resolve against and snapshots the
-// controller itself. Stateless designs simply do not implement the
-// interface.
-type Snapshotter interface {
-	SnapshotOrg() ([]byte, error)
-	RestoreOrg(data []byte) error
-}
-
-// encodeState gob-encodes one design's snapshot payload.
-func encodeState(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeState decodes a payload produced by encodeState.
-func decodeState(data []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
 
 // Factory builds an Organization from the machine's ports.
 type Factory func(p Ports) (Organization, error)

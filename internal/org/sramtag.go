@@ -4,6 +4,7 @@ import (
 	"taglessdram/internal/config"
 	"taglessdram/internal/dram"
 	"taglessdram/internal/dramcache"
+	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
 	"taglessdram/internal/sim"
 )
@@ -107,18 +108,8 @@ func (o *SRAMTag) FastWriteback(_ sim.Tick, key uint64) {
 // FastEnd restores the counters captured by FastBegin.
 func (o *SRAMTag) FastEnd() { o.cache.SetCounters(o.saved) }
 
-// SnapshotOrg captures the page cache (slots, LRU clock, counters).
-func (o *SRAMTag) SnapshotOrg() ([]byte, error) { return encodeState(o.cache.State()) }
-
-// RestoreOrg restores a snapshot taken from an identically-sized cache.
-func (o *SRAMTag) RestoreOrg(data []byte) error {
-	var st dramcache.PageCacheState
-	if err := decodeState(data, &st); err != nil {
-		return err
-	}
-	o.cache.SetState(st)
-	return nil
-}
+// Visit hands c the page cache (frames, LRU clock, counters).
+func (o *SRAMTag) Visit(c *flat.Codec) { o.cache.Visit(c) }
 
 // Collect reports the tag array's hit rate and energy.
 func (o *SRAMTag) Collect(s *Stats) {

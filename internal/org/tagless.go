@@ -6,6 +6,7 @@ import (
 	"taglessdram/internal/config"
 	"taglessdram/internal/core"
 	"taglessdram/internal/dram"
+	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
 	"taglessdram/internal/obs"
 	"taglessdram/internal/sim"
@@ -138,13 +139,10 @@ func (o *Tagless) FastWriteback(at sim.Tick, key uint64) {
 // FastEnd restores the counters captured by FastBegin.
 func (o *Tagless) FastEnd() { o.ctrl.SetStats(o.saved) }
 
-// SnapshotOrg captures only the measurement baseline: the controller's
-// own state (GIPT, free lists, alias table) is snapshotted by the machine,
-// which owns the page tables its PTE pointers resolve against.
-func (o *Tagless) SnapshotOrg() ([]byte, error) { return encodeState(o.start) }
-
-// RestoreOrg restores the measurement baseline captured by SnapshotOrg.
-func (o *Tagless) RestoreOrg(data []byte) error { return decodeState(data, &o.start) }
+// Visit hands c only the measurement baseline: the controller's own
+// state (GIPT, free lists, alias table) is visited by the machine, which
+// owns the page tables its PTE pointers resolve against.
+func (o *Tagless) Visit(c *flat.Codec) { o.start.Visit(c) }
 
 // EpochGauges reports the controller's free-pool pressure for epoch
 // sampling: the free-list depth and the eviction daemon's queue length.

@@ -13,6 +13,8 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+
+	"taglessdram/internal/flat"
 )
 
 // Tick is a point in simulated time, measured in CPU cycles.
@@ -242,34 +244,19 @@ func (k *Kernel) advanceSlow(to Tick) {
 	}
 }
 
-// KernelState is the kernel's serializable state. Checkpoints require a
-// quiesced kernel, so the pending-event queue is never part of the state:
-// State fails if events remain (run the kernel dry first — every recurring
-// daemon in this simulator reschedules itself only while it has work).
-type KernelState struct {
-	Now      Tick
-	Seq      uint64
-	Executed uint64
-}
-
-// State snapshots a quiesced kernel.
-func (k *Kernel) State() (KernelState, error) {
+// Visit hands the kernel's checkpoint state to c: the clock, the event
+// sequence number and the executed-event count. Only a quiesced kernel
+// has an image — pending events have none — so either side fails while
+// events are queued. Run the kernel dry first: every recurring daemon in
+// this simulator reschedules itself only while it has work.
+func (k *Kernel) Visit(c *flat.Codec) {
 	if len(k.events) > 0 {
-		return KernelState{}, fmt.Errorf("sim: cannot snapshot kernel with %d pending events", len(k.events))
+		c.Fail(fmt.Errorf("sim: %d pending events have no image", len(k.events)))
+		return
 	}
-	return KernelState{Now: k.now, Seq: k.seq, Executed: k.executed}, nil
-}
-
-// SetState restores a quiesced kernel's snapshot. The target must itself
-// hold no pending events.
-func (k *Kernel) SetState(st KernelState) error {
-	if len(k.events) > 0 {
-		return fmt.Errorf("sim: cannot restore over %d pending events", len(k.events))
-	}
-	k.now = st.Now
-	k.seq = st.Seq
-	k.executed = st.Executed
-	return nil
+	c.U64((*uint64)(&k.now))
+	c.U64(&k.seq)
+	c.U64(&k.executed)
 }
 
 // Resource is a serially reusable unit (a DRAM bank, a data bus): at most
@@ -284,11 +271,12 @@ type Resource struct {
 // FreeAt returns the cycle at which the resource next becomes idle.
 func (r *Resource) FreeAt() Tick { return r.freeAt }
 
-// State returns the resource's serializable state.
-func (r *Resource) State() (freeAt, busy Tick) { return r.freeAt, r.Busy }
-
-// SetState restores state captured by State.
-func (r *Resource) SetState(freeAt, busy Tick) { r.freeAt, r.Busy = freeAt, busy }
+// Visit hands the resource's timeline to c: when it frees and its busy
+// total.
+func (r *Resource) Visit(c *flat.Codec) {
+	c.U64((*uint64)(&r.freeAt))
+	c.U64((*uint64)(&r.Busy))
+}
 
 // Acquire reserves the resource for `dur` cycles for a request arriving at
 // `at`. It returns the cycle at which service starts (≥ at) — the caller's

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"taglessdram/internal/config"
 	"taglessdram/internal/dram"
@@ -18,13 +19,24 @@ import (
 
 // filler sets every field reachable from a value to a distinct non-zero
 // value. The first three floats are a NaN with payload bits, −0 and
-// +Inf; integers alternate between short and full-width varints, and
-// signed ones take both signs. Histograms, whose state is private, are
-// filled through Observe.
+// +Inf; unsigned integers alternate between short and full-width
+// varints. Histograms, whose state is private, are filled through
+// Observe.
+//
+// With exempt nil (a Result) every field must be exported and signed
+// integers take both signs and both widths. Otherwise (a component's
+// private state) fields reach through unsafe, exempt lists the fields
+// to skip ("pkg.Type.field" → reason), signed integers count up from 1
+// so they stay valid indices, a slice built with elements keeps its
+// length (geometry) while an empty one gets two, and a map gets two
+// entries.
 type filler struct {
-	t      *testing.T
-	n      uint64
-	floats int
+	t       *testing.T
+	n       uint64
+	floats  int
+	exempt  map[string]string
+	skipped map[string]bool // the exempt fields met, when non-nil
+	ints    int64
 }
 
 func (f *filler) next() uint64 {
@@ -33,6 +45,19 @@ func (f *filler) next() uint64 {
 		return f.n // small and odd
 	}
 	return f.n * 0x9e3779b97f4a7c15 // large and even; an odd factor keeps them distinct
+}
+
+// settable returns struct field i of v, reaching unexported fields of a
+// component's state through unsafe.
+func (f *filler) settable(v reflect.Value, i int, path string) reflect.Value {
+	fv := v.Field(i)
+	if v.Type().Field(i).IsExported() {
+		return fv
+	}
+	if f.exempt == nil {
+		f.t.Fatalf("%s: unexported field the fill cannot reach", path)
+	}
+	return reflect.NewAt(fv.Type(), unsafe.Pointer(fv.UnsafeAddr())).Elem()
 }
 
 func (f *filler) fill(v reflect.Value, path string) {
@@ -45,30 +70,54 @@ func (f *filler) fill(v reflect.Value, path string) {
 			return
 		}
 		for i := 0; i < v.NumField(); i++ {
-			sf := v.Type().Field(i)
-			if !sf.IsExported() {
-				f.t.Fatalf("%s.%s: unexported field the fill cannot reach", path, sf.Name)
+			name := v.Type().Field(i).Name
+			if key := v.Type().String() + "." + name; f.exempt[key] != "" {
+				if f.skipped != nil {
+					f.skipped[key] = true
+				}
+				continue
 			}
-			f.fill(v.Field(i), path+"."+sf.Name)
+			f.fill(f.settable(v, i, path+"."+name), path+"."+name)
 		}
 	case reflect.Array:
 		for i := 0; i < v.Len(); i++ {
 			f.fill(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
 		}
 	case reflect.Slice:
-		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		if v.Len() == 0 {
+			v.Set(reflect.MakeSlice(v.Type(), 2, max(2, v.Cap())))
+		}
 		for i := 0; i < v.Len(); i++ {
 			f.fill(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
 		}
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		for i := 0; i < 2; i++ {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			f.fill(k, path+"[key]")
+			f.fill(e, path+"[value]")
+			v.SetMapIndex(k, e)
+		}
 	case reflect.Pointer:
-		v.Set(reflect.New(v.Type().Elem()))
+		if v.IsNil() {
+			v.Set(reflect.New(v.Type().Elem()))
+		}
 		f.fill(v.Elem(), path)
 	case reflect.String:
 		v.SetString(fmt.Sprintf("field %d", f.next()))
 	case reflect.Int, reflect.Int64:
-		v.SetInt(int64(f.next()))
+		if f.exempt != nil {
+			f.ints++
+			v.SetInt(f.ints)
+		} else {
+			v.SetInt(int64(f.next()))
+		}
 	case reflect.Uint64:
 		v.SetUint(f.next())
+	case reflect.Uint32:
+		v.SetUint(f.next() % (1 << 32))
+	case reflect.Bool:
+		v.SetBool(true)
 	case reflect.Float64:
 		specials := []float64{math.Float64frombits(0x7ff8_0000_dead_beef), math.Copysign(0, -1), math.Inf(1)}
 		if f.floats < len(specials) {
@@ -84,12 +133,17 @@ func (f *filler) fill(v reflect.Value, path string) {
 }
 
 // sameBits compares two values field by field, floats by their bits and
-// private histogram state included, and reports the first difference.
-func sameBits(a, b reflect.Value, path string) error {
+// private state included, skipping the fields exempt lists, and reports
+// the first difference.
+func sameBits(a, b reflect.Value, path string, exempt map[string]string) error {
 	switch a.Kind() {
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
-			if err := sameBits(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name); err != nil {
+			name := a.Type().Field(i).Name
+			if _, ok := exempt[a.Type().String()+"."+name]; ok {
+				continue
+			}
+			if err := sameBits(a.Field(i), b.Field(i), path+"."+name, exempt); err != nil {
 				return err
 			}
 		}
@@ -98,7 +152,20 @@ func sameBits(a, b reflect.Value, path string) error {
 			return fmt.Errorf("%s: length %d (nil %t) became %d", path, a.Len(), a.Kind() == reflect.Slice && a.IsNil(), b.Len())
 		}
 		for i := 0; i < a.Len(); i++ {
-			if err := sameBits(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); err != nil {
+			if err := sameBits(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i), exempt); err != nil {
+				return err
+			}
+		}
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return fmt.Errorf("%s: %d entries became %d", path, a.Len(), b.Len())
+		}
+		for _, k := range a.MapKeys() {
+			bv := b.MapIndex(k)
+			if !bv.IsValid() {
+				return fmt.Errorf("%s: key %v lost", path, k)
+			}
+			if err := sameBits(a.MapIndex(k), bv, fmt.Sprintf("%s[%v]", path, k), exempt); err != nil {
 				return err
 			}
 		}
@@ -109,7 +176,7 @@ func sameBits(a, b reflect.Value, path string) error {
 			}
 			return nil
 		}
-		return sameBits(a.Elem(), b.Elem(), path)
+		return sameBits(a.Elem(), b.Elem(), path, exempt)
 	case reflect.String:
 		if a.String() != b.String() {
 			return fmt.Errorf("%s: %q became %q", path, a.String(), b.String())
@@ -118,9 +185,13 @@ func sameBits(a, b reflect.Value, path string) error {
 		if a.Int() != b.Int() {
 			return fmt.Errorf("%s: %d became %d", path, a.Int(), b.Int())
 		}
-	case reflect.Uint64:
+	case reflect.Uint64, reflect.Uint32:
 		if a.Uint() != b.Uint() {
 			return fmt.Errorf("%s: %d became %d", path, a.Uint(), b.Uint())
+		}
+	case reflect.Bool:
+		if a.Bool() != b.Bool() {
+			return fmt.Errorf("%s: %t became %t", path, a.Bool(), b.Bool())
 		}
 	case reflect.Float64:
 		if x, y := math.Float64bits(a.Float()), math.Float64bits(b.Float()); x != y {
@@ -149,7 +220,7 @@ func TestResultImageCoversEveryField(t *testing.T) {
 	if err := got.UnmarshalBinary(img); err != nil {
 		t.Fatal(err)
 	}
-	if err := sameBits(reflect.ValueOf(want), reflect.ValueOf(got), "Result"); err != nil {
+	if err := sameBits(reflect.ValueOf(want), reflect.ValueOf(got), "Result", nil); err != nil {
 		t.Fatal(err)
 	}
 	if again, _ := got.MarshalBinary(); !bytes.Equal(again, img) {

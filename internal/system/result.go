@@ -116,10 +116,7 @@ func (r *Result) MarshalBinary() ([]byte, error) {
 	// Size the buffer for a typical image, so it is written in one go.
 	n := 1024 + len(r.Workload) + 8*len(r.PerCoreIPC) +
 		8*(len(r.InPkgBankStats)+len(r.OffPkgBankStats)) + 256*len(r.Epochs)
-	w := flat.NewWriter(make([]byte, 0, n))
-	w.Byte(resultImageVersion)
-	r.visit(imageWriter{w})
-	return w.Bytes(), nil
+	return flat.Encode(make([]byte, 0, n), r.visit)
 }
 
 // UnmarshalBinary decodes an image MarshalBinary rendered into r. It
@@ -128,13 +125,8 @@ func (r *Result) MarshalBinary() ([]byte, error) {
 // is only written when the whole image decodes. An empty slice decodes
 // to nil.
 func (r *Result) UnmarshalBinary(data []byte) error {
-	rd := flat.NewReader(data)
-	if v := rd.Byte(); v != resultImageVersion && rd.Err() == nil {
-		rd.Fail(fmt.Errorf("unknown version %d", v))
-	}
 	var x Result
-	x.visit(imageReader{rd})
-	if err := rd.Done(); err != nil {
+	if err := flat.Decode(data, x.visit); err != nil {
 		return fmt.Errorf("system: Result image: %w", err)
 	}
 	*r = x
@@ -144,195 +136,131 @@ func (r *Result) UnmarshalBinary(data []byte) error {
 // visit hands every field of r to c in image order, so one list serves
 // both directions. Rendering only reads r, so concurrent renders of one
 // Result do not race.
-func (r *Result) visit(c imageCodec) {
-	c.text(&r.Workload)
-	c.int((*int)(&r.Design))
-	c.u64(&r.Cycles)
-	c.u64(&r.Instructions)
-	c.f64(&r.IPC)
-	resize(&r.PerCoreIPC, c.count(len(r.PerCoreIPC), 8))
+func (r *Result) visit(c *flat.Codec) {
+	c.Fixed(resultImageVersion, "Result image version")
+	c.Text(&r.Workload)
+	c.Int((*int)(&r.Design))
+	c.U64(&r.Cycles)
+	c.U64(&r.Instructions)
+	c.F64(&r.IPC)
+	flat.Resize(&r.PerCoreIPC, c.Count(len(r.PerCoreIPC), 8))
 	for i := range r.PerCoreIPC {
-		c.f64(&r.PerCoreIPC[i])
+		c.F64(&r.PerCoreIPC[i])
 	}
-	c.f64(&r.AvgL3Latency)
-	c.u64(&r.L3Accesses)
-	c.u64(&r.L3Hits)
-	c.f64(&r.L3HitRate)
-	c.u64(&r.TLBLookups)
-	c.u64(&r.TLBMisses)
-	c.f64(&r.TLBMissRate)
-	c.u64(&r.NCAccesses)
-	c.u64(&r.SharedTLBInvalidations)
-	c.u64(&r.CtxSwitches)
-	c.f64(&r.Energy.CoreJ)
-	c.f64(&r.Energy.InPkgJ)
-	c.f64(&r.Energy.OffPkgJ)
-	c.f64(&r.Energy.TagJ)
-	c.f64(&r.EDPJs)
-	c.f64(&r.Seconds)
-	c.f64(&r.InPkgRowHitRate)
-	c.f64(&r.OffPkgRowHitRate)
-	c.u64(&r.InPkgBytes)
-	c.u64(&r.OffPkgBytes)
+	c.F64(&r.AvgL3Latency)
+	c.U64(&r.L3Accesses)
+	c.U64(&r.L3Hits)
+	c.F64(&r.L3HitRate)
+	c.U64(&r.TLBLookups)
+	c.U64(&r.TLBMisses)
+	c.F64(&r.TLBMissRate)
+	c.U64(&r.NCAccesses)
+	c.U64(&r.SharedTLBInvalidations)
+	c.U64(&r.CtxSwitches)
+	c.F64(&r.Energy.CoreJ)
+	c.F64(&r.Energy.InPkgJ)
+	c.F64(&r.Energy.OffPkgJ)
+	c.F64(&r.Energy.TagJ)
+	c.F64(&r.EDPJs)
+	c.F64(&r.Seconds)
+	c.F64(&r.InPkgRowHitRate)
+	c.F64(&r.OffPkgRowHitRate)
+	c.U64(&r.InPkgBytes)
+	c.U64(&r.OffPkgBytes)
 	visitBreakdown(c, &r.Latency.L3)
 	visitBreakdown(c, &r.Latency.Handler)
 	visitBreakdown(c, &r.Latency.Bg)
-	c.hist(&r.Latency.L3Lat)
-	c.hist(&r.Latency.HandlerLat)
+	r.Latency.L3Lat.Visit(c)
+	r.Latency.HandlerLat.Visit(c)
 	visitBanks(c, &r.InPkgBankStats)
 	visitBanks(c, &r.OffPkgBankStats)
-	c.u64(&r.InPkgBusBusy)
-	c.u64(&r.OffPkgBusBusy)
-	c.int(&r.InPkgChannels)
-	c.int(&r.OffPkgChannels)
-	visitCtrl(c, &r.Ctrl)
+	c.U64(&r.InPkgBusBusy)
+	c.U64(&r.OffPkgBusBusy)
+	c.Int(&r.InPkgChannels)
+	c.Int(&r.OffPkgChannels)
+	r.Ctrl.Visit(c)
 	for i := range r.MissKindMean {
-		c.f64(&r.MissKindMean[i])
+		c.F64(&r.MissKindMean[i])
 	}
 	for i := range r.MissKindCount {
-		c.u64(&r.MissKindCount[i])
+		c.U64(&r.MissKindCount[i])
 	}
-	c.f64(&r.SRAMHitRate)
-	c.u64(&r.References)
-	c.u64(&r.KernelEvents)
-	if c.present(r.Sampled != nil) {
+	c.F64(&r.SRAMHitRate)
+	c.U64(&r.References)
+	c.U64(&r.KernelEvents)
+	if c.Present(r.Sampled != nil) {
 		if r.Sampled == nil {
 			r.Sampled = new(SampledInfo)
 		}
 		s := r.Sampled
-		c.u64(&s.Windows)
-		c.u64(&s.WindowRefs)
-		c.u64(&s.PeriodRefs)
-		c.u64(&s.MeasuredRefs)
-		c.u64(&s.FastRefs)
-		c.f64(&s.IPC)
-		c.f64(&s.IPCCI95)
+		c.U64(&s.Windows)
+		c.U64(&s.WindowRefs)
+		c.U64(&s.PeriodRefs)
+		c.U64(&s.MeasuredRefs)
+		c.U64(&s.FastRefs)
+		c.F64(&s.IPC)
+		c.F64(&s.IPCCI95)
 	}
-	resize(&r.Epochs, c.count(len(r.Epochs), epochMinBytes))
+	flat.Resize(&r.Epochs, c.Count(len(r.Epochs), epochMinBytes))
 	for i := range r.Epochs {
 		visitEpoch(c, &r.Epochs[i])
 	}
-	c.int(&r.EpochsDropped)
+	c.Int(&r.EpochsDropped)
 }
 
-func visitBreakdown(c imageCodec, b *lat.Breakdown) {
+func visitBreakdown(c *flat.Codec, b *lat.Breakdown) {
 	for i := range b.Cycles {
-		c.u64(&b.Cycles[i])
+		c.U64(&b.Cycles[i])
 	}
-	c.u64(&b.Commits)
-	c.u64(&b.Measured)
-	c.u64(&b.Residue)
+	c.U64(&b.Commits)
+	c.U64(&b.Measured)
+	c.U64(&b.Residue)
 }
 
-func visitBanks(c imageCodec, banks *[]dram.BankStat) {
-	resize(banks, c.count(len(*banks), bankMinBytes))
+func visitBanks(c *flat.Codec, banks *[]dram.BankStat) {
+	flat.Resize(banks, c.Count(len(*banks), bankMinBytes))
 	for i := range *banks {
 		visitBank(c, &(*banks)[i])
 	}
 }
 
-func visitBank(c imageCodec, b *dram.BankStat) {
-	c.u64(&b.Hits)
-	c.u64(&b.Confls)
-	c.u64(&b.BusyTicks)
+func visitBank(c *flat.Codec, b *dram.BankStat) {
+	c.U64(&b.Hits)
+	c.U64(&b.Confls)
+	c.U64(&b.BusyTicks)
 }
 
-func visitCtrl(c imageCodec, s *core.Stats) {
-	c.u64(&s.Walks)
-	c.u64(&s.NonCacheable)
-	c.u64(&s.VictimHits)
-	c.u64(&s.ColdFills)
-	c.u64(&s.PendingWaits)
-	c.u64(&s.AliasHits)
-	c.u64(&s.Rescues)
-	c.u64(&s.Evictions)
-	c.u64(&s.Writebacks)
-	c.u64(&s.SyncEvictions)
-	c.u64(&s.Shootdowns)
+func visitEpoch(c *flat.Codec, e *obs.Epoch) {
+	c.Int(&e.Index)
+	c.U64(&e.EndCycle)
+	c.U64(&e.Refs)
+	c.U64(&e.Instructions)
+	c.U64(&e.Cycles)
+	c.F64(&e.IPC)
+	c.U64(&e.L3Accesses)
+	c.U64(&e.L3Hits)
+	c.F64(&e.L3HitRate)
+	c.U64(&e.TLBLookups)
+	c.U64(&e.TLBMisses)
+	c.F64(&e.TLBMissRate)
+	c.Int(&e.FreeBlocks)
+	c.Int(&e.FreeQueueLen)
+	c.U64(&e.InPkgBytes)
+	c.U64(&e.OffPkgBytes)
+	c.F64(&e.InPkgRowHitRate)
+	c.F64(&e.OffPkgRowHitRate)
+	c.F64(&e.L3LatP99)
+	c.F64(&e.InPkgBusUtil)
+	c.F64(&e.OffPkgBusUtil)
+	e.Ctrl.Visit(c)
 }
 
-func visitEpoch(c imageCodec, e *obs.Epoch) {
-	c.int(&e.Index)
-	c.u64(&e.EndCycle)
-	c.u64(&e.Refs)
-	c.u64(&e.Instructions)
-	c.u64(&e.Cycles)
-	c.f64(&e.IPC)
-	c.u64(&e.L3Accesses)
-	c.u64(&e.L3Hits)
-	c.f64(&e.L3HitRate)
-	c.u64(&e.TLBLookups)
-	c.u64(&e.TLBMisses)
-	c.f64(&e.TLBMissRate)
-	c.int(&e.FreeBlocks)
-	c.int(&e.FreeQueueLen)
-	c.u64(&e.InPkgBytes)
-	c.u64(&e.OffPkgBytes)
-	c.f64(&e.InPkgRowHitRate)
-	c.f64(&e.OffPkgRowHitRate)
-	c.f64(&e.L3LatP99)
-	c.f64(&e.InPkgBusUtil)
-	c.f64(&e.OffPkgBusUtil)
-	visitCtrl(c, &e.Ctrl)
-}
-
-// bankMinBytes and epochMinBytes are the image sizes of a zero element,
-// the fewest bytes one can take: they bound a decoded count before
-// anything is allocated for it.
+// bankMinBytes and epochMinBytes are the image sizes of a zero element:
+// they bound a decoded count before anything is allocated for it.
 var (
-	bankMinBytes  = minImage(func(c imageCodec) { visitBank(c, new(dram.BankStat)) })
-	epochMinBytes = minImage(func(c imageCodec) { visitEpoch(c, new(obs.Epoch)) })
+	bankMinBytes  = flat.MinSize(func(c *flat.Codec) { visitBank(c, new(dram.BankStat)) })
+	epochMinBytes = flat.MinSize(func(c *flat.Codec) { visitEpoch(c, new(obs.Epoch)) })
 )
-
-func minImage(visit func(imageCodec)) int {
-	w := flat.NewWriter(nil)
-	visit(imageWriter{w})
-	return len(w.Bytes())
-}
-
-// resize gives a decoded slice the count just read; on the rendering
-// side the count is the slice's own length and nothing is written. A
-// zero count leaves the slice nil.
-func resize[T any](s *[]T, n int) {
-	if n != len(*s) {
-		*s = make([]T, n)
-	}
-}
-
-// imageCodec is one direction of the Result image: imageWriter renders
-// each field visit hands it, imageReader fills it.
-type imageCodec interface {
-	u64(*uint64)
-	int(*int)
-	f64(*float64)
-	text(*string)
-	hist(*lat.Hist)
-	// count renders n, or reads a count of elements that each take at
-	// least size bytes.
-	count(n, size int) int
-	// present renders p, or reads a presence byte.
-	present(p bool) bool
-}
-
-type imageWriter struct{ w *flat.Writer }
-
-func (c imageWriter) u64(v *uint64)       { c.w.Uvarint(*v) }
-func (c imageWriter) int(v *int)          { c.w.Int(*v) }
-func (c imageWriter) f64(v *float64)      { c.w.Float64(*v) }
-func (c imageWriter) text(v *string)      { c.w.Text(*v) }
-func (c imageWriter) hist(h *lat.Hist)    { h.WriteImage(c.w) }
-func (c imageWriter) count(n, _ int) int  { c.w.Uvarint(uint64(n)); return n }
-func (c imageWriter) present(p bool) bool { c.w.Bool(p); return p }
-
-type imageReader struct{ rd *flat.Reader }
-
-func (c imageReader) u64(v *uint64)         { *v = c.rd.Uvarint() }
-func (c imageReader) int(v *int)            { *v = c.rd.Int() }
-func (c imageReader) f64(v *float64)        { *v = c.rd.Float64() }
-func (c imageReader) text(v *string)        { *v = c.rd.Text() }
-func (c imageReader) hist(h *lat.Hist)      { h.ReadImage(c.rd) }
-func (c imageReader) count(_, size int) int { return c.rd.Len(size) }
-func (c imageReader) present(bool) bool     { return c.rd.Bool() }
 
 // collect assembles the Result after the measured phase.
 func (m *Machine) collect() *Result {

@@ -5,6 +5,8 @@
 package system
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 
 	"taglessdram/internal/trace"
@@ -51,6 +53,29 @@ func (w Workload) Validate() error {
 		return fmt.Errorf("system: multi-threaded workload %s must have exactly one profile", w.Name)
 	}
 	return nil
+}
+
+// TraceDigest fingerprints the workload: its identity, seed, threading
+// model and every per-core profile parameter. Synthetic traces are
+// generated deterministically from exactly this state, so two equal
+// digests mean byte-identical reference streams — and editing a profile
+// in internal/trace changes the digest of every workload that uses it.
+// The result-cache key, the sweep's warm-state key and a checkpoint's
+// identity header all carry it.
+func TraceDigest(w Workload) (string, error) {
+	if len(w.Sources) > 0 {
+		// Recorded sources replay external files; their bytes are not
+		// captured by the profile parameters, so such workloads are not
+		// fingerprintable (the facade never builds them).
+		return "", fmt.Errorf("system: workload %s is not fingerprintable", w.Name)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "name=%q seed=%d multithreaded=%t cores=%d\n",
+		w.Name, w.Seed, w.MultiThreaded, len(w.PerCore))
+	for i, p := range w.PerCore {
+		fmt.Fprintf(h, "core%d=%+v\n", i, p)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // SingleProgram builds the paper's single-programmed setting: the four

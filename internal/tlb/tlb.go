@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"taglessdram/internal/config"
+	"taglessdram/internal/flat"
 )
 
 // Entry is one translation. For a cTLB with NC clear, Frame is the cache
@@ -263,46 +264,28 @@ func (t *TLB) SetCounters(v [4]uint64) {
 	t.Accesses, t.Hits, t.Misses, t.Evictions = v[0], v[1], v[2], v[3]
 }
 
-// State is a TLB's serializable state: contents, recency and counters.
-// Geometry comes from construction and is not part of the state.
-type State struct {
-	VPNs     []uint64
-	Frames   []uint64
-	NC       []bool
-	Used     []uint64
-	Tick     uint64
-	LastVPN  uint64
-	LastIdx  int
-	Counters [4]uint64
-}
-
-// State snapshots the TLB.
-func (t *TLB) State() State {
-	return State{
-		VPNs:     append([]uint64(nil), t.vpns...),
-		Frames:   append([]uint64(nil), t.frames...),
-		NC:       append([]bool(nil), t.nc...),
-		Used:     append([]uint64(nil), t.used...),
-		Tick:     t.tick,
-		LastVPN:  t.lastVPN,
-		LastIdx:  t.lastIdx,
-		Counters: t.Counters(),
+// Visit hands the TLB's checkpoint state to c: every slot's key, frame,
+// NC bit and recency stamp, the LRU clock, the same-page memo and the
+// counters. Geometry comes from construction: the slot count must match,
+// and a decoded memo slot must exist.
+func (t *TLB) Visit(c *flat.Codec) {
+	c.Fixed(len(t.vpns), "TLB slots")
+	for i := range t.vpns {
+		c.U64(&t.vpns[i])
+		c.U64(&t.frames[i])
+		c.Bool(&t.nc[i])
+		c.U64(&t.used[i])
 	}
-}
-
-// SetState restores a snapshot taken from an identically-configured TLB.
-func (t *TLB) SetState(st State) {
-	if len(st.VPNs) != len(t.vpns) {
-		panic(fmt.Sprintf("tlb: state geometry mismatch (%d vs %d slots)", len(st.VPNs), len(t.vpns)))
+	c.U64(&t.tick)
+	c.U64(&t.lastVPN)
+	c.Int(&t.lastIdx)
+	if t.lastIdx < 0 || t.lastIdx >= len(t.vpns) {
+		c.Fail(fmt.Errorf("tlb: memo slot %d outside %d slots", t.lastIdx, len(t.vpns)))
 	}
-	copy(t.vpns, st.VPNs)
-	copy(t.frames, st.Frames)
-	copy(t.nc, st.NC)
-	copy(t.used, st.Used)
-	t.tick = st.Tick
-	t.lastVPN = st.LastVPN
-	t.lastIdx = st.LastIdx
-	t.SetCounters(st.Counters)
+	c.U64(&t.Accesses)
+	c.U64(&t.Hits)
+	c.U64(&t.Misses)
+	c.U64(&t.Evictions)
 }
 
 // Hierarchy is one core's L1+L2 TLB pair, maintained inclusively: every L1

@@ -17,7 +17,8 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+
+	"taglessdram/internal/flat"
 )
 
 // Access is one memory reference in a trace.
@@ -474,91 +475,49 @@ func (g *Generator) NextVisit(v *Visit) {
 	g.emitted += uint64(refs)
 }
 
-// GenState is a Generator's serializable per-thread state. The profile,
-// gap and cold-permutation constants are derived from construction inputs
-// and are not part of the state.
-type GenState struct {
-	RNG        uint64
-	Page       uint64
-	PageLow    bool
-	PageShared bool
-	BlockIdx   int
-	BlocksCut  int
-	Repeats    int
-	Emitted    uint64
+// Visit hands the generator's per-thread checkpoint state to c: its RNG
+// position, the page visit in progress and the emitted count. The
+// profile, gap and cold-permutation constants are construction inputs.
+func (g *Generator) Visit(c *flat.Codec) {
+	c.U64(&g.r.s)
+	c.U64(&g.page)
+	c.Bool(&g.pageLow)
+	c.Bool(&g.pageShared)
+	c.Int(&g.blockIdx)
+	c.Int(&g.blocksCut)
+	c.Int(&g.repeats)
+	c.U64(&g.emitted)
 }
 
-// State snapshots the generator's per-thread state.
-func (g *Generator) State() GenState {
-	return GenState{
-		RNG:        g.r.s,
-		Page:       g.page,
-		PageLow:    g.pageLow,
-		PageShared: g.pageShared,
-		BlockIdx:   g.blockIdx,
-		BlocksCut:  g.blocksCut,
-		Repeats:    g.repeats,
-		Emitted:    g.emitted,
-	}
-}
-
-// SetState restores a snapshot taken from an identically-constructed
-// generator (same profile, thread index and seed).
-func (g *Generator) SetState(st GenState) {
-	g.r.s = st.RNG
-	g.page = st.Page
-	g.pageLow = st.PageLow
-	g.pageShared = st.PageShared
-	g.blockIdx = st.BlockIdx
-	g.blocksCut = st.BlocksCut
-	g.repeats = st.Repeats
-	g.emitted = st.Emitted
-}
-
-// SharedState is a thread group's serializable shared state. LowReuse is
-// kept sorted so snapshots of equal state are byte-identical.
-type SharedState struct {
-	Hot      []uint64
-	HotNext  int
-	Cold     uint64
-	SingNext uint64
-	LowReuse []uint64
-}
-
-// SharedState snapshots the state this generator's thread group shares.
-func (g *Generator) SharedState() SharedState {
+// VisitGroup hands c the checkpoint state g's thread group shares: the
+// hot ring and its cursor, the cold and singleton cursors and the
+// low-reuse pages. Visiting through any member covers every thread of
+// the group. A decoded ring must fit the profile's hot set and its
+// cursor the ring.
+func (g *Generator) VisitGroup(c *flat.Codec) {
 	sh := g.sh
-	st := SharedState{
-		Hot:      append([]uint64(nil), sh.hot...),
-		HotNext:  sh.hotNext,
-		Cold:     sh.cold,
-		SingNext: sh.singNext,
-		LowReuse: make([]uint64, 0, len(sh.lowReuse)),
+	n := c.Count(len(sh.hot), 1)
+	if c.Decoding() {
+		if n > sh.profile.HotPages {
+			c.Fail(fmt.Errorf("trace: %d hot pages exceed the profile's %d", n, sh.profile.HotPages))
+			n = 0
+		}
+		sh.hot = make([]uint64, n, sh.profile.HotPages)
 	}
-	for vpn := range sh.lowReuse {
-		st.LowReuse = append(st.LowReuse, vpn)
+	for i := range sh.hot {
+		c.U64(&sh.hot[i])
 	}
-	sort.Slice(st.LowReuse, func(i, j int) bool { return st.LowReuse[i] < st.LowReuse[j] })
-	return st
-}
-
-// SetSharedState restores the thread group's shared state. Restoring
-// through any group member updates every thread of the group.
-func (g *Generator) SetSharedState(st SharedState) {
-	sh := g.sh
-	sh.hot = make([]uint64, len(st.Hot), sh.profile.HotPages)
-	copy(sh.hot, st.Hot)
-	sh.hotNext = st.HotNext
-	sh.cold = st.Cold
-	sh.singNext = st.SingNext
-	sh.lowReuse = make(map[uint64]bool, len(st.LowReuse))
-	for _, vpn := range st.LowReuse {
-		sh.lowReuse[vpn] = true
+	c.Int(&sh.hotNext)
+	if sh.hotNext < 0 || sh.hotNext > len(sh.hot) || sh.hotNext == cap(sh.hot) {
+		c.Fail(fmt.Errorf("trace: hot cursor %d outside a ring of %d", sh.hotNext, len(sh.hot)))
 	}
+	c.U64(&sh.cold)
+	c.U64(&sh.singNext)
+	flat.Map(c, &sh.lowReuse, (*flat.Codec).Bool)
 }
 
 // SharesGroup reports whether two generators belong to the same thread
-// group (and therefore share one SharedState).
+// group (and therefore share the state VisitGroup covers).
 func (g *Generator) SharesGroup(o *Generator) bool { return g.sh == o.sh }
 
 // LowReusePages returns a snapshot of pages currently classified as

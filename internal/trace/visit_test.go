@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
+
+	"taglessdram/internal/flat"
 )
 
 // visitProfiles exercises the generator corners the visit path must match:
@@ -154,6 +157,9 @@ func TestNextVisitMidVisitPanics(t *testing.T) {
 	g.NextVisit(&v)
 }
 
+// TestGenStateRoundTrip restores a generator's per-thread and group
+// images into a freshly built twin, mid-stream: both must then emit the
+// same references, and the twin must render the same image.
 func TestGenStateRoundTrip(t *testing.T) {
 	p := testProfile()
 	p.SharedFrac = 0.1
@@ -161,11 +167,27 @@ func TestGenStateRoundTrip(t *testing.T) {
 	for i := 0; i < 12345; i++ {
 		g.Next()
 	}
-	st, sst := g.State(), g.SharedState()
+	visit := func(g *Generator) func(*flat.Codec) {
+		return func(c *flat.Codec) {
+			g.Visit(c)
+			g.VisitGroup(c)
+		}
+	}
+	img, err := flat.Encode(nil, visit(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.LowReusePages()) == 0 {
+		t.Fatal("the stream touched no singleton pages; the group image is not exercised")
+	}
 
 	twin := NewGenerator(p, 3)
-	twin.SetState(st)
-	twin.SetSharedState(sst)
+	if err := flat.Decode(img, visit(twin)); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := flat.Encode(nil, visit(twin)); !bytes.Equal(again, img) {
+		t.Fatal("the restored generator renders a different image")
+	}
 	for i := 0; i < 20000; i++ {
 		a, b := g.Next(), twin.Next()
 		if a != b {

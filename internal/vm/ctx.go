@@ -1,7 +1,10 @@
 package vm
 
 import (
+	"fmt"
+
 	"taglessdram/internal/config"
+	"taglessdram/internal/flat"
 	"taglessdram/internal/tlb"
 )
 
@@ -22,8 +25,7 @@ const (
 
 // CtxSched paces per-core context switches by reference count and
 // generates the deterministic foreign-tenant key stream the ASID-retain
-// policy injects. The per-core state is plain exported data so the
-// machine checkpoint can carry it.
+// policy injects.
 type CtxSched struct {
 	Interval uint64
 	Flush    bool
@@ -60,6 +62,20 @@ func (s *CtxSched) Due(core int, n uint64) int {
 	due := int(s.Count[core] / s.Interval)
 	s.Count[core] %= s.Interval
 	return due
+}
+
+// Visit hands c the per-core checkpoint state: each core's reference
+// count and foreign-stream position. The core count must match, and a
+// decoded count must be short of a switch, as Due leaves it.
+func (s *CtxSched) Visit(c *flat.Codec) {
+	c.Fixed(len(s.Count), "context-switch cores")
+	for i := range s.Count {
+		c.U64(&s.Count[i])
+		c.U64(&s.RNG[i])
+		if s.Count[i] >= s.Interval {
+			c.Fail(fmt.Errorf("vm: core %d is %d references into a %d-reference interval", i, s.Count[i], s.Interval))
+		}
+	}
 }
 
 // ForeignVPN returns the next synthetic foreign-tenant TLB key for core:

@@ -20,6 +20,7 @@ import (
 
 	"taglessdram/internal/config"
 	"taglessdram/internal/dram"
+	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
 	"taglessdram/internal/sim"
 	"taglessdram/internal/tlb"
@@ -49,11 +50,9 @@ type WalkModel interface {
 	// Walk performs the walk for core coreID's miss on vpn starting at
 	// time at, returning the completion time (always ≥ at).
 	Walk(at sim.Tick, coreID int, vpn uint64) sim.Tick
-	// Snapshot serializes the model's mutable state (walk caches) for
-	// checkpointing; Restore applies a snapshot taken from an
-	// identically configured model.
-	Snapshot() ([]byte, error)
-	Restore(data []byte) error
+	// Visit hands c the model's checkpoint state (its per-core walk
+	// caches, if any), checking decoded geometry against its own.
+	Visit(c *flat.Codec)
 }
 
 // WalkFactory builds a walk model over the machine's ports.

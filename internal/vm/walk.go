@@ -1,13 +1,10 @@
 package vm
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
 	"taglessdram/internal/cache"
 	"taglessdram/internal/config"
 	"taglessdram/internal/dram"
+	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
 	"taglessdram/internal/mmu"
 	"taglessdram/internal/sim"
@@ -33,14 +30,8 @@ func (w *fixedWalk) Walk(at sim.Tick, coreID int, vpn uint64) sim.Tick {
 	return done
 }
 
-func (w *fixedWalk) Snapshot() ([]byte, error) { return nil, nil }
-
-func (w *fixedWalk) Restore(data []byte) error {
-	if len(data) != 0 {
-		return fmt.Errorf("vm: fixed walk carries no state, got %d bytes", len(data))
-	}
-	return nil
-}
+// Visit implements WalkModel: the fixed walk has no state.
+func (w *fixedWalk) Visit(*flat.Codec) {}
 
 // newWalkCache builds one core's MMU page-walk cache: a small SRAM
 // holding recently used leaf PTE lines, hit in PWCHitCycles.
@@ -53,31 +44,13 @@ func newWalkCache(cfg *config.SystemConfig) *cache.Cache {
 	})
 }
 
-// encodeCaches serializes per-core walk-cache states for checkpointing.
-func encodeCaches(cs []*cache.Cache) ([]byte, error) {
-	st := make([]cache.State, len(cs))
-	for i, c := range cs {
-		st[i] = c.State()
+// visitCaches hands c the per-core walk caches; the core count must
+// match.
+func visitCaches(c *flat.Codec, cs []*cache.Cache) {
+	c.Fixed(len(cs), "walk caches")
+	for _, wc := range cs {
+		wc.Visit(c)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeCaches(cs []*cache.Cache, data []byte) error {
-	var st []cache.State
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return err
-	}
-	if len(st) != len(cs) {
-		return fmt.Errorf("vm: walk-cache snapshot holds %d cores, want %d", len(st), len(cs))
-	}
-	for i, c := range cs {
-		c.SetState(st[i])
-	}
-	return nil
 }
 
 // pwcWalk models the walk as memory traffic: the three upper levels hit
@@ -114,9 +87,7 @@ func (w *pwcWalk) Walk(at sim.Tick, coreID int, vpn uint64) sim.Tick {
 	return r.Done
 }
 
-func (w *pwcWalk) Snapshot() ([]byte, error) { return encodeCaches(w.caches) }
-
-func (w *pwcWalk) Restore(data []byte) error { return decodeCaches(w.caches, data) }
+func (w *pwcWalk) Visit(c *flat.Codec) { visitCaches(c, w.caches) }
 
 // WalkCacheStats reports one core's walk-cache accesses and hits, so
 // tests can assert the model exercises walk locality.
@@ -210,9 +181,7 @@ func (w *nestedWalk) Walk(at sim.Tick, coreID int, vpn uint64) sim.Tick {
 	return t
 }
 
-func (w *nestedWalk) Snapshot() ([]byte, error) { return encodeCaches(w.caches) }
-
-func (w *nestedWalk) Restore(data []byte) error { return decodeCaches(w.caches, data) }
+func (w *nestedWalk) Visit(c *flat.Codec) { visitCaches(c, w.caches) }
 
 // WalkCacheStats reports one core's walk-cache accesses and hits.
 func (w *nestedWalk) WalkCacheStats(core int) (accesses, hits uint64) {

@@ -214,8 +214,9 @@ type Options struct {
 	// byte-identical to each other but not to a plain Run.
 	CheckpointSave string `json:"-"`
 	// CheckpointLoad restores post-warmup state from this file instead of
-	// running the warm-up phase. The machine configuration and workload
-	// must match the saving run exactly.
+	// running the warm-up phase. The file is refused unless the machine
+	// configuration and workload (its trace digest, so its seed too) match
+	// the saving run's exactly.
 	CheckpointLoad string `json:"-"`
 	// Checkpoints, when non-nil, is a shared in-memory warm-state store:
 	// sweeps warm each (workload, configuration, warm-up) combination
