@@ -2,7 +2,9 @@ package flat
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -96,6 +98,73 @@ func TestRejects(t *testing.T) {
 		r.Byte()
 		if r.Err() != err {
 			t.Errorf("%s: a later read replaced the first error", tc.name)
+		}
+	}
+}
+
+// TestCodec runs one visit of every Codec kind in both directions, then
+// feeds the decoder images it must refuse: a count the receiver was not
+// built with, map keys out of order, a uint32 overflow. A visit's own
+// Fail fails either side.
+func TestCodec(t *testing.T) {
+	type state struct {
+		u    uint64
+		u32  uint32
+		i    int
+		i64  int64
+		f    float64
+		b    bool
+		by   byte
+		s    string
+		list []uint64
+		m    map[uint64]uint32
+		bad  bool
+	}
+	visit := func(x *state) func(*Codec) {
+		return func(c *Codec) {
+			c.Fixed(3, "geometry")
+			c.U64(&x.u)
+			c.U32(&x.u32)
+			c.Int(&x.i)
+			c.I64(&x.i64)
+			c.F64(&x.f)
+			c.Bool(&x.b)
+			c.Byte(&x.by)
+			c.Text(&x.s)
+			Uints(c, &x.list)
+			Map(c, &x.m, (*Codec).U32)
+			if x.bad {
+				c.Fail(errors.New("refused"))
+			}
+		}
+	}
+	want := state{u: 1 << 40, u32: 7, i: -5, i64: math.MinInt64, f: 2.5, b: true, by: 9, s: "s",
+		list: []uint64{3, 1}, m: map[uint64]uint32{9: 1, 2: 3}}
+	img, err := Encode(nil, visit(&want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got state
+	if err := Decode(img, visit(&got)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	if _, err := Encode(nil, visit(&state{bad: true})); err == nil {
+		t.Error("a visit's Fail did not fail the encoder")
+	}
+	if err := Decode(img, visit(&state{bad: true})); err == nil {
+		t.Error("a visit's Fail did not fail the decoder")
+	}
+
+	for name, img := range map[string][]byte{
+		"fixed count":     {4},
+		"map key order":   append(bytes.Clone(img[:len(img)-4]), 9, 1, 2, 3),
+		"uint32 overflow": {3, 0, 0x80, 0x80, 0x80, 0x80, 0x10},
+	} {
+		if err := Decode(img, visit(new(state))); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
