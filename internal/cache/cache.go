@@ -62,11 +62,6 @@ type Cache struct {
 	// evictions and invalidations cannot make it lie.
 	lastBlock uint64
 	lastIdx   int
-
-	Accesses   uint64
-	Hits       uint64
-	Misses     uint64
-	Writebacks uint64
 }
 
 // New constructs a cache from its configuration.
@@ -145,7 +140,6 @@ func (c *Cache) Lookup(addr uint64) bool {
 // the line is allocated; if a valid line is displaced it is returned as a
 // victim (with its dirtiness) so the caller can model the write-back.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, hasVictim bool) {
-	c.Accesses++
 	c.tick++
 	var wbit uint64
 	if write {
@@ -153,7 +147,6 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, hasVic
 	}
 	block := addr >> c.shift
 	if block == c.lastBlock && c.tags[c.lastIdx] == block {
-		c.Hits++
 		c.used[c.lastIdx] = c.tick<<1 | c.used[c.lastIdx]&1 | wbit
 		return true, Victim{}, false
 	}
@@ -166,13 +159,11 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, hasVic
 	// the way that hit. The victim scan runs only on a miss.
 	for w, t := range tags {
 		if t == tag {
-			c.Hits++
 			c.lastBlock, c.lastIdx = tag, base+w
 			used[w] = c.tick<<1 | used[w]&1 | wbit
 			return true, Victim{}, false
 		}
 	}
-	c.Misses++
 	// Choose an invalid way, else the LRU way.
 	vi, vu := 0, ^uint64(0)
 	for w, t := range tags {
@@ -188,9 +179,6 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, hasVic
 	if old := c.tags[i]; old != invalidTag {
 		hasVictim = true
 		victim = Victim{Addr: old << c.shift, Dirty: used[vi]&1 == 1}
-		if victim.Dirty {
-			c.Writebacks++
-		}
 		if c.pageCnt != nil {
 			*c.pageGroup(old)--
 		}
@@ -205,7 +193,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, hasVic
 }
 
 // MarkDirty sets the dirty bit of the line containing addr if present,
-// without perturbing LRU state or counters (used to sink write-backs from
+// without perturbing LRU state (used to sink write-backs from
 // an upper-level cache). It reports whether the line was present.
 func (c *Cache) MarkDirty(addr uint64) bool {
 	si, tag := c.index(addr)
@@ -270,14 +258,6 @@ func (c *Cache) InvalidateRange(base uint64, size int) (dropped, dirty int) {
 	return dropped, dirty
 }
 
-// HitRate returns hits/accesses, or 0 before any access.
-func (c *Cache) HitRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Accesses)
-}
-
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
@@ -304,25 +284,6 @@ func (c *Cache) Flush() (dirty int) {
 	return dirty
 }
 
-// ResetStats clears counters without touching contents. The LRU clock
-// (tick) and per-line recency stamps are deliberately left alone: resetting
-// them at a measurement boundary would invert recency order and change
-// victim selection mid-run.
-func (c *Cache) ResetStats() {
-	c.Accesses, c.Hits, c.Misses, c.Writebacks = 0, 0, 0, 0
-}
-
-// Counters snapshots the four statistics counters (for excluding a
-// fast-forwarded phase from measurement without losing warm contents).
-func (c *Cache) Counters() [4]uint64 {
-	return [4]uint64{c.Accesses, c.Hits, c.Misses, c.Writebacks}
-}
-
-// SetCounters restores counters captured by Counters.
-func (c *Cache) SetCounters(v [4]uint64) {
-	c.Accesses, c.Hits, c.Misses, c.Writebacks = v[0], v[1], v[2], v[3]
-}
-
 // Each calls fn with the base address of every valid line, in slot
 // order.
 func (c *Cache) Each(fn func(addr uint64)) {
@@ -334,14 +295,17 @@ func (c *Cache) Each(fn func(addr uint64)) {
 }
 
 // Visit hands the cache's checkpoint state to c: every way's tag and
-// recency word (LRU stamp and dirty bit), the LRU clock, the same-line
-// memo and the counters. Geometry comes from construction: the line
+// recency word (LRU stamp and dirty bit), the LRU clock and the
+// same-line memo. Tags cross one up, so an empty way's all-ones sentinel
+// is a single zero byte. Geometry comes from construction: the line
 // count must match, and a decoded memo line must exist. The page-group
 // presence counts are derived from the tags, so a decoder rebuilds them.
 func (c *Cache) Visit(fc *flat.Codec) {
 	fc.Fixed(len(c.tags), "cache lines")
 	for i := range c.tags {
-		fc.U64(&c.tags[i])
+		t := c.tags[i] + 1
+		fc.U64(&t)
+		c.tags[i] = t - 1
 		fc.U64(&c.used[i])
 	}
 	fc.U64(&c.tick)
@@ -350,10 +314,6 @@ func (c *Cache) Visit(fc *flat.Codec) {
 	if c.lastIdx < 0 || c.lastIdx >= len(c.tags) {
 		fc.Fail(fmt.Errorf("cache: memo line %d outside %d lines", c.lastIdx, len(c.tags)))
 	}
-	fc.U64(&c.Accesses)
-	fc.U64(&c.Hits)
-	fc.U64(&c.Misses)
-	fc.U64(&c.Writebacks)
 	if fc.Decoding() && c.pageCnt != nil {
 		clear(c.pageCnt)
 		for _, t := range c.tags {

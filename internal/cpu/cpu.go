@@ -27,9 +27,6 @@ type Core struct {
 	issuePow2  bool
 
 	Instructions uint64
-	MemOps       uint64
-	StallCycles  uint64 // cycles lost waiting on a full MSHR window
-	SerialCycles uint64 // cycles lost to serializing events (TLB handling, fills)
 }
 
 // New builds a core.
@@ -85,7 +82,6 @@ func (c *Core) ReserveMSHR() sim.Tick {
 			}
 		}
 		if c.window[mi] > c.now {
-			c.StallCycles += uint64(c.window[mi] - c.now)
 			c.now = c.window[mi]
 		}
 		c.window[mi] = c.window[len(c.window)-1]
@@ -105,33 +101,14 @@ func (c *Core) ReserveMSHR() sim.Tick {
 
 // CompleteMSHR records an overlapped access issued by ReserveMSHR.
 func (c *Core) CompleteMSHR(done sim.Tick) {
-	c.MemOps++
 	if done > c.now {
 		c.window = append(c.window, done)
 	}
 }
 
-// Serialize blocks the core until the given cycle (TLB miss handlers and
-// page fills are not overlapped).
-func (c *Core) Serialize(done sim.Tick) {
-	c.MemOps++
-	if done > c.now {
-		c.SerialCycles += uint64(done - c.now)
-		c.now = done
-	}
-}
-
-// Block stalls the core until the given cycle, accounting the time as
-// serialized but not counting a memory operation (TLB miss handling).
+// Block stalls the core until the given cycle: work that is not
+// overlapped (TLB miss handlers, page fills, dependent loads).
 func (c *Core) Block(until sim.Tick) {
-	if until > c.now {
-		c.SerialCycles += uint64(until - c.now)
-		c.now = until
-	}
-}
-
-// Wait advances the clock without counting a memory operation.
-func (c *Core) Wait(until sim.Tick) {
 	if until > c.now {
 		c.now = until
 	}
@@ -159,7 +136,8 @@ func (c *Core) IPC() float64 {
 }
 
 // Visit hands the core's checkpoint state to c: its clock, the
-// sub-cycle instruction remainder, the MSHR window and the counters.
+// sub-cycle instruction remainder, the MSHR window and the retired
+// instruction count.
 // IssueWidth and MSHRs are construction inputs; a decoded window larger
 // than MSHRs fails.
 func (c *Core) Visit(fc *flat.Codec) {
@@ -170,7 +148,4 @@ func (c *Core) Visit(fc *flat.Codec) {
 		fc.Fail(fmt.Errorf("cpu: %d in-flight accesses exceed %d MSHRs", len(c.window), c.MSHRs))
 	}
 	fc.U64(&c.Instructions)
-	fc.U64(&c.MemOps)
-	fc.U64(&c.StallCycles)
-	fc.U64(&c.SerialCycles)
 }

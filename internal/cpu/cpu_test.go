@@ -42,16 +42,13 @@ func TestMSHRWindowOverlaps(t *testing.T) {
 		}
 		c.CompleteMSHR(100)
 	}
-	if c.StallCycles != 0 {
-		t.Fatalf("stalls = %d, want 0", c.StallCycles)
+	if c.Now() != 0 {
+		t.Fatalf("now = %d after four overlapped issues, want 0", c.Now())
 	}
 	// Fifth access: window full → stall until 100.
 	at := c.ReserveMSHR()
-	if at != 100 {
-		t.Fatalf("issue 5 at %d, want 100", at)
-	}
-	if c.StallCycles != 100 {
-		t.Fatalf("stalls = %d, want 100", c.StallCycles)
+	if at != 100 || c.Now() != 100 {
+		t.Fatalf("issue 5 at %d (now %d), want 100", at, c.Now())
 	}
 }
 
@@ -60,36 +57,29 @@ func TestReserveDropsCompleted(t *testing.T) {
 	c.CompleteMSHR(10)
 	c.CompleteMSHR(20)
 	c.Retire(400) // now = 100, both done
-	c.ReserveMSHR()
+	at := c.ReserveMSHR()
 	if c.InFlight() != 0 {
 		t.Fatalf("in flight = %d, want 0 (completed dropped)", c.InFlight())
 	}
-	if c.StallCycles != 0 {
-		t.Fatal("stalled despite completed accesses")
+	if at != 100 || c.Now() != 100 {
+		t.Fatalf("issued at %d (now %d) despite completed accesses, want 100", at, c.Now())
 	}
 }
 
 func TestSerialize(t *testing.T) {
 	c := New(0, 4, 8)
-	c.Serialize(500)
-	if c.Now() != 500 || c.SerialCycles != 500 {
-		t.Fatalf("now=%d serial=%d", c.Now(), c.SerialCycles)
+	c.Block(500)
+	if c.Now() != 500 {
+		t.Fatalf("now = %d, want 500", c.Now())
 	}
-	// Serializing to the past is a no-op on the clock.
-	c.Serialize(100)
+	// Blocking until the past is a no-op on the clock.
+	c.Block(100)
 	if c.Now() != 500 {
 		t.Fatal("clock moved backwards")
 	}
-	if c.MemOps != 2 {
-		t.Fatalf("memops = %d", c.MemOps)
-	}
-}
-
-func TestWaitDoesNotCountMemOp(t *testing.T) {
-	c := New(0, 4, 8)
-	c.Wait(50)
-	if c.Now() != 50 || c.MemOps != 0 {
-		t.Fatalf("now=%d memops=%d", c.Now(), c.MemOps)
+	// A blocked core issues its next overlapped access after the block.
+	if at := c.ReserveMSHR(); at != 500 {
+		t.Fatalf("issued at %d, want 500", at)
 	}
 }
 
@@ -121,7 +111,7 @@ func TestIPC(t *testing.T) {
 	if c.IPC() != 4 {
 		t.Fatalf("IPC = %v, want 4", c.IPC())
 	}
-	c.Serialize(200) // stall to 200: IPC halves
+	c.Block(200) // stall to 200: IPC halves
 	if c.IPC() != 2 {
 		t.Fatalf("IPC = %v, want 2", c.IPC())
 	}
@@ -157,7 +147,7 @@ func TestClockMonotoneProperty(t *testing.T) {
 				at := c.ReserveMSHR()
 				c.CompleteMSHR(at + sim.Tick(op%300))
 			case 2:
-				c.Serialize(c.Now() + sim.Tick(op%100))
+				c.Block(c.Now() + sim.Tick(op%100))
 			case 3:
 				c.Drain()
 			}

@@ -85,21 +85,15 @@ type Device struct {
 	// rankActs holds each rank's last four activation times (tFAW).
 	rankActs [][4]sim.Tick
 
-	Refreshes uint64 // refresh blackouts that delayed an access
-	FAWStalls uint64 // activations delayed by the four-activate window
-
 	cyclesPerNS float64
 
 	// Statistics.
-	Accesses   uint64
-	RowHits    uint64
-	RowMisses  uint64 // closed-row activations
-	RowConfls  uint64 // conflicting-row activations (PRE then ACT)
-	Activates  uint64
-	BitsRead   uint64
-	BitsWrit   uint64
-	BitsIO     uint64
-	lastAccess sim.Tick
+	Accesses  uint64
+	RowHits   uint64
+	Activates uint64
+	BitsRead  uint64
+	BitsWrit  uint64
+	BitsIO    uint64
 }
 
 // New constructs a device from its configuration. cpuGHz sets the cycle
@@ -159,7 +153,6 @@ func (d *Device) fawDelay(at sim.Tick, bankIdx int) sim.Tick {
 	}
 	if acts[oi] > 0 {
 		if earliest := acts[oi] - 1 + d.tFAW; at < earliest {
-			d.FAWStalls++
 			at = earliest
 		}
 	}
@@ -176,7 +169,6 @@ func (d *Device) refreshDelay(start sim.Tick, b *bank) sim.Tick {
 	}
 	phase := start % d.tREFI
 	if phase < d.tRFC {
-		d.Refreshes++
 		b.openRow = -1 // refresh closes the row
 		return start + (d.tRFC - phase)
 	}
@@ -263,9 +255,6 @@ func (d *Device) Access(at sim.Tick, addr uint64, bytes int, kind AccessKind) Re
 // accessRow services a request confined to a single row.
 func (d *Device) accessRow(at sim.Tick, addr uint64, bytes int, kind AccessKind) Result {
 	d.Accesses++
-	if at > d.lastAccess {
-		d.lastAccess = at
-	}
 	bi, row := d.bankOf(addr)
 	b := &d.banks[bi]
 
@@ -283,14 +272,12 @@ func (d *Device) accessRow(at sim.Tick, addr uint64, bytes int, kind AccessKind)
 		dataReady = start + d.tAA
 	case b.openRow < 0:
 		// Closed bank: activate then access.
-		d.RowMisses++
 		d.Activates++
 		res.Activate = true
 		b.actAt = d.fawDelay(start, bi)
 		dataReady = b.actAt + d.tRCD + d.tAA
 	default:
 		// Row conflict: precharge (respecting tRAS), activate, access.
-		d.RowConfls++
 		b.confls++
 		d.Activates++
 		res.Activate = true
@@ -362,8 +349,8 @@ func (d *Device) BusUtilization(elapsed sim.Tick) float64 {
 // ResetStats clears counters but keeps bank/row state, so a warm-up phase
 // can be excluded from measurement.
 func (d *Device) ResetStats() {
-	d.Accesses, d.RowHits, d.RowMisses, d.RowConfls = 0, 0, 0, 0
-	d.Activates, d.BitsRead, d.BitsWrit, d.BitsIO = 0, 0, 0, 0
+	d.Accesses, d.RowHits, d.Activates = 0, 0, 0
+	d.BitsRead, d.BitsWrit, d.BitsIO = 0, 0, 0
 	for i := range d.buses {
 		d.buses[i].Busy = 0
 	}
@@ -399,10 +386,7 @@ func (d *Device) Visit(c *flat.Codec) {
 			c.U64((*uint64)(&d.rankActs[i][j]))
 		}
 	}
-	for _, v := range []*uint64{
-		&d.Refreshes, &d.FAWStalls, &d.Accesses, &d.RowHits, &d.RowMisses, &d.RowConfls,
-		&d.Activates, &d.BitsRead, &d.BitsWrit, &d.BitsIO, (*uint64)(&d.lastAccess),
-	} {
+	for _, v := range []*uint64{&d.Accesses, &d.RowHits, &d.Activates, &d.BitsRead, &d.BitsWrit, &d.BitsIO} {
 		c.U64(v)
 	}
 }

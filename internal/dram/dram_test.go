@@ -71,8 +71,8 @@ func TestRowConflictPaysPrecharge(t *testing.T) {
 	if lat < wantMin {
 		t.Fatalf("conflict latency = %d, want >= %d", lat, wantMin)
 	}
-	if d.RowConfls != 1 {
-		t.Fatalf("row conflicts = %d, want 1", d.RowConfls)
+	if got := d.BankStats()[0].Confls; got != 1 {
+		t.Fatalf("bank 0 row conflicts = %d, want 1", got)
 	}
 }
 
@@ -285,7 +285,8 @@ func TestAccessMonotonicProperty(t *testing.T) {
 }
 
 // Property: energy is non-decreasing in the number of accesses, and every
-// access is classified exactly once (hits+misses+conflicts == accesses).
+// access is classified exactly once: a row hit or an activation
+// (hits+activates == accesses).
 func TestAccessClassificationProperty(t *testing.T) {
 	f := func(addrs []uint32) bool {
 		d := New("p", config.Default().OffPkg, 3.0)
@@ -300,7 +301,7 @@ func TestAccessClassificationProperty(t *testing.T) {
 			}
 			prev = e
 		}
-		return d.RowHits+d.RowMisses+d.RowConfls == d.Accesses
+		return d.RowHits+d.Activates == d.Accesses
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -373,9 +374,10 @@ func TestPerBankTelemetryAndBusTicks(t *testing.T) {
 		confls += b.Confls
 		busy += b.BusyTicks
 	}
-	if hits != d.RowHits || confls != d.RowConfls {
-		t.Fatalf("per-bank sums (%d hits, %d confls) != device (%d, %d)",
-			hits, confls, d.RowHits, d.RowConfls)
+	// One closed-bank activation and one conflict activation.
+	if hits != d.RowHits || confls != 1 || d.Activates != 2 {
+		t.Fatalf("per-bank sums (%d hits, %d confls) vs device (%d hits, %d activates)",
+			hits, confls, d.RowHits, d.Activates)
 	}
 	if stats[0].Hits != 1 || stats[0].Confls != 1 {
 		t.Fatalf("bank 0 stats = %+v", stats[0])

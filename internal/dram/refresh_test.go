@@ -23,22 +23,19 @@ func TestRefreshBlackoutDelaysAccess(t *testing.T) {
 	// tREFI = 3000 cycles, tRFC = 300 cycles. An access arriving inside
 	// the blackout (cycle 100) cannot start before cycle 300.
 	r := d.Access(100, 0, 64, Read)
-	if r.Start < 300 {
-		t.Fatalf("access started at %d inside the refresh blackout", r.Start)
+	if r.Start != 300 {
+		t.Fatalf("access started at %d, want 300, the end of the refresh blackout", r.Start)
 	}
-	if d.Refreshes != 1 {
-		t.Fatalf("refresh delays = %d, want 1", d.Refreshes)
+	if r.QueueWait < 200 {
+		t.Fatalf("queue wait = %d, want the 200 blackout cycles", r.QueueWait)
 	}
 }
 
 func TestRefreshOutsideBlackoutNoDelay(t *testing.T) {
 	d := refreshDevice(t)
 	r := d.Access(400, 0, 64, Read)
-	if r.Start != 400 {
-		t.Fatalf("access outside blackout started at %d, want 400", r.Start)
-	}
-	if d.Refreshes != 0 {
-		t.Fatalf("refresh delays = %d, want 0", d.Refreshes)
+	if r.Start != 400 || r.QueueWait != 0 {
+		t.Fatalf("access outside blackout started at %d after %d queued cycles, want 400 and 0", r.Start, r.QueueWait)
 	}
 }
 
@@ -58,9 +55,8 @@ func TestRefreshDisabledByDefault(t *testing.T) {
 	if d.tREFI != 0 {
 		t.Fatal("refresh enabled without configuration")
 	}
-	d.Access(50, 0, 64, Read)
-	if d.Refreshes != 0 {
-		t.Fatal("refresh fired while disabled")
+	if r := d.Access(50, 0, 64, Read); r.Start != 50 {
+		t.Fatalf("access at 50 started at %d: refresh fired while disabled", r.Start)
 	}
 }
 
@@ -133,7 +129,10 @@ func TestFAWLimitsActivationBursts(t *testing.T) {
 	// Banks i*Channels share... banks interleave by row; use rows with the
 	// same rank: rank = bank % (channels*ranks) = bank % 2.
 	rowBytes := uint64(cfg.RowBytes)
-	var acts int
+	// A closed-bank read the window does not delay is serviced in
+	// tRCD+tAA plus the transfer; window delay lengthens the service.
+	unthrottled := d.tRCD + d.tAA + d.TransferCycles(64)
+	var acts, throttled int
 	var lastDone sim.Tick
 	for i := 0; i < 10; i++ {
 		// Even bank indices are rank 0.
@@ -145,12 +144,15 @@ func TestFAWLimitsActivationBursts(t *testing.T) {
 				lastDone = r.Done
 			}
 		}
+		if r.Service > unthrottled {
+			throttled++
+		}
 	}
 	if acts != 10 {
 		t.Fatalf("activations = %d", acts)
 	}
-	if d.FAWStalls < 6 {
-		t.Fatalf("tFAW throttled only %d of a 10-activation burst", d.FAWStalls)
+	if throttled < 6 {
+		t.Fatalf("tFAW throttled only %d of a 10-activation burst", throttled)
 	}
 	// The tenth activation waits two full windows ((10-1)/4 = 2), so the
 	// slowest completion includes 240 cycles of window delay.
@@ -162,11 +164,11 @@ func TestFAWLimitsActivationBursts(t *testing.T) {
 func TestFAWDisabledByDefault(t *testing.T) {
 	d := New("plain", config.Default().OffPkg, 3.0)
 	rowBytes := uint64(d.Config().RowBytes)
+	unthrottled := d.tRCD + d.tAA + d.TransferCycles(64)
 	for i := 0; i < 10; i++ {
-		d.Access(0, rowBytes*uint64(2*i), 64, Read)
-	}
-	if d.FAWStalls != 0 {
-		t.Fatal("tFAW active without configuration")
+		if r := d.Access(0, rowBytes*uint64(2*i), 64, Read); r.Service != unthrottled {
+			t.Fatalf("activation %d serviced in %d cycles, want %d: tFAW active without configuration", i, r.Service, unthrottled)
+		}
 	}
 }
 

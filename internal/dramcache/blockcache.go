@@ -29,11 +29,6 @@ type BlockVictim struct {
 // the caller issues the corresponding DRAM traffic.
 type BlockCache struct {
 	sets []blockSlot
-
-	Lookups    uint64
-	Hits       uint64
-	MissFills  uint64
-	Writebacks uint64
 }
 
 type blockSlot struct {
@@ -74,11 +69,9 @@ func (c *BlockCache) TADAddr(slot uint64) uint64 { return slot * TADBytes }
 // on write hits. It returns the slot (whose TAD the caller has just read —
 // tag check and data access are one DRAM burst).
 func (c *BlockCache) Lookup(addr uint64, write bool) (slot uint64, hit bool) {
-	c.Lookups++
 	s, tag := c.slotOf(addr)
 	sl := &c.sets[s]
 	if sl.valid && sl.tag == tag {
-		c.Hits++
 		if write {
 			sl.dirty = true
 		}
@@ -90,21 +83,17 @@ func (c *BlockCache) Lookup(addr uint64, write bool) (slot uint64, hit bool) {
 // Fill installs the block containing addr after a miss, returning any
 // displaced dirty victim for write-back.
 func (c *BlockCache) Fill(addr uint64, write bool) (slot uint64, victim BlockVictim, hasVictim bool) {
-	c.MissFills++
 	s, tag := c.slotOf(addr)
 	sl := &c.sets[s]
 	if sl.valid {
 		hasVictim = true
 		victim = BlockVictim{BlockAddr: sl.tag << 6, Dirty: sl.dirty}
-		if sl.dirty {
-			c.Writebacks++
-		}
 	}
 	*sl = blockSlot{tag: tag, valid: true, dirty: write}
 	return s, victim, hasVictim
 }
 
-// Contains reports residence without counters.
+// Contains reports residence without marking dirtiness.
 func (c *BlockCache) Contains(addr uint64) bool {
 	s, tag := c.slotOf(addr)
 	return c.sets[s].valid && c.sets[s].tag == tag
@@ -112,7 +101,7 @@ func (c *BlockCache) Contains(addr uint64) bool {
 
 // MarkDirty sets the dirty bit if the block is resident, returning the
 // slot it occupies so write-back traffic can be routed without a second
-// probe (Lookup would inflate the Lookups/Hits counters).
+// probe.
 func (c *BlockCache) MarkDirty(addr uint64) (slot uint64, ok bool) {
 	s, tag := c.slotOf(addr)
 	if c.sets[s].valid && c.sets[s].tag == tag {
@@ -120,14 +109,6 @@ func (c *BlockCache) MarkDirty(addr uint64) (slot uint64, ok bool) {
 		return s, true
 	}
 	return 0, false
-}
-
-// HitRate returns hits/lookups, or 0 before any lookup.
-func (c *BlockCache) HitRate() float64 {
-	if c.Lookups == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Lookups)
 }
 
 // Occupancy returns the number of valid lines.
@@ -141,24 +122,8 @@ func (c *BlockCache) Occupancy() int {
 	return n
 }
 
-// ResetStats clears counters, keeping contents.
-func (c *BlockCache) ResetStats() {
-	c.Lookups, c.Hits, c.MissFills, c.Writebacks = 0, 0, 0, 0
-}
-
-// Counters snapshots the four statistics counters.
-func (c *BlockCache) Counters() [4]uint64 {
-	return [4]uint64{c.Lookups, c.Hits, c.MissFills, c.Writebacks}
-}
-
-// SetCounters restores counters captured by Counters.
-func (c *BlockCache) SetCounters(v [4]uint64) {
-	c.Lookups, c.Hits, c.MissFills, c.Writebacks = v[0], v[1], v[2], v[3]
-}
-
 // Visit hands the cache's checkpoint state to c: every slot's tag, valid
-// and dirty bits, then the counters. The slot count is a construction
-// input and must match.
+// and dirty bits. The slot count is a construction input and must match.
 func (c *BlockCache) Visit(fc *flat.Codec) {
 	fc.Fixed(len(c.sets), "block-cache slots")
 	for i := range c.sets {
@@ -167,8 +132,4 @@ func (c *BlockCache) Visit(fc *flat.Codec) {
 		fc.Bool(&s.valid)
 		fc.Bool(&s.dirty)
 	}
-	fc.U64(&c.Lookups)
-	fc.U64(&c.Hits)
-	fc.U64(&c.MissFills)
-	fc.U64(&c.Writebacks)
 }

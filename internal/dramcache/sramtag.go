@@ -35,11 +35,10 @@ type PageCache struct {
 	tick       uint64
 	tagLatency int
 
-	Lookups    uint64
-	Hits       uint64
-	MissFills  uint64
-	Evictions  uint64
-	Writebacks uint64
+	Lookups   uint64
+	Hits      uint64
+	MissFills uint64
+	Evictions uint64
 }
 
 // NewPageCache builds a cache of `pages` page frames with the given
@@ -117,9 +116,6 @@ func (c *PageCache) Fill(ppn uint64, write bool) (slot uint64, victim Victim, ha
 		hasVictim = true
 		victim = Victim{PPN: s.ppn, Slot: c.slotIndex(si, vi), Dirty: s.dirty}
 		c.Evictions++
-		if s.dirty {
-			c.Writebacks++
-		}
 	}
 	*s = pslot{ppn: ppn, valid: true, dirty: write, used: c.tick}
 	return c.slotIndex(si, vi), victim, hasVictim
@@ -192,17 +188,17 @@ func (c *PageCache) TagEnergyPJ() float64 {
 
 // ResetStats clears counters, keeping contents.
 func (c *PageCache) ResetStats() {
-	c.Lookups, c.Hits, c.MissFills, c.Evictions, c.Writebacks = 0, 0, 0, 0, 0
+	c.Lookups, c.Hits, c.MissFills, c.Evictions = 0, 0, 0, 0
 }
 
-// Counters snapshots the five statistics counters.
-func (c *PageCache) Counters() [5]uint64 {
-	return [5]uint64{c.Lookups, c.Hits, c.MissFills, c.Evictions, c.Writebacks}
+// Counters snapshots the four statistics counters.
+func (c *PageCache) Counters() [4]uint64 {
+	return [4]uint64{c.Lookups, c.Hits, c.MissFills, c.Evictions}
 }
 
 // SetCounters restores counters captured by Counters.
-func (c *PageCache) SetCounters(v [5]uint64) {
-	c.Lookups, c.Hits, c.MissFills, c.Evictions, c.Writebacks = v[0], v[1], v[2], v[3], v[4]
+func (c *PageCache) SetCounters(v [4]uint64) {
+	c.Lookups, c.Hits, c.MissFills, c.Evictions = v[0], v[1], v[2], v[3]
 }
 
 // Visit hands the cache's checkpoint state to c: every frame's page,
@@ -225,7 +221,6 @@ func (c *PageCache) Visit(fc *flat.Codec) {
 	fc.U64(&c.Hits)
 	fc.U64(&c.MissFills)
 	fc.U64(&c.Evictions)
-	fc.U64(&c.Writebacks)
 }
 
 // BankInterleaver implements the "BI" heterogeneous-memory baseline: the
@@ -236,9 +231,6 @@ type BankInterleaver struct {
 	inPkgPages  uint64
 	offPkgPages uint64
 	stride      uint64 // one in-package page every `stride` pages
-
-	InPkgAccesses  uint64
-	OffPkgAccesses uint64
 }
 
 // NewBankInterleaver builds the mapper from device capacities in pages.
@@ -261,18 +253,7 @@ func (b *BankInterleaver) Stride() uint64 { return b.stride }
 // are off-package.
 func (b *BankInterleaver) Map(ppn uint64) (devPage uint64, inPkg bool) {
 	if ppn%b.stride == 0 {
-		b.InPkgAccesses++
 		return (ppn / b.stride) % b.inPkgPages, true
 	}
-	b.OffPkgAccesses++
 	return (ppn - ppn/b.stride - 1) % b.offPkgPages, false
-}
-
-// InPkgFraction returns the fraction of observed accesses served in-package.
-func (b *BankInterleaver) InPkgFraction() float64 {
-	total := b.InPkgAccesses + b.OffPkgAccesses
-	if total == 0 {
-		return 0
-	}
-	return float64(b.InPkgAccesses) / float64(total)
 }

@@ -166,9 +166,6 @@ type PageTable struct {
 	root  map[uint64]*ptLeaf
 	last  *ptLeaf // most recently resolved leaf
 	pages int
-
-	Walks      uint64 // demand walks performed
-	PageFaults uint64 // first-touch allocations
 }
 
 // NewPageTable creates an empty address space backed by alloc.
@@ -212,7 +209,6 @@ func (pt *PageTable) leafOrNew(vpn uint64) *ptLeaf {
 // handler mutates it in place exactly as the paper's handler rewrites the
 // PTE during cache fills and evictions.
 func (pt *PageTable) Walk(vpn uint64) (*PTE, error) {
-	pt.Walks++
 	l := pt.leafOrNew(vpn)
 	if pte, ok := l.entry(vpn); ok {
 		return pte, nil
@@ -221,7 +217,6 @@ func (pt *PageTable) Walk(vpn uint64) (*PTE, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt.PageFaults++
 	pt.pages++
 	return l.insert(vpn, PTE{Frame: ppn}), nil
 }
@@ -230,7 +225,6 @@ func (pt *PageTable) Walk(vpn uint64) (*PTE, error) {
 // `pages` pages that contains vpn, allocating physically contiguous frames
 // on first touch. The returned PTE is shared by every page of the region.
 func (pt *PageTable) WalkRegion(vpn uint64, pages uint64) (*PTE, error) {
-	pt.Walks++
 	base := vpn &^ (pages - 1)
 	l := pt.leafOrNew(base)
 	if pte, ok := l.entry(base); ok {
@@ -243,7 +237,6 @@ func (pt *PageTable) WalkRegion(vpn uint64, pages uint64) (*PTE, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt.PageFaults++
 	pt.pages++
 	return l.insert(base, PTE{Frame: ppn, Super: true}), nil
 }
@@ -320,7 +313,7 @@ const leafMinBytes = 1 + leafPages/64
 
 // Visit hands the table's checkpoint state to c: its leaves in ascending
 // base order — each its base, its presence bitmap and the entries
-// present — then the walk counters. A decoder builds fresh leaves, so
+// present. A decoder builds fresh leaves, so
 // PTE pointers handed out earlier do not survive and callers re-resolve
 // them; it fails unless the bases ascend strictly, and it rebuilds the
 // page count. An entry's PU bit is not part of the image: a checkpoint is
@@ -361,8 +354,6 @@ func (pt *PageTable) Visit(c *flat.Codec) {
 			bases = append(bases, l.base)
 		}
 	}
-	c.U64(&pt.Walks)
-	c.U64(&pt.PageFaults)
 }
 
 // Visit hands the allocator's checkpoint state to c: the bump pointer and

@@ -23,8 +23,8 @@ func TestWalkDemandAllocates(t *testing.T) {
 	if pte2.Frame != 1 {
 		t.Fatalf("second frame = %d, want 1", pte2.Frame)
 	}
-	if pt.PageFaults != 2 || pt.Walks != 2 {
-		t.Fatalf("faults/walks = %d/%d", pt.PageFaults, pt.Walks)
+	if pt.Pages() != 2 {
+		t.Fatalf("pages = %d, want 2", pt.Pages())
 	}
 }
 
@@ -35,8 +35,8 @@ func TestWalkIsStable(t *testing.T) {
 	if a != b {
 		t.Fatal("repeated walks returned different PTE pointers")
 	}
-	if pt.PageFaults != 1 {
-		t.Fatalf("faults = %d, want 1", pt.PageFaults)
+	if pt.Pages() != 1 {
+		t.Fatalf("pages = %d, want 1", pt.Pages())
 	}
 }
 

@@ -57,8 +57,8 @@ func TestWalkRegion(t *testing.T) {
 	if a != b {
 		t.Fatal("region pages got distinct PTEs")
 	}
-	if pt.PageFaults != 1 {
-		t.Fatalf("faults = %d, want 1", pt.PageFaults)
+	if pt.Pages() != 1 {
+		t.Fatalf("pages = %d, want 1", pt.Pages())
 	}
 	// The PTE is stored at the region base.
 	if _, ok := pt.Lookup(0x100); !ok {

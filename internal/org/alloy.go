@@ -20,9 +20,9 @@ func init() {
 // off-package block fetch (the Alloy SERIAL organization, no hit
 // predictor) and a background TAD fill plus any dirty-victim write-back.
 type Alloy struct {
+	noStats
 	p     Ports
 	cache *dramcache.BlockCache
-	saved [4]uint64 // counter snapshot across a fast-forwarded span
 }
 
 // Access performs the TAD probe and the hit read or miss fill.
@@ -58,8 +58,8 @@ func (o *Alloy) Access(r Request) {
 }
 
 // Writeback sinks the dirty victim into its TAD slot when resident
-// (MarkDirty confirms residence and returns the slot — no extra probe,
-// so Lookups/Hits stay untouched), off-package otherwise.
+// (MarkDirty confirms residence and returns the slot — no extra probe),
+// off-package otherwise.
 func (o *Alloy) Writeback(at sim.Tick, key uint64) {
 	var res dram.Result
 	if slot, ok := o.cache.MarkDirty(key); ok {
@@ -69,12 +69,6 @@ func (o *Alloy) Writeback(at sim.Tick, key uint64) {
 	}
 	o.p.Lat.AddBackground(lat.Writeback, res.Done-at)
 }
-
-// ResetStats clears the block-cache counters.
-func (o *Alloy) ResetStats() { o.cache.ResetStats() }
-
-// FastBegin snapshots the block-cache counters for restoration in FastEnd.
-func (o *Alloy) FastBegin() { o.saved = o.cache.Counters() }
 
 // FastAccess applies the direct-mapped state transitions of Access —
 // dirtiness on a hit, displacement and fill on a miss — with no device
@@ -91,14 +85,5 @@ func (o *Alloy) FastWriteback(_ sim.Tick, key uint64) {
 	o.cache.MarkDirty(key)
 }
 
-// FastEnd restores the counters captured by FastBegin.
-func (o *Alloy) FastEnd() { o.cache.SetCounters(o.saved) }
-
-// Visit hands c the block cache (slots and counters).
+// Visit hands c the block cache's slots.
 func (o *Alloy) Visit(c *flat.Codec) { o.cache.Visit(c) }
-
-// Collect is a no-op: the block cache's counters feed no Result field.
-func (o *Alloy) Collect(*Stats) {}
-
-// Cache exposes the block cache for tests.
-func (o *Alloy) Cache() *dramcache.BlockCache { return o.cache }

@@ -59,19 +59,11 @@ type bansheeSlot struct {
 // trading hit rate for fill bandwidth. Remappings are buffered in a small
 // tag buffer and flushed to memory-resident metadata when it fills.
 type Banshee struct {
+	noStats
 	p          Ports
 	sets       []bansheeSlot // pages slots, bansheeWays per set
 	freq       map[uint64]uint32
 	tagBufUsed int
-	saved      [6]uint64 // counter snapshot across a fast-forwarded span
-
-	// Counters (reset at the measurement boundary; exported for tests).
-	Lookups    uint64
-	Hits       uint64
-	Fills      uint64
-	Bypasses   uint64
-	Writebacks uint64
-	TagFlushes uint64
 }
 
 // set returns ppn's set index and slot range.
@@ -122,17 +114,15 @@ const (
 
 // lookup applies one access's FBR state transition: a hit bumps the
 // page's frequency counter; a miss counts toward the fill threshold and
-// either fills over the victim way — counting its dirty write-back and
-// the remapping's tag-buffer entry — or bypasses and ages the victim so a
-// persistently hot candidate eventually wins. It returns the outcome, the
-// page's frame slot (hit or fill), the displaced victim and whether the
-// fill flushed the tag buffer.
+// either fills over the victim way — taking a tag-buffer entry for the
+// remapping — or bypasses and ages the victim so a persistently hot
+// candidate eventually wins. It returns the outcome, the page's frame
+// slot (hit or fill), the displaced victim and whether the fill flushed
+// the tag buffer.
 func (o *Banshee) lookup(ppn uint64, write bool) (out bansheeOutcome, slot uint64, victim bansheeSlot, flush bool) {
 	si, set := o.set(ppn)
-	o.Lookups++
 	if w := lookupWay(set, ppn); w >= 0 {
 		s := &set[w]
-		o.Hits++
 		if s.count != ^uint32(0) {
 			s.count++
 		}
@@ -146,24 +136,18 @@ func (o *Banshee) lookup(ppn uint64, write bool) (out bansheeOutcome, slot uint6
 	w := victimWay(set)
 	v := &set[w]
 	if n < bansheeFillThreshold || (v.valid && n < v.count) {
-		o.Bypasses++
 		if v.valid && v.count > 0 {
 			v.count--
 		}
 		return bansheeBypass, 0, bansheeSlot{}, false
 	}
-	o.Fills++
 	victim = *v
-	if victim.valid && victim.dirty {
-		o.Writebacks++
-	}
 	delete(o.freq, ppn)
 	*v = bansheeSlot{ppn: ppn, valid: true, dirty: write, count: n}
 	// The remapping occupies a tag-buffer entry; a full buffer flushes
 	// its mappings to the memory-resident metadata.
 	o.tagBufUsed++
 	if o.tagBufUsed == bansheeTagBufEntries {
-		o.TagFlushes++
 		o.tagBufUsed = 0
 		flush = true
 	}
@@ -203,7 +187,7 @@ func (o *Banshee) Access(r Request) {
 		charge(o.p.Lat, lat.OffPkgQueue, lat.OffPkgService, crit)
 		o.p.OffPkg.Access(crit.Done, base, config.PageSize-config.BlockSize, dram.Read)
 		o.p.InPkg.Access(crit.Done, slot*config.PageSize, config.PageSize, dram.Write)
-		r.CPU.Serialize(crit.Done)
+		r.CPU.Block(crit.Done)
 		o.p.Observe(crit.Done-at, false)
 		if flush {
 			o.p.OffPkg.AccountTraffic(bansheeTagBufEntries*bansheeTagEntryBytes, dram.Write)
@@ -240,24 +224,6 @@ func (o *Banshee) Writeback(at sim.Tick, key uint64) {
 	o.p.Lat.AddBackground(lat.Writeback, res.Done-at)
 }
 
-// ResetStats clears counters, keeping cache contents and frequency state.
-func (o *Banshee) ResetStats() {
-	o.Lookups, o.Hits, o.Fills, o.Bypasses, o.Writebacks, o.TagFlushes = 0, 0, 0, 0, 0, 0
-}
-
-// counters snapshots the six statistics counters.
-func (o *Banshee) counters() [6]uint64 {
-	return [6]uint64{o.Lookups, o.Hits, o.Fills, o.Bypasses, o.Writebacks, o.TagFlushes}
-}
-
-// setCounters restores counters captured by counters.
-func (o *Banshee) setCounters(v [6]uint64) {
-	o.Lookups, o.Hits, o.Fills, o.Bypasses, o.Writebacks, o.TagFlushes = v[0], v[1], v[2], v[3], v[4], v[5]
-}
-
-// FastBegin snapshots the counters for restoration in FastEnd.
-func (o *Banshee) FastBegin() { o.saved = o.counters() }
-
 // FastAccess applies Access's FBR state transition with no device
 // traffic (a tag-buffer flush updates occupancy but books no metadata
 // write).
@@ -266,14 +232,11 @@ func (o *Banshee) FastAccess(r FastRequest) { o.lookup(r.Frame, r.Write) }
 // FastWriteback marks the victim's page dirty when resident.
 func (o *Banshee) FastWriteback(_ sim.Tick, key uint64) { o.markDirty(key / config.PageSize) }
 
-// FastEnd restores the counters captured by FastBegin.
-func (o *Banshee) FastEnd() { o.setCounters(o.saved) }
-
 // Visit hands c the design's checkpoint state: every slot's page, valid
 // and dirty bits and frequency counter, the candidates' frequency
-// counters, the tag-buffer occupancy and the counters. The slot count is
-// a construction input and must match; a decoded occupancy must leave
-// room in the tag buffer.
+// counters and the tag-buffer occupancy. The slot count is a construction
+// input and must match; a decoded occupancy must leave room in the tag
+// buffer.
 func (o *Banshee) Visit(c *flat.Codec) {
 	c.Fixed(len(o.sets), "Banshee slots")
 	for i := range o.sets {
@@ -288,12 +251,4 @@ func (o *Banshee) Visit(c *flat.Codec) {
 	if o.tagBufUsed < 0 || o.tagBufUsed >= bansheeTagBufEntries {
 		c.Fail(fmt.Errorf("org: Banshee tag buffer holds %d of %d entries", o.tagBufUsed, bansheeTagBufEntries))
 	}
-	for _, v := range []*uint64{&o.Lookups, &o.Hits, &o.Fills, &o.Bypasses, &o.Writebacks, &o.TagFlushes} {
-		c.U64(v)
-	}
 }
-
-// Collect is a no-op: the design's counters feed no Result field (the
-// shared fingerprinted metrics — hit rate, traffic, latency — come from
-// the machine and devices).
-func (o *Banshee) Collect(*Stats) {}

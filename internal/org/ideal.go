@@ -49,9 +49,3 @@ func (o *Ideal) Writeback(at sim.Tick, key uint64) {
 	res := o.p.InPkg.Access(at, o.addr(key), config.BlockSize, dram.Write)
 	o.p.Lat.AddBackground(lat.Writeback, res.Done-at)
 }
-
-// ResetStats is a no-op: the design has no counters.
-func (o *Ideal) ResetStats() {}
-
-// Collect is a no-op: the design has no counters.
-func (o *Ideal) Collect(*Stats) {}

@@ -4,7 +4,6 @@ import (
 	"taglessdram/internal/config"
 	"taglessdram/internal/dram"
 	"taglessdram/internal/dramcache"
-	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
 	"taglessdram/internal/sim"
 )
@@ -26,8 +25,8 @@ func init() {
 // Interleave is the "BI" heterogeneous-memory baseline: in-package DRAM
 // is mapped into the physical address space and pages interleave
 // OS-obliviously between the two devices. The mapping is a pure function
-// of the address, so the fast path has nothing to warm; it never calls
-// Map, which keeps the routing counters clean.
+// of the address, so the fast path has nothing to warm and there is no
+// state to checkpoint.
 type Interleave struct {
 	noWarmState
 	p     Ports
@@ -62,19 +61,4 @@ func (o *Interleave) Writeback(at sim.Tick, key uint64) {
 		res = o.p.OffPkg.Access(at, addr, config.BlockSize, dram.Write)
 	}
 	o.p.Lat.AddBackground(lat.Writeback, res.Done-at)
-}
-
-// ResetStats clears the interleaver's routing counters.
-func (o *Interleave) ResetStats() {
-	o.inter.InPkgAccesses, o.inter.OffPkgAccesses = 0, 0
-}
-
-// Collect is a no-op: the routing counters feed no Result field.
-func (o *Interleave) Collect(*Stats) {}
-
-// Visit hands c the routing counters: the design's only state (the
-// mapping itself is configuration).
-func (o *Interleave) Visit(c *flat.Codec) {
-	c.U64(&o.inter.InPkgAccesses)
-	c.U64(&o.inter.OffPkgAccesses)
 }

@@ -35,9 +35,3 @@ func (o *NoL3) Writeback(at sim.Tick, key uint64) {
 	res := o.p.OffPkg.Access(at, key, config.BlockSize, dram.Write)
 	o.p.Lat.AddBackground(lat.Writeback, res.Done-at)
 }
-
-// ResetStats is a no-op: the design has no counters.
-func (o *NoL3) ResetStats() {}
-
-// Collect is a no-op: the design has no counters.
-func (o *NoL3) Collect(*Stats) {}

@@ -38,7 +38,7 @@ const PABit = uint64(1) << 62
 // would force a heap escape).
 type Request struct {
 	// CPU is the requesting core's timing model: Now/ReserveMSHR/
-	// Serialize/CompleteMSHR drive the access's latency exposure.
+	// Block/CompleteMSHR drive the access's latency exposure.
 	CPU *cpu.Core
 	// Key is the on-die cache key: a cache address for cached pages in
 	// the tagless design (PABit-tagged physical address for NC pages), a
@@ -128,18 +128,17 @@ type Organization interface {
 	// Writeback sinks a dirty on-die victim line into the level below,
 	// off the core's critical path (device traffic only).
 	Writeback(at sim.Tick, key uint64)
-	// ResetStats marks the warmup/measure boundary: counters reset,
-	// microarchitectural state (cache contents) is kept.
+	// ResetStats marks the warmup/measure boundary: the counters Collect
+	// reports reset, microarchitectural state (cache contents) is kept.
 	ResetStats()
 	// Collect reports the design-specific counters of the measured
 	// window.
 	Collect(*Stats)
 	// Visit hands the design's checkpoint state to c — tag arrays,
-	// frequency counters, measurement baselines — checking decoded
-	// geometry against its own. A design with no state visits nothing.
-	// The tagless controller is not part of it: the machine owns the page
-	// tables its PTE pointers resolve against and visits the controller
-	// itself.
+	// frequency counters — checking decoded geometry against its own. A
+	// design with no state visits nothing. The tagless controller is not
+	// part of it: the machine owns the page tables its PTE pointers
+	// resolve against and visits the controller itself.
 	Visit(c *flat.Codec)
 	FastPath
 }
@@ -164,10 +163,10 @@ type FastRequest struct {
 // FastAccess and FastWriteback apply the state transitions of Access and
 // Writeback (residence, replacement, dirtiness) by calling the same state
 // functions, with no device traffic, no kernel events and no latency
-// charging. FastBegin/FastEnd bracket each fast-forwarded span: the design
-// snapshots its statistics counters in FastBegin and restores them in
-// FastEnd, so fast-forwarded references warm state without polluting
-// measured-window counters.
+// charging. FastBegin/FastEnd bracket each fast-forwarded span: a design
+// whose counters reach the Result snapshots them in FastBegin and
+// restores them in FastEnd, so fast-forwarded references warm state
+// without polluting measured-window counters.
 type FastPath interface {
 	FastBegin()
 	FastAccess(r FastRequest)
@@ -175,26 +174,36 @@ type FastPath interface {
 	FastEnd()
 }
 
+// noStats is the statistics half of a design whose counters reach no
+// Result field: there is nothing to reset at the measurement boundary,
+// to collect, or to protect across a fast-forwarded span.
+type noStats struct{}
+
+// ResetStats implements Organization: there are no counters.
+func (noStats) ResetStats() {}
+
+// Collect implements Organization: there are no counters.
+func (noStats) Collect(*Stats) {}
+
+// FastBegin implements FastPath: there are no counters to protect.
+func (noStats) FastBegin() {}
+
+// FastEnd implements FastPath as a no-op.
+func (noStats) FastEnd() {}
+
 // noWarmState is the fast path and checkpoint of a design with no
 // residence or replacement state to warm: fast-forwarded accesses and
-// write-backs leave nothing behind and touch no counters, and there is
-// nothing to checkpoint.
-type noWarmState struct{}
+// write-backs leave nothing behind, and there is nothing to checkpoint.
+type noWarmState struct{ noStats }
 
 // Visit implements Organization: there is no state.
 func (noWarmState) Visit(*flat.Codec) {}
-
-// FastBegin implements FastPath: there are no counters to protect.
-func (noWarmState) FastBegin() {}
 
 // FastAccess implements FastPath as a no-op.
 func (noWarmState) FastAccess(FastRequest) {}
 
 // FastWriteback implements FastPath as a no-op.
 func (noWarmState) FastWriteback(sim.Tick, uint64) {}
-
-// FastEnd implements FastPath as a no-op.
-func (noWarmState) FastEnd() {}
 
 // Factory builds an Organization from the machine's ports.
 type Factory func(p Ports) (Organization, error)
@@ -243,7 +252,7 @@ func issue(c *cpu.Core, observe func(sim.Tick, bool), dep, hit bool, access func
 	}
 	done := access(at)
 	if dep {
-		c.Serialize(done)
+		c.Block(done)
 	} else {
 		c.CompleteMSHR(done)
 	}

@@ -25,7 +25,7 @@ func init() {
 type SRAMTag struct {
 	p     Ports
 	cache *dramcache.PageCache
-	saved [5]uint64 // counter snapshot across a fast-forwarded span
+	saved [4]uint64 // counter snapshot across a fast-forwarded span
 }
 
 // Access performs the tag check and the hit block access or miss fill.
@@ -65,7 +65,7 @@ func (o *SRAMTag) Access(r Request) {
 	charge(o.p.Lat, lat.OffPkgQueue, lat.OffPkgService, crit)
 	o.p.OffPkg.Access(crit.Done, base, config.PageSize-config.BlockSize, dram.Read)
 	o.p.InPkg.Access(crit.Done, slot*config.PageSize, config.PageSize, dram.Write)
-	r.CPU.Serialize(crit.Done)
+	r.CPU.Block(crit.Done)
 	o.p.Observe(crit.Done-at, false)
 }
 

@@ -48,8 +48,7 @@ func init() {
 type Tagless struct {
 	p       Ports
 	ctrl    *core.Controller
-	caShift uint // log2(spPages*PageSize): CA bytes → block number
-	start   core.Stats
+	caShift uint       // log2(spPages*PageSize): CA bytes → block number
 	saved   core.Stats // counter snapshot across a fast-forwarded span
 }
 
@@ -84,7 +83,7 @@ func (o *Tagless) Access(r Request) {
 	charge(o.p.Lat, lat.InPkgQueue, lat.InPkgService, res)
 	done := res.Done
 	if r.Dep {
-		r.CPU.Serialize(done)
+		r.CPU.Block(done)
 	} else {
 		r.CPU.CompleteMSHR(done)
 	}
@@ -104,14 +103,12 @@ func (o *Tagless) Writeback(at sim.Tick, key uint64) {
 	o.ctrl.Touch(at, key>>o.caShift, true)
 }
 
-// ResetStats snapshots the controller counters at the warmup/measure
-// boundary so Collect can report the measured-window delta.
-func (o *Tagless) ResetStats() { o.start = o.ctrl.Stats() }
+// ResetStats zeroes the controller counters at the warmup/measure
+// boundary.
+func (o *Tagless) ResetStats() { o.ctrl.SetStats(core.Stats{}) }
 
 // Collect reports the controller counters accumulated since ResetStats.
-func (o *Tagless) Collect(s *Stats) {
-	s.Ctrl = o.ctrl.Stats().Sub(o.start)
-}
+func (o *Tagless) Collect(s *Stats) { s.Ctrl = o.ctrl.Stats() }
 
 // FastBegin snapshots the controller counters so the fast-forwarded
 // span's FastTLBMiss and Touch bookkeeping can be rolled back in FastEnd.
@@ -139,10 +136,10 @@ func (o *Tagless) FastWriteback(at sim.Tick, key uint64) {
 // FastEnd restores the counters captured by FastBegin.
 func (o *Tagless) FastEnd() { o.ctrl.SetStats(o.saved) }
 
-// Visit hands c only the measurement baseline: the controller's own
-// state (GIPT, free lists, alias table) is visited by the machine, which
-// owns the page tables its PTE pointers resolve against.
-func (o *Tagless) Visit(c *flat.Codec) { o.start.Visit(c) }
+// Visit visits nothing: the controller's state (GIPT, free lists, alias
+// table, counters) is visited by the machine, which owns the page tables
+// its PTE pointers resolve against.
+func (o *Tagless) Visit(*flat.Codec) {}
 
 // EpochGauges reports the controller's free-pool pressure for epoch
 // sampling: the free-list depth and the eviction daemon's queue length.

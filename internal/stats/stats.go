@@ -1,8 +1,8 @@
-// Package stats provides the simulator's estimators: a running mean with
-// variance and a 95% confidence interval, the ratio-of-sums estimator
-// sampled simulation reports IPC with, and the geometric mean of
-// normalized results. Histograms and quantiles live in internal/lat,
-// named metric sets in Result.Metrics and internal/telemetry.
+// Package stats provides the simulator's estimators: a running mean, the
+// ratio-of-sums estimator sampled simulation reports IPC with, and the
+// geometric mean of normalized results. Histograms and quantiles live in
+// internal/lat, named metric sets in Result.Metrics and
+// internal/telemetry.
 //
 // All types have useful zero values and are safe for single-goroutine use;
 // the simulator kernel is single-threaded by design (deterministic event
@@ -11,30 +11,18 @@ package stats
 
 import "math"
 
-// Mean accumulates a running arithmetic mean and variance using Welford's
-// online algorithm. It also tracks min and max.
+// Mean accumulates a running arithmetic mean, updated incrementally
+// (Welford's mean step). The goldens pin results derived from it bit for
+// bit, so the update's arithmetic must not change.
 type Mean struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
+	n    uint64
+	mean float64
 }
 
 // Observe records one sample.
 func (m *Mean) Observe(x float64) {
 	m.n++
-	if m.n == 1 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
-	delta := x - m.mean
-	m.mean += delta / float64(m.n)
-	m.m2 += delta * (x - m.mean)
+	m.mean += (x - m.mean) / float64(m.n)
 }
 
 // Count returns the number of samples observed.
@@ -47,34 +35,6 @@ func (m *Mean) Value() float64 {
 	}
 	return m.mean
 }
-
-// Variance returns the sample variance, or 0 with fewer than two samples.
-func (m *Mean) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (m *Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// CI95 returns the half-width of the 95% confidence interval on the mean
-// under the normal approximation (1.96·s/√n) — the error-bound estimator
-// SMARTS-style sampled simulation reports. It is 0 with fewer than two
-// samples.
-func (m *Mean) CI95() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return 1.96 * m.StdDev() / math.Sqrt(float64(m.n))
-}
-
-// Min returns the smallest observed sample, or 0 with no samples.
-func (m *Mean) Min() float64 { return m.min }
-
-// Max returns the largest observed sample, or 0 with no samples.
-func (m *Mean) Max() float64 { return m.max }
 
 // Sum returns mean multiplied by count.
 func (m *Mean) Sum() float64 { return m.mean * float64(m.n) }

@@ -39,9 +39,9 @@ import (
 // contract is Warmup+Measure ≡ Warmup+Save+Load+Measure — byte-identical
 // Results — rather than equivalence with Run.
 
-// checkpointMagic starts every checkpoint. v3 is the flat image; the v2
-// gob stream before it is refused.
-const checkpointMagic = "taglesssim-checkpoint-v3"
+// checkpointMagic starts every checkpoint. v4 is the flat image; the v3
+// flat image and the v2 gob stream before it are refused.
+const checkpointMagic = "taglesssim-checkpoint-v4"
 
 // Identity names what a checkpoint of a machine built from cfg and w is
 // valid for: the workload's trace digest and the resolved configuration
@@ -185,7 +185,6 @@ func (m *Machine) visit(c *flat.Codec) {
 	if m.ctx != nil {
 		m.ctx.Visit(c)
 	}
-	c.U64(&m.giptCursor)
 	if m.ctrl != nil {
 		refs := pteRefs{tables: tables}
 		m.ctrl.Visit(c, refs.visit)

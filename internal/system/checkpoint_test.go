@@ -106,23 +106,25 @@ func loadTiny(tb testing.TB, i int, img []byte) (*Machine, error) {
 // the rest is a checkpoint for it. Any input either fails to load, or
 // loads, re-saves to exactly its bytes and runs a short measured phase;
 // nothing panics. The seeds are each machine's real checkpoint, the
-// same truncated, the checkpoint of the gob format before (testdata,
-// saved by the previous release from the same machines), and an image
-// whose final count is 2^40, which must fail before anything is
-// allocated for it.
+// same truncated, the checkpoints of the two formats before, the v2 gob
+// stream and the v3 flat image (testdata, saved by earlier releases from
+// the same machines), and an image whose final count is 2^40, which must
+// fail before anything is allocated for it.
 func FuzzCheckpointLoad(f *testing.F) {
 	for i, name := range tinyMachineNames {
 		img := tinyImage(f, i)
 		f.Add(append([]byte{byte(i)}, img...))
 		f.Add(append([]byte{byte(i)}, img[:len(img)*2/3]...))
-		old, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v2", name+".gob"))
-		if err != nil {
-			f.Fatal(err)
+		for _, old := range []string{"checkpoint-v2/" + name + ".gob", "checkpoint-v3/" + name + ".ckpt"} {
+			img, err := os.ReadFile(filepath.Join("testdata", old))
+			if err != nil {
+				f.Fatal(err)
+			}
+			if _, err := loadTiny(f, i, img); err == nil || !strings.Contains(err.Error(), "not a "+checkpointMagic+" stream") {
+				f.Fatalf("%s: the old checkpoint loaded with %v", old, err)
+			}
+			f.Add(append([]byte{byte(i)}, img...))
 		}
-		if _, err := loadTiny(f, i, old); err == nil || !strings.Contains(err.Error(), "not a "+checkpointMagic) {
-			f.Fatalf("%s: the v2 gob checkpoint loaded with %v", name, err)
-		}
-		f.Add(append([]byte{byte(i)}, old...))
 	}
 
 	// Banshee's machine has no shared frames, so its image ends in the
@@ -219,7 +221,6 @@ var visitExempt = map[string]string{
 	"dramcache.PageCache.ways":       "construction input",
 	"dramcache.PageCache.tagLatency": "construction input",
 	"org.Banshee.p":                  "hook: the machine's ports",
-	"org.Banshee.saved":              "derived: counters saved only across a fast-forward span",
 }
 
 // TestCheckpointVisitsCoverEveryField is the dropped-field firewall for

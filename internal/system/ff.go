@@ -30,8 +30,9 @@ import (
 //     arbitrary sources and mid-visit entry points;
 //   - an on-die presence filter standing in for the L1/L2 lookups (see
 //     ffVisit);
-//   - counter rollback: every statistics counter a span touches is
-//     restored at its end, so a span warms state without perturbing
+//   - counter rollback: the organizations whose counters reach the Result
+//     (the SRAM tag array and the tagless controller) restore them at the
+//     span's end, so a span warms their state without perturbing
 //     measured-window statistics.
 //
 // The approximations these imply — compressed timescales in recency
@@ -39,28 +40,16 @@ import (
 // reference — are absorbed by the sampling error bound the accuracy
 // tests enforce.
 
-// ffCoreSaved holds one core's statistics counters across a
-// fast-forwarded span.
-type ffCoreSaved struct {
-	l1, l2       [4]uint64
-	tlbL1, tlbL2 [4]uint64
-	ptWalks      uint64
-	ptFaults     uint64
-}
-
 // ffBegin quiesces the event kernel (fast-forward cannot represent
-// in-flight work) and snapshots every counter the span would otherwise
-// pollute.
+// in-flight work), starts a filter epoch and lets the organization
+// snapshot the counters the span would otherwise pollute.
 func (m *Machine) ffBegin() error {
 	m.kernel.Run(0)
 	if m.ctrl != nil && !m.ctrl.Quiesced() {
 		return fmt.Errorf("system: controller not quiesced after kernel drain")
 	}
-	if m.ffSave == nil {
-		m.ffSave = make([]ffCoreSaved, len(m.cores))
-	}
 	m.ffEpoch++ // expire every ffFilt entry from earlier spans
-	for i, cc := range m.cores {
+	for _, cc := range m.cores {
 		if !cc.active {
 			continue
 		}
@@ -74,29 +63,9 @@ func (m *Machine) ffBegin() error {
 			for cc.ffLog = 0; n>>cc.ffLog != 1; cc.ffLog++ {
 			}
 		}
-		s := &m.ffSave[i]
-		s.l1, s.l2 = cc.l1.Counters(), cc.l2.Counters()
-		s.tlbL1, s.tlbL2 = cc.tlbs.L1.Counters(), cc.tlbs.L2.Counters()
-		s.ptWalks, s.ptFaults = cc.pt.Walks, cc.pt.PageFaults
 	}
 	m.org.FastBegin()
 	return nil
-}
-
-// ffEnd restores the counters captured by ffBegin.
-func (m *Machine) ffEnd() {
-	for i, cc := range m.cores {
-		if !cc.active {
-			continue
-		}
-		s := &m.ffSave[i]
-		cc.l1.SetCounters(s.l1)
-		cc.l2.SetCounters(s.l2)
-		cc.tlbs.L1.SetCounters(s.tlbL1)
-		cc.tlbs.L2.SetCounters(s.tlbL2)
-		cc.pt.Walks, cc.pt.PageFaults = s.ptWalks, s.ptFaults
-	}
-	m.org.FastEnd()
 }
 
 // fetchVisit fills v with the core's next page visit: whole visits from a
@@ -127,7 +96,7 @@ func fetchVisit(cc *coreCtx, v *trace.Visit) {
 // the functional fast path, interleaving active cores in simulated-time
 // order (the same minimal-clock rule runPhase uses). Visits are atomic,
 // so the span may overshoot n by up to one visit. The kernel is drained
-// first; counters are restored on return.
+// first; the organization's counters are restored on return.
 func (m *Machine) FastForwardRefs(n uint64) error {
 	return m.fastForward(n, ^uint64(0))
 }
@@ -138,7 +107,7 @@ func (m *Machine) fastForward(n, instrTarget uint64) error {
 	if err := m.ffBegin(); err != nil {
 		return err
 	}
-	defer m.ffEnd()
+	defer m.org.FastEnd()
 	var v trace.Visit
 	var done uint64
 	if solo := m.soloCore(); solo != nil {

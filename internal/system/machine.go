@@ -42,7 +42,6 @@ type coreCtx struct {
 	vgen   *trace.Generator // gen when it is a Generator (visit-granular ff)
 	pt     *mmu.PageTable
 	active bool
-	done   bool
 
 	// hotCount tracks per-page access counts for the online hot-page
 	// filter (CHOP-style); nil unless the filter is enabled.
@@ -122,14 +121,10 @@ type Machine struct {
 	sharedFrames map[uint64]uint64 // shared VPN → PPN (inter-process pages)
 	giptBase     uint64            // off-package byte address of the GIPT region
 	giptRegion   uint64
-	giptCursor   uint64
 	ncThreshold  int
 
 	refs uint64 // trace references processed (all phases)
 
-	// Fast-forward state: the per-core counter snapshots bracketing each
-	// fast-forwarded span.
-	ffSave  []ffCoreSaved
 	ffEpoch uint32 // current fast-forward span, for ffFilt entry expiry
 
 	// warmedTo is the per-core instruction count the Warmup/Measure pair
@@ -486,7 +481,6 @@ func (m *memOps) EvictPage(at sim.Tick, ca, ppn uint64, pages int) sim.Tick {
 // modeled as fixed closed-bank write latency with energy and traffic
 // accounted on the device but no bus queueing.
 func (m *memOps) GIPTUpdate(at sim.Tick) sim.Tick {
-	m.giptCursor++
 	cost := 2 * m.offPkg.ColdWriteLatency(config.BlockSize)
 	m.rec.Add(lat.GIPTUpdate, cost)
 	m.offPkg.AccountTraffic(2*config.BlockSize, dram.Write)

@@ -101,8 +101,8 @@ func TestStepAllocFree(t *testing.T) {
 		t.Run(d.String()+"/ff", func(t *testing.T) {
 			m := benchStepMachine(t, d)
 			warmSteps(t, m, 200_000)
-			// One priming span so the lazily allocated ffSave scratch and
-			// the organization's FastBegin state exist.
+			// One priming span so the lazily allocated fast-forward
+			// filter exists.
 			if err := m.FastForwardRefs(2_000); err != nil {
 				t.Fatal(err)
 			}

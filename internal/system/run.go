@@ -136,17 +136,14 @@ func (m *Machine) Drain() {
 	m.kernel.Run(0)
 }
 
-// beginMeasurement resets all statistics at the warmup/measure boundary,
-// keeping microarchitectural state (cache contents, TLBs, row buffers).
+// beginMeasurement zeroes every counter the Result reads at the
+// warmup/measure boundary, keeping microarchitectural state (cache
+// contents, TLBs, row buffers).
 func (m *Machine) beginMeasurement() {
 	m.measuring = true
 	m.inPkg.ResetStats()
 	m.offPkg.ResetStats()
 	for _, cc := range m.cores {
-		cc.l1.ResetStats()
-		cc.l2.ResetStats()
-		cc.tlbs.L1.ResetStats()
-		cc.tlbs.L2.ResetStats()
 		cc.startCycle = cc.cpu.Now()
 		cc.startInstr = cc.cpu.Instructions
 	}

@@ -105,7 +105,7 @@ func TestSampledSharedAliasTable(t *testing.T) {
 		}
 	}
 	attached := m.ctrl.Stats().AliasHits - before
-	m.ffEnd()
+	m.org.FastEnd()
 	if attached == 0 {
 		t.Error("no alias attaches in 20000 fast-forwarded visits")
 	}

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"taglessdram/internal/config"
+	"taglessdram/internal/lat"
+	"taglessdram/internal/mmu"
 )
 
 func superConfig() *config.SystemConfig {
@@ -108,56 +110,53 @@ func TestSuperpageDeterminism(t *testing.T) {
 	}
 }
 
-func TestMemoryWalkModel(t *testing.T) {
-	cfg := scaledConfig(config.Tagless, 6)
+// pwcWalkCycles runs mcf on design under the pwc walk model and returns
+// the measured window's page-table-walk cycles per walk, with what one
+// walk-cache miss costs at least: the upper levels plus one off-package
+// read at its best case (MinReadLatency). Every walk costs at least the
+// upper levels plus a walk-cache hit. PageWalkCycles is set far above
+// both, so a machine that priced its walks with the fixed model instead
+// fails.
+func pwcWalkCycles(t *testing.T, design config.L3Design, instr uint64) (perWalk, missCost float64) {
+	t.Helper()
+	cfg := scaledConfig(design, 6)
 	cfg.WalkModel = "pwc"
+	cfg.PageWalkCycles = 10_000
 	w, _ := SingleProgram("mcf", 6, 1)
 	m, err := New(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Run(600000, 600000)
+	r, err := m.Run(instr, instr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.IPC <= 0 {
-		t.Fatal("memory-walk run failed")
+	if r.IPC <= 0 || r.TLBMisses == 0 {
+		t.Fatalf("memory-walk run failed: IPC %v, %d TLB misses", r.IPC, r.TLBMisses)
 	}
-	// The walk cache must see traffic and get some hits (walks cluster on
-	// hot page-table lines).
-	ws, ok := m.walk.(interface {
-		WalkCacheStats(core int) (accesses, hits uint64)
-	})
-	if !ok {
-		t.Fatalf("walk model %q has no walk cache", m.walk.Name())
+	perWalk = float64(r.Latency.Handler.Cycles[lat.PTWalk]) / float64(r.TLBMisses)
+	upper := float64((mmu.WalkLevels - 1) * cfg.PWCHitCycles)
+	if hit := upper + float64(cfg.PWCHitCycles); perWalk < hit || perWalk >= float64(cfg.PageWalkCycles) {
+		t.Fatalf("%.1f cycles per walk, outside what the pwc model charges (at least %.0f for a walk-cache hit)", perWalk, hit)
 	}
-	accesses, hits := ws.WalkCacheStats(0)
-	if accesses == 0 {
-		t.Fatal("walk cache unused under the memory-walk model")
-	}
-	if hits == 0 {
-		t.Fatal("walk cache never hit; walk locality not modeled")
+	return perWalk, upper + float64(m.offPkg.MinReadLatency(config.BlockSize))
+}
+
+// TestMemoryWalkModel: walks cluster on hot page-table lines, so the
+// walk cache must hit often enough to bring the mean walk below the cost
+// of a miss.
+func TestMemoryWalkModel(t *testing.T) {
+	perWalk, miss := pwcWalkCycles(t, config.Tagless, 600000)
+	if perWalk >= miss {
+		t.Fatalf("walk cache never hit; walk locality not modeled: %.1f cycles per walk, a miss costs at least %.0f", perWalk, miss)
 	}
 }
 
+// TestMemoryWalkForConventionalDesigns: a design without the tagless
+// controller walks through the same model.
 func TestMemoryWalkForConventionalDesigns(t *testing.T) {
-	cfg := scaledConfig(config.SRAMTag, 6)
-	cfg.WalkModel = "pwc"
-	w, _ := SingleProgram("mcf", 6, 1)
-	m, err := New(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(400000, 400000); err != nil {
-		t.Fatal(err)
-	}
-	ws, ok := m.walk.(interface {
-		WalkCacheStats(core int) (accesses, hits uint64)
-	})
-	if !ok {
-		t.Fatalf("walk model %q has no walk cache", m.walk.Name())
-	}
-	if accesses, _ := ws.WalkCacheStats(0); accesses == 0 {
-		t.Fatal("conventional design skipped the memory walk")
+	perWalk, miss := pwcWalkCycles(t, config.SRAMTag, 400000)
+	if perWalk >= miss {
+		t.Fatalf("conventional design's walks never hit the walk cache: %.1f cycles per walk, a miss costs at least %.0f", perWalk, miss)
 	}
 }

@@ -64,11 +64,6 @@ type TLB struct {
 	// invalidations cannot make it lie.
 	lastVPN uint64
 	lastIdx int
-
-	Accesses  uint64
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
 }
 
 // New constructs a TLB from its configuration.
@@ -107,12 +102,10 @@ func (t *TLB) setBase(vpn uint64) int {
 	return int(vpn%uint64(t.nsets)) * t.ways
 }
 
-// Lookup searches for vpn, updating LRU state and hit/miss counters.
+// Lookup searches for vpn, updating LRU state on a hit.
 func (t *TLB) Lookup(vpn uint64) (Entry, bool) {
-	t.Accesses++
 	t.tick++
 	if vpn == t.lastVPN && t.vpns[t.lastIdx] == vpn {
-		t.Hits++
 		i := t.lastIdx
 		t.used[i] = t.tick
 		return Entry{Frame: t.frames[i], NC: t.nc[i]}, true
@@ -120,18 +113,16 @@ func (t *TLB) Lookup(vpn uint64) (Entry, bool) {
 	base := t.setBase(vpn)
 	for w, v := range t.vpns[base : base+t.ways] {
 		if v == vpn {
-			t.Hits++
 			i := base + w
 			t.lastVPN, t.lastIdx = vpn, i
 			t.used[i] = t.tick
 			return Entry{Frame: t.frames[i], NC: t.nc[i]}, true
 		}
 	}
-	t.Misses++
 	return Entry{}, false
 }
 
-// Peek reports presence without perturbing LRU state or counters.
+// Peek reports presence without perturbing LRU state.
 func (t *TLB) Peek(vpn uint64) (Entry, bool) {
 	base := t.setBase(vpn)
 	for w, v := range t.vpns[base : base+t.ways] {
@@ -170,7 +161,6 @@ func (t *TLB) Insert(vpn uint64, e Entry) (evictedVPN uint64, evicted Entry, did
 		}
 		i := base + vi
 		evictedVPN, evicted, didEvict = t.vpns[i], Entry{Frame: t.frames[i], NC: t.nc[i]}, true
-		t.Evictions++
 	}
 	i := base + vi
 	t.vpns[i] = vpn
@@ -242,36 +232,17 @@ func (t *TLB) Flush() {
 	}
 }
 
-// HitRate returns hits/accesses, or 0 before any access.
-func (t *TLB) HitRate() float64 {
-	if t.Accesses == 0 {
-		return 0
-	}
-	return float64(t.Hits) / float64(t.Accesses)
-}
-
-// ResetStats clears counters, keeping contents.
-func (t *TLB) ResetStats() { t.Accesses, t.Hits, t.Misses, t.Evictions = 0, 0, 0, 0 }
-
-// Counters snapshots the four statistics counters (for excluding a
-// fast-forwarded phase from measurement without losing warm contents).
-func (t *TLB) Counters() [4]uint64 {
-	return [4]uint64{t.Accesses, t.Hits, t.Misses, t.Evictions}
-}
-
-// SetCounters restores counters captured by Counters.
-func (t *TLB) SetCounters(v [4]uint64) {
-	t.Accesses, t.Hits, t.Misses, t.Evictions = v[0], v[1], v[2], v[3]
-}
-
 // Visit hands the TLB's checkpoint state to c: every slot's key, frame,
-// NC bit and recency stamp, the LRU clock, the same-page memo and the
-// counters. Geometry comes from construction: the slot count must match,
-// and a decoded memo slot must exist.
+// NC bit and recency stamp, the LRU clock and the same-page memo. Keys
+// cross one up, so an empty slot's all-ones sentinel is a single zero
+// byte. Geometry comes from construction: the slot count must match, and
+// a decoded memo slot must exist.
 func (t *TLB) Visit(c *flat.Codec) {
 	c.Fixed(len(t.vpns), "TLB slots")
 	for i := range t.vpns {
-		c.U64(&t.vpns[i])
+		v := t.vpns[i] + 1
+		c.U64(&v)
+		t.vpns[i] = v - 1
 		c.U64(&t.frames[i])
 		c.Bool(&t.nc[i])
 		c.U64(&t.used[i])
@@ -282,10 +253,6 @@ func (t *TLB) Visit(c *flat.Codec) {
 	if t.lastIdx < 0 || t.lastIdx >= len(t.vpns) {
 		c.Fail(fmt.Errorf("tlb: memo slot %d outside %d slots", t.lastIdx, len(t.vpns)))
 	}
-	c.U64(&t.Accesses)
-	c.U64(&t.Hits)
-	c.U64(&t.Misses)
-	c.U64(&t.Evictions)
 }
 
 // Hierarchy is one core's L1+L2 TLB pair, maintained inclusively: every L1
@@ -325,8 +292,8 @@ type SharedGroup struct {
 
 // NewSharedGroup builds per-core hierarchies whose L2 level is one shared
 // TLB. Each member still exposes the L2 through its own Hierarchy, so
-// stats reset and state save/restore code paths work unchanged
-// (idempotently, since they see the same underlying TLB).
+// code that walks every core's TLBs works unchanged (the checkpoint
+// visits the shared L2 once).
 func NewSharedGroup(l1, l2 config.TLBConfig, cores int) (*SharedGroup, []*Hierarchy) {
 	g := &SharedGroup{L2: New(l2)}
 	hs := make([]*Hierarchy, cores)

@@ -89,12 +89,6 @@ func (w *pwcWalk) Walk(at sim.Tick, coreID int, vpn uint64) sim.Tick {
 
 func (w *pwcWalk) Visit(c *flat.Codec) { visitCaches(c, w.caches) }
 
-// WalkCacheStats reports one core's walk-cache accesses and hits, so
-// tests can assert the model exercises walk locality.
-func (w *pwcWalk) WalkCacheStats(core int) (accesses, hits uint64) {
-	return w.caches[core].Accesses, w.caches[core].Hits
-}
-
 // Salts separating the reference streams of the nested walk's table
 // dimensions, so a guest-table line and a host-table line never collide
 // in the walk cache or the page-table region.
@@ -182,8 +176,3 @@ func (w *nestedWalk) Walk(at sim.Tick, coreID int, vpn uint64) sim.Tick {
 }
 
 func (w *nestedWalk) Visit(c *flat.Codec) { visitCaches(c, w.caches) }
-
-// WalkCacheStats reports one core's walk-cache accesses and hits.
-func (w *nestedWalk) WalkCacheStats(core int) (accesses, hits uint64) {
-	return w.caches[core].Accesses, w.caches[core].Hits
-}
