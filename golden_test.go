@@ -1,6 +1,7 @@
 package taglessdram_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -248,6 +249,48 @@ func TestGoldenSampled(t *testing.T) {
 			want, ok := goldenSampled[key]
 			if got := sampledFingerprint(r); !ok || got != want {
 				t.Errorf("sampled fingerprint changed:\n got: %s\nwant: %s", got, want)
+			}
+		})
+	}
+}
+
+// goldenOneCore pins RunFairness(MIX5) at goldenOptions(): its 12
+// run-alone cells are the only one-core machines the goldens run, beside
+// its three four-core mixes. The variants cover the accurate path, the
+// sampled path, and nested walks under the shared TLB topology with a
+// flushing context switch every 20,000 references. Like goldenSampled,
+// the table stays out of TestModelVersionPinsGoldens' digest.
+var goldenOneCore = map[string]string{
+	"accurate": `[{Design:NoL3 MixIPC:1.1158991712919115 WeightedSpeedup:1.4885164586496695 HarmonicSpeedup:0.34224217601062557 PerProgSlowdowns:[0.5649740373592286 0.35838521186387484 0.25898961124816816 0.3061675981783981]} {Design:SRAM MixIPC:0.811242996577513 WeightedSpeedup:1.1766935446935136 HarmonicSpeedup:0.2458899385170662 PerProgSlowdowns:[0.4857813690924399 0.3343031374281927 0.17676266981187208 0.179846368361009]} {Design:cTLB MixIPC:0.8524828967839561 WeightedSpeedup:1.136437960590745 HarmonicSpeedup:0.24532467527064222 PerProgSlowdowns:[0.44148315916939496 0.33213077817944675 0.1778130473462488 0.1850109758956544]}]`,
+	"sampled":  `[{Design:NoL3 MixIPC:0.8873862073482219 WeightedSpeedup:1.9671956962120065 HarmonicSpeedup:0.46554297289205243 PerProgSlowdowns:[0.43065810055920356 0.4240844253519771 0.39803805727077035 0.7144151130300553]} {Design:SRAM MixIPC:0.908295980022215 WeightedSpeedup:1.656965246227207 HarmonicSpeedup:0.40503531021816147 PerProgSlowdowns:[0.3664413971826891 0.4178515774178584 0.35384062351125256 0.5188316481154073]} {Design:cTLB MixIPC:1.049073998159839 WeightedSpeedup:1.7868595493442874 HarmonicSpeedup:0.4398150920691644 PerProgSlowdowns:[0.3844032689159483 0.46136423698376133 0.4084103268952981 0.5326817165492796]}]`,
+	"vm":       `[{Design:NoL3 MixIPC:0.6168151159168643 WeightedSpeedup:1.2587554345745728 HarmonicSpeedup:0.2687645048537369 PerProgSlowdowns:[0.5538040630143659 0.2890219003765717 0.20687434278665578 0.20905512839697957]} {Design:SRAM MixIPC:0.5246786618902644 WeightedSpeedup:1.0680482172727799 HarmonicSpeedup:0.2137847329074658 PerProgSlowdowns:[0.48144493403547856 0.2796807232710858 0.16020559328778713 0.1467169666784284]} {Design:cTLB MixIPC:0.5367451646861566 WeightedSpeedup:1.037785053748626 HarmonicSpeedup:0.2118160295474996 PerProgSlowdowns:[0.45528475489184955 0.2758050785602893 0.1593287696956247 0.14736645060086243]}]`,
+}
+
+// TestGoldenOneCore runs the goldenOneCore variants and compares each
+// against its pinned rows.
+func TestGoldenOneCore(t *testing.T) {
+	variants := map[string]func(*taglessdram.Options){
+		"accurate": func(*taglessdram.Options) {},
+		"sampled": func(o *taglessdram.Options) {
+			spec := goldenSampleSpec
+			o.Sample = &spec
+		},
+		"vm": func(o *taglessdram.Options) {
+			o.WalkModel, o.TLBTopology = "nested", "shared"
+			o.CtxSwitchRefs, o.CtxSwitchFlush = 20_000, true
+		},
+	}
+	for name, mod := range variants {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			o := goldenOptions()
+			mod(&o)
+			rows, err := taglessdram.RunFairness(context.Background(), o, "MIX5")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%+v", rows); got != goldenOneCore[name] {
+				t.Errorf("fairness rows changed:\n got: %s\nwant: %s", got, goldenOneCore[name])
 			}
 		})
 	}
