@@ -70,22 +70,13 @@ func (m *Machine) Warmup(warmup uint64) error {
 // Measure runs the measured phase after Warmup, LoadCheckpoint or Run's
 // own warm-up, and collects the Result.
 func (m *Machine) Measure(measure uint64) (*Result, error) {
-	if measure == 0 {
-		return nil, fmt.Errorf("system: measure phase must be positive")
-	}
-	target := m.warmedTo + measure
-	if target < m.warmedTo {
-		return nil, fmt.Errorf("system: warmup+measure overflows uint64 (warmup=%d measure=%d)", m.warmedTo, measure)
-	}
-	m.beginMeasurement()
-	if err := m.runPhase(target); err != nil {
+	target, err := m.beginMeasurement(measure)
+	if err != nil {
 		return nil, err
 	}
-	// Let in-flight accesses and background evictions finish.
-	for _, cc := range m.cores {
-		cc.cpu.Drain()
+	if err := m.advance(^uint64(0), target, false); err != nil {
+		return nil, err
 	}
-	m.kernel.Run(0)
 	return m.collect(), nil
 }
 
@@ -130,8 +121,8 @@ func (m *Machine) LoadCheckpoint(rd io.Reader) error {
 }
 
 // visit hands the machine's checkpoint state to c in image order. The
-// structure — which cores are active, which tables and thread groups
-// they share, the design, the walk model, the TLB topology and the
+// structure — how many cores run, which tables and thread groups they
+// share, the design, the walk model, the TLB topology and the
 // context-switch and hot-filter modes — comes from the machine itself,
 // which the identity header guarantees was built like the saving one.
 func (m *Machine) visit(c *flat.Codec) {
@@ -153,7 +144,7 @@ func (m *Machine) visit(c *flat.Codec) {
 		g.VisitGroup(c)
 	}
 	for _, cc := range m.cores {
-		if !cc.active || cc.vgen == nil {
+		if cc.vgen == nil {
 			continue
 		}
 		cc.cpu.Visit(c)
@@ -211,13 +202,13 @@ func (m *Machine) visitIdentity(c *flat.Codec) {
 	}
 }
 
-// distinctTables lists the active cores' page tables, deduplicated in
-// core order (multi-threaded workloads share one table across cores).
+// distinctTables lists the cores' page tables, deduplicated in core
+// order (multi-threaded workloads share one table across cores).
 // Construction is deterministic, so save and restore agree on indices.
 func (m *Machine) distinctTables() []*mmu.PageTable {
 	var out []*mmu.PageTable
 	for _, cc := range m.cores {
-		if cc.active && cc.pt != nil && !slices.Contains(out, cc.pt) {
+		if !slices.Contains(out, cc.pt) {
 			out = append(out, cc.pt)
 		}
 	}
@@ -225,14 +216,11 @@ func (m *Machine) distinctTables() []*mmu.PageTable {
 }
 
 // threadGroups lists one generator per thread group, in core order, and
-// fails c when an active core's trace source is not a synthetic
-// generator: only a generator's stream position has an image.
+// fails c when a core's trace source is not a synthetic generator: only
+// a generator's stream position has an image.
 func (m *Machine) threadGroups(c *flat.Codec) []*trace.Generator {
 	var reps []*trace.Generator
 	for _, cc := range m.cores {
-		if !cc.active {
-			continue
-		}
 		if cc.vgen == nil {
 			c.Fail(fmt.Errorf("core %d trace source %T has no checkpoint image", cc.id, cc.gen))
 			return nil

@@ -20,8 +20,8 @@ type Result struct {
 	Workload string
 	Design   config.L3Design
 
-	Cycles       uint64 // measured cycles (longest active core)
-	Instructions uint64 // measured instructions across active cores
+	Cycles       uint64 // measured cycles (longest core)
+	Instructions uint64 // measured instructions across cores
 	IPC          float64
 	PerCoreIPC   []float64
 
@@ -262,17 +262,19 @@ var (
 	epochMinBytes = flat.MinSize(func(c *flat.Codec) { visitEpoch(c, new(obs.Epoch)) })
 )
 
-// collect assembles the Result after the measured phase.
+// collect lets in-flight accesses and background evictions finish, then
+// assembles the Result of the measured phase.
 func (m *Machine) collect() *Result {
+	for _, cc := range m.cores {
+		cc.cpu.Drain()
+	}
+	m.kernel.Run(0)
 	r := &Result{
 		Workload: m.workload.Name,
 		Design:   m.cfg.Design,
 	}
 	var maxCycles sim.Tick
 	for _, cc := range m.cores {
-		if !cc.active {
-			continue
-		}
 		cycles := cc.cpu.Now() - cc.startCycle
 		instr := cc.cpu.Instructions - cc.startInstr
 		r.Instructions += instr
@@ -339,8 +341,8 @@ func (m *Machine) collect() *Result {
 }
 
 // price sets r's energy, energy-delay product and wall time from its
-// measured cycles. PerCoreIPC holds one entry per active core, so it
-// also counts the cores drawing power.
+// measured cycles. PerCoreIPC holds one entry per core, so it also
+// counts the cores drawing power.
 func (m *Machine) price(r *Result) {
 	var os org.Stats
 	m.org.Collect(&os)

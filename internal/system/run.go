@@ -10,19 +10,15 @@ import (
 	"taglessdram/internal/trace"
 )
 
-// Run executes the workload: every active core retires `warmup`
-// instructions to populate caches and TLBs, statistics reset, and the
-// measured phase runs for `measure` instructions per core. Unlike
-// Warmup, the warm-up phase does not quiesce the event kernel: in-flight
-// fills and evictions carry into the measured phase.
+// Run executes the workload: every core retires `warmup` instructions
+// to populate caches and TLBs, statistics reset, and the measured phase
+// runs for `measure` instructions per core. Unlike Warmup, the warm-up
+// phase does not quiesce the event kernel: in-flight fills and evictions
+// carry into the measured phase.
 func (m *Machine) Run(warmup, measure uint64) (*Result, error) {
-	if measure == 0 {
-		return nil, fmt.Errorf("system: measure phase must be positive")
-	}
-	// The phase target is the absolute instruction count warmup+measure;
-	// validate it before the sum can wrap to a tiny (or huge) target.
-	if warmup+measure < warmup {
-		return nil, fmt.Errorf("system: warmup+measure overflows uint64 (warmup=%d measure=%d)", warmup, measure)
+	// Refuse the measured phase before spending the warm-up on it.
+	if _, err := measureTarget(warmup, measure); err != nil {
+		return nil, err
 	}
 	if err := m.warm(warmup); err != nil {
 		return nil, err
@@ -33,7 +29,7 @@ func (m *Machine) Run(warmup, measure uint64) (*Result, error) {
 // warm runs the warm-up phase to `warmup` instructions per core and
 // makes it the measured phase's starting point.
 func (m *Machine) warm(warmup uint64) error {
-	if err := m.runPhase(warmup); err != nil {
+	if err := m.advance(^uint64(0), warmup, false); err != nil {
 		return err
 	}
 	if warmup > m.warmedTo {
@@ -42,44 +38,40 @@ func (m *Machine) warm(warmup uint64) error {
 	return nil
 }
 
-// runPhase advances every active core until it has retired `target`
-// instructions, interleaving cores in simulated-time order (minimal
-// clock, lowest id on ties). A lone runnable core needs no ordering.
-func (m *Machine) runPhase(target uint64) error {
-	runnable := 0
-	var last *coreCtx
-	for _, cc := range m.cores {
-		if cc.active && cc.cpu.Instructions < target {
-			runnable++
-			last = cc
-		}
-	}
-	if runnable == 1 {
-		for last.cpu.Instructions < target {
-			if err := m.step(last); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for {
-		next := m.nextCore(target)
-		if next == nil {
+// advance is the one loop that moves the machine. It interleaves the
+// cores in simulated-time order (nextCore), running one step on the
+// chosen core, or one fast-forward visit when fast is set, until refs
+// more references have been processed or every core has retired target
+// instructions. A visit is atomic, so a fast span may overshoot refs by
+// up to one visit.
+func (m *Machine) advance(refs, target uint64, fast bool) error {
+	var v trace.Visit
+	for start := m.refs; m.refs-start < refs; {
+		cc := m.nextCore(target)
+		if cc == nil {
 			return nil
 		}
-		if err := m.step(next); err != nil {
+		var err error
+		if fast {
+			fetchVisit(cc, &v)
+			err = m.ffVisit(cc, &v)
+		} else {
+			err = m.step(cc)
+		}
+		if err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
-// nextCore picks the runnable core with the minimal clock (lowest id on
-// ties — the scan keeps the first minimum), or nil once every core has
-// retired target instructions.
+// nextCore picks the core with the minimal clock (lowest id on ties —
+// the scan keeps the first minimum) among those short of target
+// instructions, or nil once every core has retired target instructions.
 func (m *Machine) nextCore(target uint64) *coreCtx {
 	var next *coreCtx
 	for _, cc := range m.cores {
-		if !cc.active || cc.cpu.Instructions >= target {
+		if cc.cpu.Instructions >= target {
 			continue
 		}
 		if next == nil || cc.cpu.Now() < next.cpu.Now() {
@@ -89,44 +81,14 @@ func (m *Machine) nextCore(target uint64) *coreCtx {
 	return next
 }
 
-// soloCore returns the single active core, or nil when zero or several
-// cores are active.
-func (m *Machine) soloCore() *coreCtx {
-	var solo *coreCtx
-	for _, cc := range m.cores {
-		if !cc.active {
-			continue
-		}
-		if solo != nil {
-			return nil
-		}
-		solo = cc
-	}
-	return solo
-}
-
-// Steps advances the machine by n trace references, interleaving active
-// cores in simulated-time order with no instruction target. It exists for
+// Steps advances the machine by n trace references, interleaving cores
+// in simulated-time order with no instruction target. It exists for
 // benchmarks and profiling harnesses that meter the per-reference path.
 func (m *Machine) Steps(n int) error {
-	if solo := m.soloCore(); solo != nil {
-		for i := 0; i < n; i++ {
-			if err := m.step(solo); err != nil {
-				return err
-			}
-		}
+	if n <= 0 {
 		return nil
 	}
-	for i := 0; i < n; i++ {
-		next := m.nextCore(^uint64(0))
-		if next == nil {
-			return nil
-		}
-		if err := m.step(next); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.advance(uint64(n), ^uint64(0), false)
 }
 
 // Drain fires every pending kernel event (controller daemons, in-flight
@@ -136,10 +98,27 @@ func (m *Machine) Drain() {
 	m.kernel.Run(0)
 }
 
-// beginMeasurement zeroes every counter the Result reads at the
-// warmup/measure boundary, keeping microarchitectural state (cache
-// contents, TLBs, row buffers).
-func (m *Machine) beginMeasurement() {
+// measureTarget is the absolute instruction count a measured phase of
+// `measure` instructions runs to after `warmup`. It refuses an empty
+// phase, and a sum that would wrap to a tiny (or huge) target.
+func measureTarget(warmup, measure uint64) (uint64, error) {
+	if measure == 0 {
+		return 0, fmt.Errorf("system: measure phase must be positive")
+	}
+	if warmup+measure < warmup {
+		return 0, fmt.Errorf("system: warmup+measure overflows uint64 (warmup=%d measure=%d)", warmup, measure)
+	}
+	return warmup + measure, nil
+}
+
+// beginMeasurement starts a measured phase of `measure` instructions per
+// core and returns its instruction target. It zeroes every counter the
+// Result reads, keeping microarchitectural state (cache contents, TLBs,
+// row buffers).
+func (m *Machine) beginMeasurement(measure uint64) (target uint64, err error) {
+	if target, err = measureTarget(m.warmedTo, measure); err != nil {
+		return 0, err
+	}
 	m.measuring = true
 	m.inPkg.ResetStats()
 	m.offPkg.ResetStats()
@@ -169,6 +148,7 @@ func (m *Machine) beginMeasurement() {
 		// baseline on the freshly reset counters.
 		m.sampler.Rebase(m.cumulative())
 	}
+	return target, nil
 }
 
 // step processes one trace reference on one core.

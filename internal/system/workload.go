@@ -15,8 +15,8 @@ import (
 // Workload describes what runs on the machine.
 type Workload struct {
 	Name string
-	// PerCore holds one profile per active core. Idle cores (beyond
-	// len(PerCore)) execute nothing.
+	// PerCore holds one profile per core the workload runs on; the
+	// machine builds only those cores.
 	PerCore []trace.Profile
 	// MultiThreaded runs PerCore[0] as one multi-threaded process across
 	// all cores: threads share an address space, a page table and the
