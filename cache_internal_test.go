@@ -155,6 +155,50 @@ func TestModelVersionBumpInvalidates(t *testing.T) {
 	}
 }
 
+// TestSamplerVersionBumpInvalidatesSampled: bumping the sampler version
+// must orphan the sampled entries, whose Results it versions, and leave
+// the unsampled ones replaying.
+func TestSamplerVersionBumpInvalidatesSampled(t *testing.T) {
+	n := countSimulations(t)
+	store, err := OpenResultCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.Warmup, o.Measure = 50_000, 50_000
+	o.ResultCache = store
+	sampled := o
+	sampled.Sample = &SampleSpec{WindowRefs: 150, WarmRefs: 50, PeriodRefs: 800}
+
+	for _, oo := range []Options{o, sampled} {
+		if _, err := Run(Tagless, "sphinx3", oo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := n.Load(); got != 2 {
+		t.Fatalf("cold runs executed %d simulations, want 2", got)
+	}
+
+	old := samplerVersion
+	t.Cleanup(func() { samplerVersion = old })
+	samplerVersion++
+
+	n.Store(0)
+	if _, err := Run(Tagless, "sphinx3", sampled); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Load(); got != 1 {
+		t.Errorf("sampled run after a sampler-version bump executed %d simulations, want 1", got)
+	}
+	n.Store(0)
+	if _, err := Run(Tagless, "sphinx3", o); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Load(); got != 0 {
+		t.Errorf("unsampled run after a sampler-version bump executed %d simulations, want 0 (it must replay)", got)
+	}
+}
+
 // TestIncrementalInvalidation is the incremental-sweep acceptance test:
 // after editing a knob only one organization consumes, a re-run must
 // re-simulate only that organization's cells and replay the rest.

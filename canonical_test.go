@@ -176,6 +176,19 @@ func TestPreimageContents(t *testing.T) {
 		}
 	}
 
+	if strings.Contains(pre, "sampler=") {
+		t.Errorf("an unsampled preimage carries a sampler version:\n%s", pre)
+	}
+	sj := j
+	sj.Options.Sample = &SampleSpec{WindowRefs: 2000, WarmRefs: 1000, PeriodRefs: 40000}
+	spre, err := sj.preimage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(spre, "\nsampler=1\n") {
+		t.Errorf("sampled preimage missing the sampler version line:\n%s", spre)
+	}
+
 	j.Options.Checkpoints = NewCheckpointStore()
 	qpre, err := j.preimage()
 	if err != nil {
