@@ -292,6 +292,16 @@ func TestProfileValidation(t *testing.T) {
 		func(p *Profile) { p.BlockRepeats = -1 },
 		func(p *Profile) { p.SingletonFrac = -0.1 },
 		func(p *Profile) { p.WriteFraction = 2 },
+		// NaN fails every ordered comparison, so a range check written
+		// as "x < 0 || x > 1" lets it through; +Inf MPKI gives a zero gap.
+		func(p *Profile) { p.MPKI = math.NaN() },
+		func(p *Profile) { p.MPKI = math.Inf(1) },
+		func(p *Profile) { p.HotFraction = math.NaN() },
+		func(p *Profile) { p.SingletonFrac = math.NaN() },
+		func(p *Profile) { p.WriteFraction = math.NaN() },
+		func(p *Profile) { p.DependentFrac = math.NaN() },
+		func(p *Profile) { p.SharedFrac = math.NaN() },
+		func(p *Profile) { p.SharedFrac = math.Inf(-1) },
 	}
 	for i, mutate := range cases {
 		p := testProfile()

@@ -2,6 +2,7 @@ package taglessdram
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -269,6 +270,16 @@ func TestRunSharedPagesStudy(t *testing.T) {
 	}
 	if aliasRow.L3HitRate != 1 {
 		t.Errorf("alias variant hit rate = %v, want 1", aliasRow.L3HitRate)
+	}
+}
+
+// TestRunSharedPagesRefusesNaN: a NaN shared fraction is not "unset"
+// (NaN <= 0 is false), so it reaches the per-core profiles, whose
+// validation must refuse it before any machine is built.
+func TestRunSharedPagesRefusesNaN(t *testing.T) {
+	_, err := RunSharedPages(context.Background(), quickOpts(), "MIX1", math.NaN())
+	if err == nil || !strings.Contains(err.Error(), "shared fraction out of [0,1]") {
+		t.Fatalf("RunSharedPages(NaN) error = %v, want the profile's shared-fraction check", err)
 	}
 }
 
