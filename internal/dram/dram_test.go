@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -408,5 +409,66 @@ func TestPerBankTelemetryAndBusTicks(t *testing.T) {
 	}
 	if d.BusBusyTicks() != 0 {
 		t.Fatal("ResetStats kept bus busy ticks")
+	}
+}
+
+// TestAddressMappingMatchesDivision: the shift-and-mask mapping of the
+// power-of-two geometries and the division fallback of any other agree
+// with the division formulas, and a multi-row access on an odd geometry
+// keeps the accounting identity.
+func TestAddressMappingMatchesDivision(t *testing.T) {
+	odd := config.Default().InPkg
+	odd.Channels, odd.RanksPerChan, odd.BanksPerRank, odd.Microbanks = 3, 1, 3, 0
+	odd.RowBytes = 3072
+	for _, tc := range []struct {
+		name string
+		cfg  config.DRAMConfig
+		pow2 bool
+	}{
+		{"in-pkg", config.Default().InPkg, true},
+		{"off-pkg", config.Default().OffPkg, true},
+		{"odd", odd, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := New(tc.name, tc.cfg, 3.0)
+			if d.pow2 != tc.pow2 {
+				t.Fatalf("shift-and-mask mapping = %t, want %t", d.pow2, tc.pow2)
+			}
+			rows, n := uint64(tc.cfg.RowBytes), uint64(d.RowBuffers())
+			r := rand.New(rand.NewSource(1))
+			for i := 0; i < 10_000; i++ {
+				addr := r.Uint64()
+				bank, row := d.bankOf(addr)
+				if wantBank, wantRow := int(addr/rows%n), int64(addr/rows/n); bank != wantBank || row != wantRow {
+					t.Fatalf("bankOf(%#x) = (%d, %d), want (%d, %d)", addr, bank, row, wantBank, wantRow)
+				}
+				if got, want := d.channelOf(bank), bank%tc.cfg.Channels; got != want {
+					t.Fatalf("channelOf(%d) = %d, want %d", bank, got, want)
+				}
+				if got, want := d.rowOffset(addr), int(addr%rows); got != want {
+					t.Fatalf("rowOffset(%#x) = %d, want %d", addr, got, want)
+				}
+			}
+			if got, want := d.TransferCycles(config.BlockSize), d.cycles(tc.cfg.TransferNS(config.BlockSize)); got != want {
+				t.Fatalf("TransferCycles(%d) = %d, the float path %d", config.BlockSize, got, want)
+			}
+		})
+	}
+
+	// 8,000 bytes from offset 1,000 span rows 0, 1 and 2 of 3,072 bytes,
+	// each in its own bank. A write to row 0 opens it and keeps its bank
+	// busy, so the first chunk queues and then hits the open row.
+	d := New("odd", odd, 3.0)
+	d.Access(0, 0, 64, Write)
+	const at = 5
+	res := d.Access(at, 1000, 8000, Read)
+	if res.QueueWait+res.Service != res.Done-at {
+		t.Fatalf("QueueWait %d + Service %d != Done %d - at %d", res.QueueWait, res.Service, res.Done, at)
+	}
+	if res.QueueWait == 0 {
+		t.Fatal("the access did not queue behind the busy bank")
+	}
+	if d.Activates != 3 {
+		t.Fatalf("activations = %d, want 3 (row 0 once, rows 1 and 2)", d.Activates)
 	}
 }
