@@ -107,7 +107,9 @@ func (c *Core) CompleteMSHR(done sim.Tick) {
 }
 
 // Block stalls the core until the given cycle: work that is not
-// overlapped (TLB miss handlers, page fills, dependent loads).
+// overlapped (TLB miss handlers, page fills, dependent loads). Callers
+// block only the core whose reference they serve; the machine's
+// scheduler relies on a step moving no other core's clock.
 func (c *Core) Block(until sim.Tick) {
 	if until > c.now {
 		c.now = until

@@ -4,20 +4,35 @@ import (
 	"testing"
 
 	"taglessdram/internal/config"
+	"taglessdram/internal/trace"
 )
 
-// benchStepMachine builds the standard hot-path metering rig: the default
-// machine at 64× scale running libquantum, whose streaming working set
-// reaches steady state quickly (no fills, no faults, no events in the
-// measured window), so the benchmark isolates the per-reference path.
-func benchStepMachine(tb testing.TB, design config.L3Design) *Machine {
+// benchRigs are the hot-path metering rigs' workloads, each with the
+// prefix of its benchmark and subtest names: four copies of libquantum,
+// whose streaming working set reaches steady state quickly (no fills, no
+// faults, no events in the measured window), so the benchmark isolates
+// the per-reference path; and MIX1, whose four programs run at different
+// speeds, so the scheduler often runs one core for several steps in a
+// row. The libquantum rig's names keep their original unprefixed form.
+var benchRigs = []struct{ prefix, workload string }{
+	{"", "libquantum"},
+	{"MIX1/", "MIX1"},
+}
+
+// benchStepMachine builds a hot-path metering rig: the default machine at
+// 64× scale running workload, a SPEC program or a mix.
+func benchStepMachine(tb testing.TB, design config.L3Design, workload string) *Machine {
 	tb.Helper()
 	cfg := config.Default()
 	cfg.Design = design
 	cfg.InPkg.SizeBytes >>= 6
 	cfg.OffPkg.SizeBytes >>= 6
 	cfg.CacheSize >>= 6
-	w, err := SingleProgram("libquantum", 6, 1)
+	build := SingleProgram
+	if _, ok := trace.Mixes()[workload]; ok {
+		build = Mix
+	}
+	w, err := build(workload, 6, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,39 +58,43 @@ func warmSteps(tb testing.TB, m *Machine, n int) {
 // steady state must be allocation-free, and the Tagless design must hold
 // its speedup over the pre-optimization baseline (see BENCH_step.json).
 func BenchmarkMachineStep(b *testing.B) {
-	for _, d := range []config.L3Design{
-		config.NoL3, config.BankInterleave, config.SRAMTag, config.Tagless, config.Ideal,
-		config.Banshee,
-	} {
-		b.Run(d.String(), func(b *testing.B) {
-			m := benchStepMachine(b, d)
-			warmSteps(b, m, 100_000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := m.Steps(b.N); err != nil {
-				b.Fatal(err)
-			}
-		})
+	for _, rig := range benchRigs {
+		for _, d := range benchDesigns {
+			b.Run(rig.prefix+d.String(), func(b *testing.B) {
+				m := benchStepMachine(b, d, rig.workload)
+				warmSteps(b, m, 100_000)
+				b.ReportAllocs()
+				b.ResetTimer()
+				if err := m.Steps(b.N); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
 	}
+}
+
+// benchDesigns are the organizations the step benchmarks meter.
+var benchDesigns = []config.L3Design{
+	config.NoL3, config.BankInterleave, config.SRAMTag, config.Tagless, config.Ideal,
+	config.Banshee,
 }
 
 // BenchmarkMachineFastForward meters the functional fast-forward path on
 // the same rig as BenchmarkMachineStep, so the ratio of the two is the
 // ff speedup under identical conditions.
 func BenchmarkMachineFastForward(b *testing.B) {
-	for _, d := range []config.L3Design{
-		config.NoL3, config.BankInterleave, config.SRAMTag, config.Tagless, config.Ideal,
-		config.Banshee,
-	} {
-		b.Run(d.String(), func(b *testing.B) {
-			m := benchStepMachine(b, d)
-			warmSteps(b, m, 100_000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := m.FastForwardRefs(uint64(b.N)); err != nil {
-				b.Fatal(err)
-			}
-		})
+	for _, rig := range benchRigs {
+		for _, d := range benchDesigns {
+			b.Run(rig.prefix+d.String(), func(b *testing.B) {
+				m := benchStepMachine(b, d, rig.workload)
+				warmSteps(b, m, 100_000)
+				b.ReportAllocs()
+				b.ResetTimer()
+				if err := m.FastForwardRefs(uint64(b.N)); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
@@ -85,35 +104,38 @@ func BenchmarkMachineFastForward(b *testing.B) {
 // regression here means a closure, map insert, or interface boxing crept
 // back into a hot path.
 func TestStepAllocFree(t *testing.T) {
-	for _, d := range []config.L3Design{config.Tagless, config.SRAMTag} {
-		t.Run(d.String(), func(t *testing.T) {
-			m := benchStepMachine(t, d)
-			warmSteps(t, m, 200_000)
-			allocs := testing.AllocsPerRun(10, func() {
-				if err := m.Steps(2_000); err != nil {
-					t.Fatal(err)
+	for _, rig := range benchRigs {
+		for _, d := range []config.L3Design{config.Tagless, config.SRAMTag} {
+			name := rig.prefix + d.String()
+			t.Run(name, func(t *testing.T) {
+				m := benchStepMachine(t, d, rig.workload)
+				warmSteps(t, m, 200_000)
+				allocs := testing.AllocsPerRun(10, func() {
+					if err := m.Steps(2_000); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("%s steady-state step allocates: %v allocs per 2000 references", name, allocs)
 				}
 			})
-			if allocs != 0 {
-				t.Fatalf("%v steady-state step allocates: %v allocs per 2000 references", d, allocs)
-			}
-		})
-		t.Run(d.String()+"/ff", func(t *testing.T) {
-			m := benchStepMachine(t, d)
-			warmSteps(t, m, 200_000)
-			// One priming span so the lazily allocated fast-forward
-			// filter exists.
-			if err := m.FastForwardRefs(2_000); err != nil {
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(10, func() {
+			t.Run(name+"/ff", func(t *testing.T) {
+				m := benchStepMachine(t, d, rig.workload)
+				warmSteps(t, m, 200_000)
+				// One priming span so the lazily allocated fast-forward
+				// filter exists.
 				if err := m.FastForwardRefs(2_000); err != nil {
 					t.Fatal(err)
 				}
+				allocs := testing.AllocsPerRun(10, func() {
+					if err := m.FastForwardRefs(2_000); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("%s fast-forward allocates: %v allocs per 2000 references", name, allocs)
+				}
 			})
-			if allocs != 0 {
-				t.Fatalf("%v fast-forward allocates: %v allocs per 2000 references", d, allocs)
-			}
-		})
+		}
 	}
 }

@@ -123,7 +123,10 @@ func (m *Machine) MeasureSampled(measure uint64, spec SampleSpec) (*Result, erro
 		winI        = make([]uint64, len(m.cores))
 		coreRatio   = make([]stats.Ratio, len(m.cores))
 	)
-	for m.nextCore(target) != nil {
+	for {
+		if next, _ := m.nextCore(target); next == nil {
+			break
+		}
 		// Detailed-warming prefix: cycle-accurate, outside the IPC
 		// observation.
 		start := m.refs
@@ -164,7 +167,7 @@ func (m *Machine) MeasureSampled(measure uint64, spec SampleSpec) (*Result, erro
 		if winCycles > 0 {
 			windows++
 		}
-		if m.nextCore(target) == nil {
+		if next, _ := m.nextCore(target); next == nil {
 			break
 		}
 

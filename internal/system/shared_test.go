@@ -98,7 +98,7 @@ func TestSampledSharedAliasTable(t *testing.T) {
 	before := m.ctrl.Stats().AliasHits
 	var v trace.Visit
 	for i := 0; i < 20_000; i++ {
-		cc := m.nextCore(^uint64(0))
+		cc, _ := m.nextCore(^uint64(0))
 		fetchVisit(cc, &v)
 		if err := m.ffVisit(cc, &v); err != nil {
 			t.Fatal(err)

@@ -65,7 +65,7 @@ func TestWritebackRouting(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.design.String(), func(t *testing.T) {
-			m := benchStepMachine(t, tc.design)
+			m := benchStepMachine(t, tc.design, "libquantum")
 			cc := m.cores[0]
 			for _, r := range tc.prime {
 				r.CPU = cc.cpu
