@@ -16,11 +16,6 @@ func (c *Controller) Quiesced() bool {
 	return len(c.pendings) == 0 && c.inFlight == 0 && c.freeQ.Len() == 0
 }
 
-// SetStats overwrites the controller's counters; the fast-forward path
-// uses the Stats/SetStats pair to roll back counter increments a
-// functional span made, keeping measured-window statistics clean.
-func (c *Controller) SetStats(s Stats) { c.stats = s }
-
 // FastTLBMiss is the functional cTLB miss handler the fast-forward path
 // uses: HandleTLBMiss's state steps (walk, victim hit, alias attach,
 // allocate with inline eviction, install, replenish) with no timing, no

@@ -19,7 +19,7 @@ func (s *Stats) Visit(c *flat.Codec) {
 
 // Visit hands the controller's checkpoint state to c: the GIPT, the free
 // list from its header pointer on, the allocation queue, recency and
-// CLOCK bits, the LRU cursor, the alias table and the counters. PTE
+// CLOCK bits, the LRU cursor and the alias table. PTE
 // pointers cross through pte, which the system layer supplies because it
 // owns the page tables they point into.
 //
@@ -104,5 +104,4 @@ func (c *Controller) Visit(fc *flat.Codec, pte func(*flat.Codec, **mmu.PTE)) {
 	if c.aliases != nil {
 		flat.Map(fc, &c.aliases, func(fc *flat.Codec, v *uint64) { ca(v) })
 	}
-	c.stats.Visit(fc)
 }

@@ -401,10 +401,11 @@ func (d *Device) ResetStats() {
 }
 
 // Visit hands the device's checkpoint state to c: each bank's timeline,
-// open row, activation time and window counters, each data bus's
-// timeline, every rank's four-activate window and the device counters.
-// Configuration and derived timings are construction inputs; the bank,
-// bus and rank counts must match.
+// open row and activation time, each data bus's timeline and every
+// rank's four-activate window. Configuration and derived timings are
+// construction inputs; the bank, bus and rank counts must match. The
+// counters, per-bank row outcomes and busy ticks are left out: they count
+// a measured window, and ResetStats zeroes them when one begins.
 func (d *Device) Visit(c *flat.Codec) {
 	c.Fixed(len(d.banks), "DRAM banks")
 	for i := range d.banks {
@@ -412,8 +413,6 @@ func (d *Device) Visit(c *flat.Codec) {
 		b.res.Visit(c)
 		c.I64(&b.openRow)
 		c.U64((*uint64)(&b.actAt))
-		c.U64(&b.hits)
-		c.U64(&b.confls)
 	}
 	c.Fixed(len(d.buses), "DRAM buses")
 	for i := range d.buses {
@@ -424,9 +423,6 @@ func (d *Device) Visit(c *flat.Codec) {
 		for j := range d.rankActs[i] {
 			c.U64((*uint64)(&d.rankActs[i][j]))
 		}
-	}
-	for _, v := range []*uint64{&d.Accesses, &d.RowHits, &d.Activates, &d.BitsRead, &d.BitsWrit, &d.BitsIO} {
-		c.U64(v)
 	}
 }
 

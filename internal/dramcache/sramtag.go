@@ -25,6 +25,32 @@ type pslot struct {
 	used  uint64
 }
 
+// TagStats counts the SRAM tag array's activity.
+type TagStats struct {
+	Lookups   uint64
+	Hits      uint64
+	MissFills uint64
+	Evictions uint64
+}
+
+// HitRate returns hits/lookups, or 0 before any lookup.
+func (s *TagStats) HitRate() float64 {
+	if s.Lookups == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(s.Lookups)
+}
+
+// EnergyPJ returns the tag-array energy the counts stand for: every
+// lookup reads all ways of one set; fills rewrite one entry. The
+// per-access energy model follows the CACTI-style scaling the paper's
+// energy numbers build on.
+func (s *TagStats) EnergyPJ() float64 {
+	const readPJ = 18.0 // one N-way tag-set read (4MB SRAM array)
+	const writePJ = 6.0 // one tag entry update
+	return float64(s.Lookups)*readPJ + float64(s.MissFills+s.Evictions)*writePJ
+}
+
 // PageCache models the SRAM-tag page-based DRAM cache: an N-way
 // set-associative array of page frames with LRU replacement, whose tag
 // array lives in on-die SRAM and costs TagLatency cycles on every L3
@@ -34,24 +60,24 @@ type PageCache struct {
 	sets       [][]pslot
 	tick       uint64
 	tagLatency int
-
-	Lookups   uint64
-	Hits      uint64
-	MissFills uint64
-	Evictions uint64
+	st         *TagStats
 }
 
 // NewPageCache builds a cache of `pages` page frames with the given
 // associativity. Tag latency comes from the Table 6 model for the
-// corresponding capacity.
-func NewPageCache(pages, ways int, tagLatency int) *PageCache {
+// corresponding capacity. The cache counts its activity into st; a nil
+// st gives it a private one.
+func NewPageCache(pages, ways int, tagLatency int, st *TagStats) *PageCache {
 	if pages <= 0 || ways <= 0 || pages%ways != 0 {
 		panic(fmt.Sprintf("dramcache: bad geometry pages=%d ways=%d", pages, ways))
 	}
 	if tagLatency < 0 {
 		panic("dramcache: negative tag latency")
 	}
-	c := &PageCache{ways: ways, sets: make([][]pslot, pages/ways), tagLatency: tagLatency}
+	if st == nil {
+		st = new(TagStats)
+	}
+	c := &PageCache{ways: ways, sets: make([][]pslot, pages/ways), tagLatency: tagLatency, st: st}
 	for i := range c.sets {
 		c.sets[i] = make([]pslot, ways)
 	}
@@ -78,13 +104,13 @@ func (c *PageCache) slotIndex(si, way int) uint64 {
 // Lookup performs the tag check for ppn. On a hit it refreshes LRU state,
 // marks dirtiness for writes, and returns the page's cache slot.
 func (c *PageCache) Lookup(ppn uint64, write bool) (slot uint64, hit bool) {
-	c.Lookups++
+	c.st.Lookups++
 	c.tick++
 	si, set := c.set(ppn)
 	for w := range set {
 		s := &set[w]
 		if s.valid && s.ppn == ppn {
-			c.Hits++
+			c.st.Hits++
 			s.used = c.tick
 			if write {
 				s.dirty = true
@@ -99,7 +125,7 @@ func (c *PageCache) Lookup(ppn uint64, write bool) (slot uint64, hit bool) {
 // displaced victim. The caller models the fill and write-back traffic.
 func (c *PageCache) Fill(ppn uint64, write bool) (slot uint64, victim Victim, hasVictim bool) {
 	c.tick++
-	c.MissFills++
+	c.st.MissFills++
 	si, set := c.set(ppn)
 	vi := 0
 	for w := range set {
@@ -115,7 +141,7 @@ func (c *PageCache) Fill(ppn uint64, write bool) (slot uint64, victim Victim, ha
 	if s.valid {
 		hasVictim = true
 		victim = Victim{PPN: s.ppn, Slot: c.slotIndex(si, vi), Dirty: s.dirty}
-		c.Evictions++
+		c.st.Evictions++
 	}
 	*s = pslot{ppn: ppn, valid: true, dirty: write, used: c.tick}
 	return c.slotIndex(si, vi), victim, hasVictim
@@ -156,14 +182,6 @@ func (c *PageCache) Contains(ppn uint64) bool {
 	return false
 }
 
-// HitRate returns hits/lookups, or 0 before any lookup.
-func (c *PageCache) HitRate() float64 {
-	if c.Lookups == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Lookups)
-}
-
 // Occupancy returns the number of valid page frames.
 func (c *PageCache) Occupancy() int {
 	n := 0
@@ -177,34 +195,9 @@ func (c *PageCache) Occupancy() int {
 	return n
 }
 
-// TagEnergyPJ returns the SRAM tag-array energy spent so far: every lookup
-// reads all ways of one set; fills rewrite one entry. The per-access energy
-// model follows the CACTI-style scaling the paper's energy numbers build on.
-func (c *PageCache) TagEnergyPJ() float64 {
-	const readPJ = 18.0 // one N-way tag-set read (4MB SRAM array)
-	const writePJ = 6.0 // one tag entry update
-	return float64(c.Lookups)*readPJ + float64(c.MissFills+c.Evictions)*writePJ
-}
-
-// ResetStats clears counters, keeping contents.
-func (c *PageCache) ResetStats() {
-	c.Lookups, c.Hits, c.MissFills, c.Evictions = 0, 0, 0, 0
-}
-
-// Counters snapshots the four statistics counters.
-func (c *PageCache) Counters() [4]uint64 {
-	return [4]uint64{c.Lookups, c.Hits, c.MissFills, c.Evictions}
-}
-
-// SetCounters restores counters captured by Counters.
-func (c *PageCache) SetCounters(v [4]uint64) {
-	c.Lookups, c.Hits, c.MissFills, c.Evictions = v[0], v[1], v[2], v[3]
-}
-
 // Visit hands the cache's checkpoint state to c: every frame's page,
-// valid and dirty bits and LRU stamp in set order, the LRU clock and the
-// counters. Geometry is a construction input; the frame count must
-// match.
+// valid and dirty bits and LRU stamp in set order, and the LRU clock.
+// Geometry is a construction input; the frame count must match.
 func (c *PageCache) Visit(fc *flat.Codec) {
 	fc.Fixed(c.Pages(), "page-cache frames")
 	for _, set := range c.sets {
@@ -217,10 +210,6 @@ func (c *PageCache) Visit(fc *flat.Codec) {
 		}
 	}
 	fc.U64(&c.tick)
-	fc.U64(&c.Lookups)
-	fc.U64(&c.Hits)
-	fc.U64(&c.MissFills)
-	fc.U64(&c.Evictions)
 }
 
 // BankInterleaver implements the "BI" heterogeneous-memory baseline: the

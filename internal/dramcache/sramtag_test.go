@@ -6,10 +6,15 @@ import (
 	"testing/quick"
 )
 
-func small() *PageCache { return NewPageCache(8, 2, 11) } // 4 sets x 2 ways
+// small builds a cache of 4 sets x 2 ways counting into the returned
+// TagStats.
+func small() (*PageCache, *TagStats) {
+	st := new(TagStats)
+	return NewPageCache(8, 2, 11, st), st
+}
 
 func TestLookupMissThenFillThenHit(t *testing.T) {
-	c := small()
+	c, st := small()
 	if _, hit := c.Lookup(5, false); hit {
 		t.Fatal("cold lookup hit")
 	}
@@ -21,13 +26,13 @@ func TestLookupMissThenFillThenHit(t *testing.T) {
 	if !hit || got != slot {
 		t.Fatalf("lookup = slot %d hit %v, want %d", got, hit, slot)
 	}
-	if c.Hits != 1 || c.Lookups != 2 || c.MissFills != 1 {
-		t.Fatalf("counters: %d/%d/%d", c.Hits, c.Lookups, c.MissFills)
+	if st.Hits != 1 || st.Lookups != 2 || st.MissFills != 1 {
+		t.Fatalf("counters: %d/%d/%d", st.Hits, st.Lookups, st.MissFills)
 	}
 }
 
 func TestSlotWithinDevice(t *testing.T) {
-	c := small()
+	c, _ := small()
 	// PPNs 1, 5, 9 map to set 1; slots must be 2 or 3 (set*ways+way).
 	s1, _, _ := c.Fill(1, false)
 	s2, _, _ := c.Fill(5, false)
@@ -37,7 +42,7 @@ func TestSlotWithinDevice(t *testing.T) {
 }
 
 func TestLRUVictim(t *testing.T) {
-	c := small()
+	c, _ := small()
 	c.Fill(0, false) // set 0
 	c.Fill(4, false) // set 0
 	c.Lookup(0, false)
@@ -51,7 +56,7 @@ func TestLRUVictim(t *testing.T) {
 }
 
 func TestDirtyVictim(t *testing.T) {
-	c := small()
+	c, st := small()
 	c.Fill(0, true) // dirty on allocate
 	c.Fill(4, false)
 	c.Lookup(4, true) // dirty on hit
@@ -63,36 +68,42 @@ func TestDirtyVictim(t *testing.T) {
 	if !v2.Dirty || v2.PPN != 4 {
 		t.Fatalf("victim2 = %+v", v2)
 	}
-	if c.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", c.Evictions)
+	if st.Evictions != 2 {
+		t.Fatalf("evictions = %d, want 2", st.Evictions)
 	}
 }
 
+// TestHitRateOccupancyReset: the counts give the hit rate and energy,
+// and zeroing them (the measurement boundary) keeps the contents.
 func TestHitRateOccupancyReset(t *testing.T) {
-	c := small()
+	c, st := small()
 	c.Fill(0, false)
 	c.Lookup(0, false)
 	c.Lookup(1, false)
-	if c.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %v", c.HitRate())
+	if st.HitRate() != 0.5 {
+		t.Fatalf("hit rate = %v", st.HitRate())
 	}
 	if c.Occupancy() != 1 {
 		t.Fatalf("occupancy = %d", c.Occupancy())
 	}
-	if c.TagEnergyPJ() <= 0 {
-		t.Fatal("tag energy should be positive")
+	if got, want := st.EnergyPJ(), 2*18.0+1*6.0; got != want {
+		t.Fatalf("tag energy = %v pJ, want %v", got, want)
 	}
-	c.ResetStats()
-	if c.Lookups != 0 || c.TagEnergyPJ() != 0 {
-		t.Fatal("reset failed")
+	*st = TagStats{}
+	if st.HitRate() != 0 || st.EnergyPJ() != 0 {
+		t.Fatal("zeroed counts still price a hit rate or energy")
 	}
 	if !c.Contains(0) {
 		t.Fatal("reset dropped contents")
 	}
+	c.Lookup(0, false)
+	if st.Lookups != 1 || st.Hits != 1 {
+		t.Fatalf("counting after the reset: %+v", *st)
+	}
 }
 
 func TestTagLatencyAndPages(t *testing.T) {
-	c := small()
+	c, _ := small()
 	if c.TagLatency() != 11 || c.Pages() != 8 {
 		t.Fatalf("latency/pages = %d/%d", c.TagLatency(), c.Pages())
 	}
@@ -100,9 +111,9 @@ func TestTagLatencyAndPages(t *testing.T) {
 
 func TestPageCachePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"bad geometry": func() { NewPageCache(7, 2, 1) },
-		"zero pages":   func() { NewPageCache(0, 2, 1) },
-		"neg latency":  func() { NewPageCache(8, 2, -1) },
+		"bad geometry": func() { NewPageCache(7, 2, 1, nil) },
+		"zero pages":   func() { NewPageCache(0, 2, 1, nil) },
+		"neg latency":  func() { NewPageCache(8, 2, -1, nil) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -119,7 +130,7 @@ func TestPageCachePanics(t *testing.T) {
 // the next lookup; slots stay within [0, pages).
 func TestPageCacheInvariantProperty(t *testing.T) {
 	f := func(ppns []uint8) bool {
-		c := small()
+		c, _ := small()
 		for _, p := range ppns {
 			ppn := uint64(p)
 			slot, hit := c.Lookup(ppn, false)
@@ -143,7 +154,7 @@ func TestPageCacheInvariantProperty(t *testing.T) {
 // Property: distinct resident PPNs occupy distinct slots.
 func TestPageCacheSlotBijectionProperty(t *testing.T) {
 	f := func(ppns []uint8) bool {
-		c := small()
+		c, _ := small()
 		for _, p := range ppns {
 			if !c.Contains(uint64(p)) {
 				c.Fill(uint64(p), false)
@@ -219,7 +230,7 @@ func TestBankInterleaverPanics(t *testing.T) {
 }
 
 func TestPageCachePeekAndMarkDirty(t *testing.T) {
-	c := small()
+	c, st := small()
 	if _, ok := c.Peek(5); ok {
 		t.Fatal("peek found absent page")
 	}
@@ -229,9 +240,9 @@ func TestPageCachePeekAndMarkDirty(t *testing.T) {
 		t.Fatalf("peek = %d,%v, want %d", got, ok, slot)
 	}
 	// Peek must not perturb counters.
-	before := c.Lookups
+	before := st.Lookups
 	c.Peek(5)
-	if c.Lookups != before {
+	if st.Lookups != before {
 		t.Fatal("peek counted as a lookup")
 	}
 	if c.MarkDirty(99) {

@@ -24,8 +24,7 @@ const DefaultCapacity = 4096
 
 // Gauges are instantaneous values polled at each epoch boundary, as
 // opposed to the counter deltas the sampler computes itself. They come
-// from the organization layer (org.GaugeSource); designs without
-// pressure state report zeros.
+// from the tagless controller; the other designs report zeros.
 type Gauges struct {
 	// FreeBlocks is the number of immediately allocatable cache blocks
 	// (the tagless controller's free-list depth).
@@ -37,7 +36,7 @@ type Gauges struct {
 // Cumulative is one snapshot of the monotonically growing counter set
 // the sampler diffs to produce per-epoch deltas. The machine assembles
 // it from its measurement counters, the DRAM devices and the
-// organization's Collect output; all counter fields must be cumulative
+// organization's Stats; all counter fields must be cumulative
 // over the measured window (gauges are carried through as-is).
 type Cumulative struct {
 	Cycle        uint64 // leading active core's measured cycles
@@ -143,9 +142,6 @@ func NewSampler(epochRefs uint64, capacity int) *Sampler {
 	}
 	return &Sampler{epochRefs: epochRefs, ring: make([]Epoch, capacity)}
 }
-
-// EpochRefs returns the epoch length in measured references.
-func (s *Sampler) EpochRefs() uint64 { return s.epochRefs }
 
 // Capacity returns the ring size.
 func (s *Sampler) Capacity() int { return len(s.ring) }

@@ -20,7 +20,7 @@ func init() {
 // off-package block fetch (the Alloy SERIAL organization, no hit
 // predictor) and a background TAD fill plus any dirty-victim write-back.
 type Alloy struct {
-	noStats
+	stats
 	p     Ports
 	cache *dramcache.BlockCache
 }

@@ -59,7 +59,7 @@ type bansheeSlot struct {
 // trading hit rate for fill bandwidth. Remappings are buffered in a small
 // tag buffer and flushed to memory-resident metadata when it fills.
 type Banshee struct {
-	noStats
+	stats
 	p          Ports
 	sets       []bansheeSlot // pages slots, bansheeWays per set
 	freq       map[uint64]uint32

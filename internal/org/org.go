@@ -22,9 +22,9 @@ import (
 	"taglessdram/internal/core"
 	"taglessdram/internal/cpu"
 	"taglessdram/internal/dram"
+	"taglessdram/internal/dramcache"
 	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
-	"taglessdram/internal/obs"
 	"taglessdram/internal/sim"
 )
 
@@ -95,32 +95,20 @@ func charge(rec *lat.Recorder, q, s lat.Component, r dram.Result) {
 	rec.Add(s, r.Service)
 }
 
-// Stats carries the design-specific counters an Organization contributes
-// to the run's Result. Fields irrelevant to a design stay zero.
+// Stats holds the design-specific counters an Organization contributes
+// to the run's Result. Fields a design does not count stay zero; a design
+// adds a field only when a Result field reads it.
 type Stats struct {
-	// Ctrl holds the tagless controller's counters over the measured
-	// window (zero for other designs).
+	// Ctrl holds the tagless controller's counters.
 	Ctrl core.Stats
-	// SRAMHitRate is the page-cache hit rate (SRAM-tag design only).
-	SRAMHitRate float64
-	// TagEnergyPJ is the on-die tag-array energy (SRAM-tag design only).
-	TagEnergyPJ float64
-}
-
-// GaugeSource is optionally implemented by organizations that expose
-// instantaneous state worth an epoch-resolved time series beyond
-// Collect's window counters — free-pool pressure, queue depths. When
-// epoch sampling is enabled the machine polls it at every epoch
-// boundary; designs without such state simply do not implement it and
-// their epochs carry zero gauges. Implementations must be read-only:
-// sampling must never perturb simulated behavior.
-type GaugeSource interface {
-	EpochGauges() obs.Gauges
+	// Tag holds the SRAM tag array's counts, which give the Result's
+	// SRAMHitRate and the tag energy.
+	Tag dramcache.TagStats
 }
 
 // Organization is one DRAM-cache design: it serves L2 misses and dirty
-// on-die victims, reports its design-specific statistics, supports
-// functional fast-forward and checkpoints its state.
+// on-die victims, counts into its Stats, supports functional
+// fast-forward and checkpoints its state.
 type Organization interface {
 	// Access performs the design-specific memory access for an L2 miss,
 	// issuing device traffic and charging the requesting core.
@@ -128,12 +116,9 @@ type Organization interface {
 	// Writeback sinks a dirty on-die victim line into the level below,
 	// off the core's critical path (device traffic only).
 	Writeback(at sim.Tick, key uint64)
-	// ResetStats marks the warmup/measure boundary: the counters Collect
-	// reports reset, microarchitectural state (cache contents) is kept.
-	ResetStats()
-	// Collect reports the design-specific counters of the measured
-	// window.
-	Collect(*Stats)
+	// Stats returns the design's counters. The machine zeroes them at
+	// the warmup/measure boundary and reads them into the Result.
+	Stats() *Stats
 	// Visit hands the design's checkpoint state to c — tag arrays,
 	// frequency counters — checking decoded geometry against its own. A
 	// design with no state visits nothing. The tagless controller is not
@@ -163,10 +148,9 @@ type FastRequest struct {
 // FastAccess and FastWriteback apply the state transitions of Access and
 // Writeback (residence, replacement, dirtiness) by calling the same state
 // functions, with no device traffic, no kernel events and no latency
-// charging. FastBegin/FastEnd bracket each fast-forwarded span: a design
-// whose counters reach the Result snapshots them in FastBegin and
-// restores them in FastEnd, so fast-forwarded references warm state
-// without polluting measured-window counters.
+// charging. FastBegin/FastEnd bracket each fast-forwarded span: FastBegin
+// saves the Stats and FastEnd restores them, so fast-forwarded
+// references warm state without polluting measured-window counters.
 type FastPath interface {
 	FastBegin()
 	FastAccess(r FastRequest)
@@ -174,27 +158,24 @@ type FastPath interface {
 	FastEnd()
 }
 
-// noStats is the statistics half of a design whose counters reach no
-// Result field: there is nothing to reset at the measurement boundary,
-// to collect, or to protect across a fast-forwarded span.
-type noStats struct{}
+// stats is the statistics half every design embeds: its counters and
+// their rollback across a fast-forwarded span. The zero value is ready;
+// a design counts by handing its components pointers into st.
+type stats struct{ st, saved Stats }
 
-// ResetStats implements Organization: there are no counters.
-func (noStats) ResetStats() {}
+// Stats implements Organization.
+func (s *stats) Stats() *Stats { return &s.st }
 
-// Collect implements Organization: there are no counters.
-func (noStats) Collect(*Stats) {}
+// FastBegin implements FastPath: it saves the counters.
+func (s *stats) FastBegin() { s.saved = s.st }
 
-// FastBegin implements FastPath: there are no counters to protect.
-func (noStats) FastBegin() {}
-
-// FastEnd implements FastPath as a no-op.
-func (noStats) FastEnd() {}
+// FastEnd implements FastPath: it restores the counters FastBegin saved.
+func (s *stats) FastEnd() { s.st = s.saved }
 
 // noWarmState is the fast path and checkpoint of a design with no
 // residence or replacement state to warm: fast-forwarded accesses and
 // write-backs leave nothing behind, and there is nothing to checkpoint.
-type noWarmState struct{ noStats }
+type noWarmState struct{ stats }
 
 // Visit implements Organization: there is no state.
 func (noWarmState) Visit(*flat.Codec) {}

@@ -12,10 +12,9 @@ import (
 func init() {
 	Register(config.SRAMTag, func(p Ports) (Organization, error) {
 		tag := config.TagParamsFor(p.Cfg.CacheSize)
-		return &SRAMTag{
-			p:     p,
-			cache: dramcache.NewPageCache(p.Cfg.CachePages(), p.Cfg.SRAMTag.Ways, tag.LatencyCyc),
-		}, nil
+		o := &SRAMTag{p: p}
+		o.cache = dramcache.NewPageCache(p.Cfg.CachePages(), p.Cfg.SRAMTag.Ways, tag.LatencyCyc, &o.st.Tag)
+		return o, nil
 	})
 }
 
@@ -23,9 +22,9 @@ func init() {
 // check on every access, in-package block on a hit, serializing page fill
 // on a miss (Section 2.2).
 type SRAMTag struct {
+	stats
 	p     Ports
 	cache *dramcache.PageCache
-	saved [4]uint64 // counter snapshot across a fast-forwarded span
 }
 
 // Access performs the tag check and the hit block access or miss fill.
@@ -83,12 +82,6 @@ func (o *SRAMTag) Writeback(at sim.Tick, key uint64) {
 	o.p.Lat.AddBackground(lat.Writeback, res.Done-at)
 }
 
-// ResetStats clears the page-cache counters.
-func (o *SRAMTag) ResetStats() { o.cache.ResetStats() }
-
-// FastBegin snapshots the page-cache counters for restoration in FastEnd.
-func (o *SRAMTag) FastBegin() { o.saved = o.cache.Counters() }
-
 // FastAccess applies the tag-array state transitions of Access — LRU
 // refresh and dirtiness on a hit, victim selection and allocation on a
 // miss — with no device traffic.
@@ -105,14 +98,5 @@ func (o *SRAMTag) FastWriteback(_ sim.Tick, key uint64) {
 	o.cache.MarkDirty(key / config.PageSize)
 }
 
-// FastEnd restores the counters captured by FastBegin.
-func (o *SRAMTag) FastEnd() { o.cache.SetCounters(o.saved) }
-
-// Visit hands c the page cache (frames, LRU clock, counters).
+// Visit hands c the page cache (frames, LRU clock).
 func (o *SRAMTag) Visit(c *flat.Codec) { o.cache.Visit(c) }
-
-// Collect reports the tag array's hit rate and energy.
-func (o *SRAMTag) Collect(s *Stats) {
-	s.SRAMHitRate = o.cache.HitRate()
-	s.TagEnergyPJ = o.cache.TagEnergyPJ()
-}

@@ -8,7 +8,6 @@ import (
 	"taglessdram/internal/dram"
 	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
-	"taglessdram/internal/obs"
 	"taglessdram/internal/sim"
 )
 
@@ -37,6 +36,7 @@ func init() {
 			CachedGIPT:          p.Cfg.Tagless.CachedGIPT,
 			SharedAliasTable:    p.Cfg.Tagless.SharedAliasTable,
 			Lat:                 p.Lat,
+			Stats:               &o.st.Ctrl,
 		}, p.Mem, p.Kernel)
 		return o, nil
 	})
@@ -46,10 +46,10 @@ func init() {
 // the GIPT, free queue and eviction daemon; a cTLB hit guarantees a cache
 // hit, so the access path is a bare in-package block access.
 type Tagless struct {
+	stats
 	p       Ports
 	ctrl    *core.Controller
-	caShift uint       // log2(spPages*PageSize): CA bytes → block number
-	saved   core.Stats // counter snapshot across a fast-forwarded span
+	caShift uint // log2(spPages*PageSize): CA bytes → block number
 }
 
 // Controller exposes the cTLB controller: the machine wires its miss
@@ -103,17 +103,6 @@ func (o *Tagless) Writeback(at sim.Tick, key uint64) {
 	o.ctrl.Touch(at, key>>o.caShift, true)
 }
 
-// ResetStats zeroes the controller counters at the warmup/measure
-// boundary.
-func (o *Tagless) ResetStats() { o.ctrl.SetStats(core.Stats{}) }
-
-// Collect reports the controller counters accumulated since ResetStats.
-func (o *Tagless) Collect(s *Stats) { s.Ctrl = o.ctrl.Stats() }
-
-// FastBegin snapshots the controller counters so the fast-forwarded
-// span's FastTLBMiss and Touch bookkeeping can be rolled back in FastEnd.
-func (o *Tagless) FastBegin() { o.saved = o.ctrl.Stats() }
-
 // FastAccess applies the state effect of a cTLB-hit access: recency and
 // dirtiness on the touched block. Non-cacheable accesses have no
 // cache-side state.
@@ -133,19 +122,7 @@ func (o *Tagless) FastWriteback(at sim.Tick, key uint64) {
 	o.ctrl.Touch(at, key>>o.caShift, true)
 }
 
-// FastEnd restores the counters captured by FastBegin.
-func (o *Tagless) FastEnd() { o.ctrl.SetStats(o.saved) }
-
 // Visit visits nothing: the controller's state (GIPT, free lists, alias
-// table, counters) is visited by the machine, which owns the page tables
-// its PTE pointers resolve against.
+// table) is visited by the machine, which owns the page tables its PTE
+// pointers resolve against.
 func (o *Tagless) Visit(*flat.Codec) {}
-
-// EpochGauges reports the controller's free-pool pressure for epoch
-// sampling: the free-list depth and the eviction daemon's queue length.
-func (o *Tagless) EpochGauges() obs.Gauges {
-	return obs.Gauges{
-		FreeBlocks:   o.ctrl.FreeBlocks(),
-		FreeQueueLen: o.ctrl.FreeQueueLen(),
-	}
-}

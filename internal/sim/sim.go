@@ -271,11 +271,10 @@ type Resource struct {
 // FreeAt returns the cycle at which the resource next becomes idle.
 func (r *Resource) FreeAt() Tick { return r.freeAt }
 
-// Visit hands the resource's timeline to c: when it frees and its busy
-// total.
+// Visit hands the resource's timeline to c: when it frees. Busy is a
+// statistic, not state.
 func (r *Resource) Visit(c *flat.Codec) {
 	c.U64((*uint64)(&r.freeAt))
-	c.U64((*uint64)(&r.Busy))
 }
 
 // Acquire reserves the resource for `dur` cycles for a request arriving at

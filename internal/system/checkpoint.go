@@ -39,9 +39,10 @@ import (
 // contract is Warmup+Measure ≡ Warmup+Save+Load+Measure — byte-identical
 // Results — rather than equivalence with Run.
 
-// checkpointMagic starts every checkpoint. v4 is the flat image; the v3
-// flat image and the v2 gob stream before it are refused.
-const checkpointMagic = "taglesssim-checkpoint-v4"
+// checkpointMagic starts every checkpoint. v5 is the flat image of state
+// alone, with no window counter; the v4 and v3 flat images and the v2
+// gob stream before them are refused.
+const checkpointMagic = "taglesssim-checkpoint-v5"
 
 // Identity names what a checkpoint of a machine built from cfg and w is
 // valid for: the workload's trace digest and the resolved configuration
@@ -171,7 +172,6 @@ func (m *Machine) visit(c *flat.Codec) {
 	}
 	if m.tlbShared != nil {
 		m.tlbShared.L2.Visit(c)
-		c.U64(&m.tlbShared.Invalidations)
 	}
 	if m.ctx != nil {
 		m.ctx.Visit(c)

@@ -73,8 +73,8 @@ func TestEpochsTileMeasuredWindow(t *testing.T) {
 	}
 }
 
-// The tagless design exposes free-pool gauges through org.GaugeSource;
-// its epochs must carry a live free-block count (the controller keeps at
+// The machine reads the tagless controller's free-pool gauges into every
+// epoch; they must carry a live free-block count (the controller keeps at
 // least alpha blocks free, so zero means the gauge is not wired).
 func TestEpochGaugesWired(t *testing.T) {
 	r := runSampled(t, config.Tagless, 2000, 100_000)

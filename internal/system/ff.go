@@ -30,8 +30,7 @@ import (
 //     arbitrary sources and mid-visit entry points;
 //   - an on-die presence filter standing in for the L1/L2 lookups (see
 //     ffVisit);
-//   - counter rollback: the organizations whose counters reach the Result
-//     (the SRAM tag array and the tagless controller) restore them at the
+//   - counter rollback: the organization restores its Stats at the
 //     span's end, and so does the machine for its shared-TLB invalidation
 //     count, while untimed context switches are not counted at all, so a
 //     span warms state without perturbing measured-window statistics.

@@ -143,11 +143,9 @@ type Machine struct {
 	tlbMisses  uint64
 	ncAccesses uint64
 
-	// Observability state: the optional epoch sampler (nil keeps the
-	// per-reference path to a single pointer check) and the organization's
-	// gauge view, resolved once at construction.
+	// sampler is the optional epoch sampler (nil keeps the per-reference
+	// path to a single pointer check).
 	sampler *obs.Sampler
-	gauges  org.GaugeSource
 }
 
 // New builds a machine for the configuration and workload.
@@ -305,15 +303,14 @@ func New(cfg *config.SystemConfig, w Workload) (*Machine, error) {
 		}
 		m.caShift = m.spShift + 12 // log2(spPages * config.PageSize)
 	}
-	m.gauges, _ = o.(org.GaugeSource)
 	return m, nil
 }
 
-// AttachSampler installs an epoch sampler: every sampler.EpochRefs()
-// measured references the machine snapshots its counters and records one
-// epoch delta. Attach before Run. Sampling is read-only — it never
-// changes simulated behavior — and a nil sampler (the default) keeps the
-// steady-state step path allocation-free.
+// AttachSampler installs an epoch sampler: at the end of each of its
+// epochs of measured references the machine snapshots its counters and
+// records one epoch delta. Attach before Run. Sampling is read-only — it
+// never changes simulated behavior — and a nil sampler (the default)
+// keeps the steady-state step path allocation-free.
 func (m *Machine) AttachSampler(s *obs.Sampler) { m.sampler = s }
 
 // SetTracer installs a kernel event tracer (Chrome trace_event format,
@@ -323,7 +320,8 @@ func (m *Machine) SetTracer(t *sim.Tracer) { m.kernel.SetTracer(t) }
 // cumulative assembles the monotone counter snapshot the epoch sampler
 // diffs: measured-window core clocks and instruction counts, the L3/cTLB
 // measurement counters, both DRAM devices' traffic and row-buffer
-// counters, the organization's window counters, and its gauges.
+// counters, the organization's window counters, and the tagless
+// controller's free-pool gauges.
 func (m *Machine) cumulative() obs.Cumulative {
 	var c obs.Cumulative
 	var lead sim.Tick
@@ -348,11 +346,9 @@ func (m *Machine) cumulative() obs.Cumulative {
 	c.OffPkgBusBusy = m.offPkg.BusBusyTicks()
 	c.InPkgChannels = m.inPkg.Channels()
 	c.OffPkgChannels = m.offPkg.Channels()
-	var os org.Stats
-	m.org.Collect(&os)
-	c.Ctrl = os.Ctrl
-	if m.gauges != nil {
-		c.Gauges = m.gauges.EpochGauges()
+	c.Ctrl = m.org.Stats().Ctrl
+	if m.ctrl != nil {
+		c.Gauges = obs.Gauges{FreeBlocks: m.ctrl.FreeBlocks(), FreeQueueLen: m.ctrl.FreeQueueLen()}
 	}
 	return c
 }

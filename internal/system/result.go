@@ -11,7 +11,6 @@ import (
 	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
 	"taglessdram/internal/obs"
-	"taglessdram/internal/org"
 	"taglessdram/internal/sim"
 )
 
@@ -309,10 +308,9 @@ func (m *Machine) collect() *Result {
 		r.SharedTLBInvalidations = m.tlbShared.Invalidations
 	}
 
-	var os org.Stats
-	m.org.Collect(&os)
-	r.Ctrl = os.Ctrl
-	r.SRAMHitRate = os.SRAMHitRate
+	st := m.org.Stats()
+	r.Ctrl = st.Ctrl
+	r.SRAMHitRate = st.Tag.HitRate()
 
 	for i := range m.kindLat {
 		r.MissKindMean[i] = m.kindLat[i].Value()
@@ -344,14 +342,12 @@ func (m *Machine) collect() *Result {
 // measured cycles. PerCoreIPC holds one entry per core, so it also
 // counts the cores drawing power.
 func (m *Machine) price(r *Result) {
-	var os org.Stats
-	m.org.Collect(&os)
 	em := energy.Model{
 		Cores:          len(r.PerCoreIPC),
 		CorePowerWatts: m.cfg.CorePowerWatts,
 		FreqGHz:        m.cfg.CPU.FreqGHz,
 	}
-	r.Energy = em.Account(r.Cycles, m.inPkg.EnergyPJ(), m.offPkg.EnergyPJ(), os.TagEnergyPJ)
+	r.Energy = em.Account(r.Cycles, m.inPkg.EnergyPJ(), m.offPkg.EnergyPJ(), m.org.Stats().Tag.EnergyPJ())
 	r.EDPJs = energy.EDP(r.Energy.TotalJ(), r.Cycles, m.cfg.CPU.FreqGHz)
 	r.Seconds = float64(r.Cycles) / (m.cfg.CPU.FreqGHz * 1e9)
 }

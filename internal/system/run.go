@@ -166,7 +166,7 @@ func (m *Machine) beginMeasurement(measure uint64) (target uint64, err error) {
 	}
 	m.rec.Reset()
 	m.rec.Enable()
-	m.org.ResetStats()
+	*m.org.Stats() = org.Stats{}
 	if m.sampler != nil {
 		// Epoch zero starts here: rebase the sampler's cumulative
 		// baseline on the freshly reset counters.
