@@ -117,20 +117,6 @@ func (p Profile) Scaled(shift uint) Profile {
 	return s
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // gamma is splitmix64's state increment (also reused as a seed scrambler
 // and the cold-permutation base elsewhere in this package).
 const gamma = 0x9e3779b97f4a7c15
@@ -211,8 +197,6 @@ type Generator struct {
 	blocksCut  int // blocks remaining in this visit
 	repeats    int // repeats remaining for the current block
 	gapBase    int
-
-	emitted uint64
 }
 
 // NewGenerator builds a single-threaded generator for the profile. The
@@ -387,7 +371,6 @@ func (g *Generator) Next() Access {
 		g.blockIdx = g.r.intn(64 - g.blocksCut + 1)
 		g.repeats = g.p.BlockRepeats
 	}
-	g.emitted++
 	// Each reference makes three draws: the address's low bits (a draw
 	// mod 64, masked to an 8-byte word), write and dependent. Read the
 	// state once and evaluate them side by side.
@@ -403,9 +386,6 @@ func (g *Generator) Next() Access {
 		Shared:    g.pageShared,
 	}
 }
-
-// Emitted returns the number of references produced so far.
-func (g *Generator) Emitted() uint64 { return g.emitted }
 
 // Visit summarizes one whole page visit — the unit the functional
 // fast-forward path consumes. It aggregates the Blocks·(1+BlockRepeats)
@@ -497,12 +477,15 @@ func (g *Generator) NextVisit(v *Visit) {
 	g.blockIdx = first + blocks - 1
 	g.blocksCut = 1
 	g.repeats = 0
-	g.emitted += uint64(refs)
 }
 
 // Visit hands the generator's per-thread checkpoint state to c: its RNG
-// position, the page visit in progress and the emitted count. The
-// profile, gap and cold-permutation constants are construction inputs.
+// position and the page visit in progress. The profile, gap and
+// cold-permutation constants are construction inputs. A decoded visit
+// must be one Next and NextVisit can leave behind: a page whose address
+// fits 64 bits, a block within it, no more blocks left than fit after
+// it or than the profile's visits touch (one on a low-reuse page), and
+// no more repeats left than the profile's.
 func (g *Generator) Visit(c *flat.Codec) {
 	c.U64(&g.r.s)
 	c.U64(&g.page)
@@ -511,7 +494,23 @@ func (g *Generator) Visit(c *flat.Codec) {
 	c.Int(&g.blockIdx)
 	c.Int(&g.blocksCut)
 	c.Int(&g.repeats)
-	c.U64(&g.emitted)
+	if !c.Decoding() {
+		return
+	}
+	maxCut := g.p.SpatialBlocks
+	if g.pageLow {
+		maxCut = 1
+	}
+	switch {
+	case g.page >= 1<<52:
+		c.Fail(fmt.Errorf("trace: page %#x has no 64-bit address", g.page))
+	case g.blockIdx < 0 || g.blockIdx > 63:
+		c.Fail(fmt.Errorf("trace: block %d outside a page", g.blockIdx))
+	case g.blocksCut < 0 || g.blocksCut > maxCut || g.blockIdx+g.blocksCut > 64:
+		c.Fail(fmt.Errorf("trace: %d blocks left from block %d of a visit of at most %d", g.blocksCut, g.blockIdx, maxCut))
+	case g.repeats < 0 || g.repeats > g.p.BlockRepeats:
+		c.Fail(fmt.Errorf("trace: %d repeats left of at most %d", g.repeats, g.p.BlockRepeats))
+	}
 }
 
 // VisitGroup hands c the checkpoint state g's thread group shares: the

@@ -76,8 +76,8 @@ func TestNextVisitMatchesNextLoop(t *testing.T) {
 				if !reflect.DeepEqual(want, v) {
 					t.Fatalf("visit %d: per-ref %+v vs visit %+v", i, want, v)
 				}
-				if ref.Emitted() != fast.Emitted() {
-					t.Fatalf("visit %d: emitted %d vs %d", i, ref.Emitted(), fast.Emitted())
+				if a, b := image(t, ref), image(t, fast); !bytes.Equal(a, b) {
+					t.Fatalf("visit %d: the generators' images differ: %x vs %x", i, a, b)
 				}
 			}
 			// The streams must stay interchangeable after the switch.
@@ -194,7 +194,56 @@ func TestGenStateRoundTrip(t *testing.T) {
 			t.Fatalf("restored stream diverges at %d: %+v vs %+v", i, a, b)
 		}
 	}
-	if g.Emitted() != twin.Emitted() {
-		t.Fatalf("emitted %d vs %d", g.Emitted(), twin.Emitted())
+	if a, b := image(t, g), image(t, twin); !bytes.Equal(a, b) {
+		t.Fatalf("the generators' images differ after the same references: %x vs %x", a, b)
+	}
+}
+
+// image renders g's per-thread checkpoint image: its RNG position and
+// the page visit in progress.
+func image(t *testing.T, g *Generator) []byte {
+	t.Helper()
+	img, err := flat.Encode(nil, g.Visit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestGenStateRefusesForgedVisit: a decoded page visit must be one Next
+// and NextVisit can leave behind. Each forged field of a real mid-visit
+// image fails to decode, and the real image still round-trips.
+func TestGenStateRefusesForgedVisit(t *testing.T) {
+	p := testProfile()
+	p.SpatialBlocks, p.BlockRepeats = 4, 2
+	g := NewGenerator(p, 5)
+	for g.Next(); g.pageLow || g.blocksCut < 2; g.Next() {
+	}
+	mid := *g // mid-visit on a reused page
+	img := image(t, &mid)
+	twin := NewGenerator(p, 5)
+	if err := flat.Decode(img, twin.Visit); err != nil {
+		t.Fatalf("the real mid-visit image: %v", err)
+	}
+	if again := image(t, twin); !bytes.Equal(again, img) {
+		t.Fatal("the real mid-visit image does not round-trip")
+	}
+
+	for name, forge := range map[string]func(g *Generator){
+		"block 64":                  func(g *Generator) { g.blockIdx = 64 },
+		"negative block":            func(g *Generator) { g.blockIdx = -1 },
+		"more blocks than a visit":  func(g *Generator) { g.blockIdx, g.blocksCut = 0, p.SpatialBlocks+1 },
+		"negative blocks":           func(g *Generator) { g.blocksCut = -1 },
+		"two blocks, low reuse":     func(g *Generator) { g.pageLow, g.blockIdx, g.blocksCut = true, 0, 2 },
+		"blocks past the page":      func(g *Generator) { g.blockIdx, g.blocksCut = 62, 3 },
+		"more repeats than a block": func(g *Generator) { g.repeats = p.BlockRepeats + 1 },
+		"negative repeats":          func(g *Generator) { g.repeats = -1 },
+		"page beyond 64-bit bytes":  func(g *Generator) { g.page = 1 << 52 },
+	} {
+		forged := mid
+		forge(&forged)
+		if err := flat.Decode(image(t, &forged), NewGenerator(p, 5).Visit); err == nil {
+			t.Errorf("%s: the forged image decoded", name)
+		}
 	}
 }
