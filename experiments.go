@@ -464,10 +464,10 @@ func RunAMATCheck(ctx context.Context, o Options, workloads []string) ([]AMATRow
 			// Component latencies from the device model, with a queueing
 			// allowance measured as the gap between simulated latency
 			// and the open-bank service time.
-			BlockInPkg:      rrBlockInPkg(o),
-			PageOffPkg:      rrPageOffPkg(o),
-			GIPTAccess:      rrGIPT(o),
-			BlockOffPkgMiss: rrBlockOffPkg(o),
+			BlockInPkg:      rrBlockInPkg,
+			PageOffPkg:      rrPageOffPkg,
+			GIPTAccess:      rrGIPT,
+			BlockOffPkgMiss: rrBlockOffPkg,
 		}
 		row := AMATRow{
 			Workload:      wl,
@@ -855,10 +855,12 @@ func RunFairness(ctx context.Context, o Options, mix string) ([]FairnessRow, err
 
 // Component latencies for the analytic model, derived from Table 4 at
 // 3GHz. They use the average of open- and closed-row service.
-func rrBlockInPkg(o Options) float64  { return 75 }
-func rrBlockOffPkg(o Options) float64 { return 130 }
-func rrPageOffPkg(o Options) float64  { return 1100 }
-func rrGIPT(o Options) float64        { return 210 }
+const (
+	rrBlockInPkg  = 75
+	rrBlockOffPkg = 130
+	rrPageOffPkg  = 1100
+	rrGIPT        = 210
+)
 
 // GeoMeanNormIPC aggregates rows' normalized IPC for one design (the
 // paper's geomean bars).

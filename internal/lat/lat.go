@@ -222,9 +222,6 @@ func (h *Hist) Rows() []BucketRow {
 	return out
 }
 
-// Reset discards all samples.
-func (h *Hist) Reset() { *h = Hist{} }
-
 // histImageVersion tags Hist's flat image. The image is what the
 // persistent result cache stores for the latency tail metrics, so
 // changing its layout requires bumping the cache's entry format too.
