@@ -64,10 +64,15 @@ var golden = map[string]string{
 	"streamcluster/Ideal": `cyc=185533 in=800048 ipc=4.312160100898493 pc=[1.127304494856982 1.134794103963598 1.0780400252246232 1.0882815433082862] l3=9797,9797,1,197.75186281514831 tlb=25808,354,0.013716676999380038 nc=0 e=0.0012368866666666667,3.38278096e-05,0,0 edp=7.858648964172783e-08 row=0.9882784629497503,0 b=627008,0 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0`,
 }
 
-// goldenBanshee pins the Banshee baseline (registered through the
-// internal/org registry but not part of the paper's five plotted designs,
-// so it is fingerprinted separately from the design grid above).
-var goldenBanshee = map[string]string{
+// goldenBaselines pins the extra baselines, Alloy and Banshee
+// (registered through the internal/org registry but not part of the
+// paper's five plotted designs, so they are fingerprinted separately from
+// the design grid above).
+var goldenBaselines = map[string]string{
+	"sphinx3/Alloy":         `cyc=739801 in=800120 ipc=1.0815340882210216 pc=[0.2714840622039571 0.27369988109523735 0.2703835220552554 0.28272631674167215] l3=6332,0,0,952.2323120656926 tlb=28920,216,0.007468879668049793 nc=0 e=0.004932006666666667,5.127456959999999e-05,0.000114200472,0 edp=1.2570406884191295e-06 row=0.9762274704785581,0.9242638954495355 b=911808,405248 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0`,
+	"GemsFDTD/Alloy":        `cyc=1270523 in=800000 ipc=0.6296619581070158 pc=[0.162387090226327 0.16534500889556147 0.1582661625361836 0.15741548952675394] l3=10452,0,0,1141.8936088786804 tlb=32000,369,0.01153125 nc=0 e=0.008470153333333334,8.51605056e-05,0.000186946992,0 edp=3.702414485899971e-06 row=0.9745930177848876,0.9340722339002484 b=1505088,668928 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0`,
+	"MIX1/Alloy":            `cyc=1371547 in=800007 ipc=0.5832880681449487 pc=[0.14879701334634812 0.1529987713277158 0.15711759386776925 0.14584261421591824] l3=10277,0,0,1165.5604748467404 tlb=43379,224,0.005163788930127481 nc=0 e=0.009143646666666666,9.17002656e-05,0.000191520192,0 edp=4.309797107895524e-06 row=0.949278823192282,0.8843392198719193 b=1479888,657728 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0`,
+	"streamcluster/Alloy":   `cyc=730043 in=800048 ipc=1.0958916118639588 pc=[0.27993517090416437 0.2873298032196246 0.27730761551942146 0.2739729029659897] l3=9856,4606,0.46732954545454547,976.4378043831164 tlb=25808,372,0.014414135151890887 nc=0 e=0.004866953333333333,5.76067584e-05,9.0744e-05,0 edp=1.2204625483470926e-06 row=0.99167804434042,0.9741543139490688 b=1087632,336000 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0`,
 	"sphinx3/Banshee":       `cyc=265426 in=800120 ipc=3.0144748442126996 pc=[0.777763952936785 0.7570012110202846 0.7536187110531749 0.7924333960582352] l3=6332,5903,0.9322488945041061,276.8957675300051 tlb=28920,216,0.007468879668049793 nc=0 e=0.0017695066666666666,7.8997288e-05,0.00023766631199999998,0 edp=1.8457460973342223e-07 row=0.8371372676882948,0.6640746500777605 b=1250240,887808 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0`,
 	"GemsFDTD/Banshee":      `cyc=417819 in=800000 ipc=1.9147046927018638 pc=[0.5002025820457285 0.4998213138802878 0.47867617317546596 0.4904437044193882] l3=10452,9755,0.9333141982395714,309.7105817068497 tlb=32000,369,0.01153125 nc=0 e=0.00278546,0.0001150317696,0.000367201296,0 edp=4.5510141632530877e-07 row=0.9057145686837674,0.64 b=1967808,1369664 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0`,
 	"MIX1/Banshee":          `cyc=614877 in=800007 ipc=1.3010846071653355 pc=[0.3452156562204409 0.3445937796157491 0.5386859308461209 0.3253170959395131] l3=10277,9835,0.9569913398851805,445.6015374136413 tlb=43379,224,0.005163788930127481 nc=0 e=0.00409918,0.00010194524159999999,0.0002433282,0 edp=9.109307329368945e-07 row=0.8413013291013688,0.6606060606060606 b=1522368,908800 ctrl={Walks:0 NonCacheable:0 VictimHits:0 ColdFills:0 PendingWaits:0 AliasHits:0 Rescues:0 Evictions:0 Writebacks:0 SyncEvictions:0 Shootdowns:0} km=[0 0 0 0] kc=[0 0 0 0] sram=0`,
@@ -99,12 +104,12 @@ var goldenVariants = map[string]struct {
 // results changed, so cached Results from before must stop matching.
 func TestModelVersionPinsGoldens(t *testing.T) {
 	const wantVersion = 1
-	const wantDigest = "85f9b69fb27f56ea97c47c11eaba69011b6fdfb74bfbe46321595598f7d42a8f"
+	const wantDigest = "095b770b44f8d003115fc4e4fd77198f853d0b8588a2243dbaa32fc0b31d4285"
 	var all []string
 	for _, v := range golden {
 		all = append(all, v)
 	}
-	for _, v := range goldenBanshee {
+	for _, v := range goldenBaselines {
 		all = append(all, v)
 	}
 	for _, v := range goldenVariants {
@@ -144,12 +149,13 @@ func TestGoldenDeterminism(t *testing.T) {
 			})
 		}
 	}
-	for key, want := range goldenBanshee {
+	baseline := map[string]taglessdram.Design{"Alloy": taglessdram.AlloyBlock, "Banshee": taglessdram.Banshee}
+	for key, want := range goldenBaselines {
 		key, want := key, want
 		t.Run(key, func(t *testing.T) {
 			t.Parallel()
-			wl := key[:len(key)-len("/Banshee")]
-			r, err := taglessdram.Run(taglessdram.Banshee, wl, goldenOptions())
+			wl, name, _ := strings.Cut(key, "/")
+			r, err := taglessdram.Run(baseline[name], wl, goldenOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
