@@ -482,10 +482,12 @@ func (g *Generator) NextVisit(v *Visit) {
 // Visit hands the generator's per-thread checkpoint state to c: its RNG
 // position and the page visit in progress. The profile, gap and
 // cold-permutation constants are construction inputs. A decoded visit
-// must be one Next and NextVisit can leave behind: a page whose address
-// fits 64 bits, a block within it, no more blocks left than fit after
-// it or than the profile's visits touch (one on a low-reuse page), and
-// no more repeats left than the profile's.
+// must be one Next and NextVisit can leave behind: none at all (the
+// zero state of a generator that has not started), or a page in the
+// region its flags name (the shared region, the singleton region for a
+// low-reuse page, else the footprint), a block within it, no more blocks
+// left than fit after it or than the profile's visits touch (one on a
+// low-reuse page), and no more repeats left than the profile's.
 func (g *Generator) Visit(c *flat.Codec) {
 	c.U64(&g.r.s)
 	c.U64(&g.page)
@@ -501,9 +503,18 @@ func (g *Generator) Visit(c *flat.Codec) {
 	if g.pageLow {
 		maxCut = 1
 	}
+	lo, n := g.sh.baseVPN, uint64(g.p.FootprintPages)
 	switch {
-	case g.page >= 1<<52:
-		c.Fail(fmt.Errorf("trace: page %#x has no 64-bit address", g.page))
+	case g.pageShared:
+		lo, n = SharedBase, SharedRegionPages
+	case g.pageLow:
+		lo, n = SingletonBase, SharedBase-SingletonBase
+	}
+	switch {
+	case g.blocksCut == 0 && (g.page != 0 || g.pageLow || g.pageShared || g.blockIdx != 0 || g.repeats != 0):
+		c.Fail(fmt.Errorf("trace: no page visit in progress, yet page %#x, block %d, %d repeats", g.page, g.blockIdx, g.repeats))
+	case g.blocksCut > 0 && (g.page < lo || g.page-lo >= n || g.pageLow && g.pageShared):
+		c.Fail(fmt.Errorf("trace: page %#x outside the region of a visit with low reuse %v, shared %v", g.page, g.pageLow, g.pageShared))
 	case g.blockIdx < 0 || g.blockIdx > 63:
 		c.Fail(fmt.Errorf("trace: block %d outside a page", g.blockIdx))
 	case g.blocksCut < 0 || g.blocksCut > maxCut || g.blockIdx+g.blocksCut > 64:
@@ -516,8 +527,8 @@ func (g *Generator) Visit(c *flat.Codec) {
 // VisitGroup hands c the checkpoint state g's thread group shares: the
 // hot ring and its cursor, the cold and singleton cursors and the
 // low-reuse pages. Visiting through any member covers every thread of
-// the group. A decoded ring must fit the profile's hot set and its
-// cursor the ring.
+// the group. A decoded ring must fit the profile's hot set, hold only
+// footprint pages, and its cursor must fit the ring.
 func (g *Generator) VisitGroup(c *flat.Codec) {
 	sh := g.sh
 	n := c.Count(len(sh.hot), 1)
@@ -530,6 +541,9 @@ func (g *Generator) VisitGroup(c *flat.Codec) {
 	}
 	for i := range sh.hot {
 		c.U64(&sh.hot[i])
+		if vpn := sh.hot[i]; c.Decoding() && (vpn < sh.baseVPN || vpn-sh.baseVPN >= uint64(sh.profile.FootprintPages)) {
+			c.Fail(fmt.Errorf("trace: hot page %#x outside the footprint", vpn))
+		}
 	}
 	c.Int(&sh.hotNext)
 	if sh.hotNext < 0 || sh.hotNext > len(sh.hot) || sh.hotNext == cap(sh.hot) {

@@ -239,6 +239,24 @@ func TestGenStateRefusesForgedVisit(t *testing.T) {
 		"more repeats than a block": func(g *Generator) { g.repeats = p.BlockRepeats + 1 },
 		"negative repeats":          func(g *Generator) { g.repeats = -1 },
 		"page beyond 64-bit bytes":  func(g *Generator) { g.page = 1 << 52 },
+		"page below the footprint":  func(g *Generator) { g.page = g.sh.baseVPN - 1 },
+		"page past the footprint":   func(g *Generator) { g.page = g.sh.baseVPN + uint64(p.FootprintPages) },
+		"singleton page, no flag":   func(g *Generator) { g.page = SingletonBase },
+		"shared page, no flag":      func(g *Generator) { g.page = SharedBase },
+		"shared flag, private page": func(g *Generator) { g.pageShared = true },
+		"low-reuse flag, private page": func(g *Generator) {
+			g.pageLow, g.blocksCut = true, 1
+		},
+		"shared and low reuse": func(g *Generator) {
+			g.page, g.pageLow, g.pageShared, g.blocksCut = SharedBase, true, true, 1
+		},
+		"past the shared region": func(g *Generator) {
+			g.page, g.pageShared = SharedBase+SharedRegionPages, true
+		},
+		"low-reuse page in the shared region": func(g *Generator) {
+			g.page, g.pageLow, g.blocksCut = SharedBase, true, 1
+		},
+		"no visit, but a page": func(g *Generator) { g.blocksCut = 0 },
 	} {
 		forged := mid
 		forge(&forged)
@@ -246,4 +264,58 @@ func TestGenStateRefusesForgedVisit(t *testing.T) {
 			t.Errorf("%s: the forged image decoded", name)
 		}
 	}
+}
+
+// TestGenStateZeroVisit: a generator that has not started has no page
+// visit, and its zero state is the only one an image with none may
+// carry.
+func TestGenStateZeroVisit(t *testing.T) {
+	p := testProfile()
+	img := image(t, NewGenerator(p, 5))
+	if err := flat.Decode(img, NewGenerator(p, 5).Visit); err != nil {
+		t.Fatalf("a fresh generator's image: %v", err)
+	}
+	forged := NewGenerator(p, 5)
+	forged.page = forged.sh.baseVPN
+	if err := flat.Decode(image(t, forged), NewGenerator(p, 5).Visit); err == nil {
+		t.Fatal("an image with a page but no visit decoded")
+	}
+}
+
+// TestGroupStateRefusesForeignHotPage: the hot ring holds only footprint
+// pages, so a group image naming any other page fails to decode.
+func TestGroupStateRefusesForeignHotPage(t *testing.T) {
+	p := testProfile()
+	g := NewGenerator(p, 5)
+	for i := 0; i < 1000; i++ {
+		g.Next()
+	}
+	if err := flat.Decode(groupImage(t, g), NewGenerator(p, 5).VisitGroup); err != nil {
+		t.Fatalf("the real group image: %v", err)
+	}
+	for name, vpn := range map[string]uint64{
+		"below the footprint": g.sh.baseVPN - 1,
+		"past the footprint":  g.sh.baseVPN + uint64(p.FootprintPages),
+		"a singleton page":    SingletonBase,
+	} {
+		forged := *g.sh
+		forged.hot = make([]uint64, len(g.sh.hot), cap(g.sh.hot))
+		copy(forged.hot, g.sh.hot)
+		forged.hot[0] = vpn
+		fg := *g
+		fg.sh = &forged
+		if err := flat.Decode(groupImage(t, &fg), NewGenerator(p, 5).VisitGroup); err == nil {
+			t.Errorf("%s: the forged group image decoded", name)
+		}
+	}
+}
+
+// groupImage renders g's thread-group checkpoint image.
+func groupImage(t *testing.T, g *Generator) []byte {
+	t.Helper()
+	img, err := flat.Encode(nil, g.VisitGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
 }
