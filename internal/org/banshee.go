@@ -169,26 +169,9 @@ func (o *Banshee) Access(r Request) {
 			return res.Done
 		})
 	case bansheeFill:
-		// Critical block first: the requester resumes when its block
-		// arrives and the rest of the page streams in behind.
-		at := r.CPU.Now()
-		if victim.valid && victim.dirty {
-			// Victim write-back happens in the background.
-			rv := o.p.InPkg.Access(at, slot*config.PageSize, config.PageSize, dram.Read)
-			wv := o.p.OffPkg.Access(rv.Done, victim.ppn*config.PageSize, config.PageSize, dram.Write)
-			o.p.Lat.AddBackground(lat.Writeback, wv.Done-at)
-		}
-		base := r.Frame * config.PageSize
-		blockOff := r.Offset &^ (config.BlockSize - 1)
-		crit := o.p.OffPkg.Access(at, base+blockOff, config.BlockSize, dram.Read)
-		// Stall attribution: the critical block's queue/service span the
-		// full crit.Done-at window; the rest-of-page stream and in-package
-		// fill write are bandwidth, not stall.
-		charge(o.p.Lat, lat.OffPkgQueue, lat.OffPkgService, crit)
-		o.p.OffPkg.Access(crit.Done, base, config.PageSize-config.BlockSize, dram.Read)
-		o.p.InPkg.Access(crit.Done, slot*config.PageSize, config.PageSize, dram.Write)
-		r.CPU.Block(crit.Done)
-		o.p.Observe(crit.Done-at, false)
+		// No tag probe delays the fill: the mapping came with the
+		// translation.
+		fillPage(&o.p, r, 0, slot, victim.ppn, victim.valid && victim.dirty)
 		if flush {
 			o.p.OffPkg.AccountTraffic(bansheeTagBufEntries*bansheeTagEntryBytes, dram.Write)
 		}

@@ -22,7 +22,6 @@ import (
 	"taglessdram/internal/core"
 	"taglessdram/internal/cpu"
 	"taglessdram/internal/dram"
-	"taglessdram/internal/dramcache"
 	"taglessdram/internal/flat"
 	"taglessdram/internal/lat"
 	"taglessdram/internal/sim"
@@ -66,8 +65,9 @@ type Ports struct {
 	InPkg  *dram.Device
 	OffPkg *dram.Device
 	Kernel *sim.Kernel
-	// Mem implements the tagless controller's fill/evict/GIPT traffic
-	// against the devices (unused by the other organizations).
+	// Mem issues the device traffic of page fills and evictions (the
+	// tagless controller, SRAM and Banshee) and of the tagless
+	// controller's GIPT updates. The machine passes a DeviceMem.
 	Mem core.MemOps
 	// Observe records one L3 access's device-side latency and hit/miss
 	// into the machine's measurement state.
@@ -103,7 +103,7 @@ type Stats struct {
 	Ctrl core.Stats
 	// Tag holds the SRAM tag array's counts, which give the Result's
 	// SRAMHitRate and the tag energy.
-	Tag dramcache.TagStats
+	Tag TagStats
 }
 
 // Organization is one DRAM-cache design: it serves L2 misses and dirty

@@ -39,10 +39,11 @@ import (
 // contract is Warmup+Measure ≡ Warmup+Save+Load+Measure — byte-identical
 // Results — rather than equivalence with Run.
 
-// checkpointMagic starts every checkpoint. v5 is the flat image of state
-// alone, with no window counter; the v4 and v3 flat images and the v2
-// gob stream before them are refused.
-const checkpointMagic = "taglesssim-checkpoint-v5"
+// checkpointMagic starts every checkpoint. v6 is the flat image of state
+// alone, with no window counter, whose SRAM frames and Alloy TADs are
+// on-die cache arrays; the v5, v4 and v3 flat images and the v2 gob
+// stream before them are refused.
+const checkpointMagic = "taglesssim-checkpoint-v6"
 
 // Identity names what a checkpoint of a machine built from cfg and w is
 // valid for: the workload's trace digest and the resolved configuration

@@ -264,7 +264,7 @@ func New(cfg *config.SystemConfig, w Workload) (*Machine, error) {
 		InPkg:   m.inPkg,
 		OffPkg:  m.offPkg,
 		Kernel:  m.kernel,
-		Mem:     (*memOps)(m),
+		Mem:     &org.DeviceMem{InPkg: m.inPkg, OffPkg: m.offPkg, Lat: &m.rec},
 		Observe: m.observeL3,
 		Lat:     &m.rec,
 		Walk:    m.walk.Walk,
@@ -429,49 +429,4 @@ func (m *Machine) onShootdown(ca, vpn uint64, residence uint64) {
 			cc.tlbs.Invalidate(key)
 		}
 	}
-}
-
-// memOps implements core.MemOps against the machine's DRAM devices.
-type memOps Machine
-
-// FillPage performs a critical-block-first fill of `pages` pages: the
-// faulting block is read first and unblocks the requester; the rest of the
-// region streams off-package and is written into the cache behind it,
-// occupying both devices' banks and buses (over-fetching costs bandwidth,
-// not stall).
-func (m *memOps) FillPage(at sim.Tick, ppn, ca, offset uint64, pages int) sim.Tick {
-	bytes := pages * config.PageSize
-	base := ppn * config.PageSize
-	blockOff := offset &^ (config.BlockSize - 1)
-	crit := m.offPkg.Access(at, base+blockOff, config.BlockSize, dram.Read)
-	// The critical block is the fill's stall contribution; the streaming
-	// remainder and the in-package write below are bandwidth only.
-	m.rec.Add(lat.OffPkgQueue, crit.QueueWait)
-	m.rec.Add(lat.OffPkgService, crit.Service)
-	if rest := bytes - config.BlockSize; rest > 0 {
-		// Remainder of the region streams behind the critical block.
-		m.offPkg.Access(crit.Done, base, rest, dram.Read)
-	}
-	m.inPkg.Access(crit.Done, ca*uint64(bytes), bytes, dram.Write)
-	return crit.Done
-}
-
-// EvictPage: in-package region read then off-package write-back.
-func (m *memOps) EvictPage(at sim.Tick, ca, ppn uint64, pages int) sim.Tick {
-	bytes := pages * config.PageSize
-	r := m.inPkg.Access(at, ca*uint64(bytes), bytes, dram.Read)
-	w := m.offPkg.Access(r.Done, ppn*config.PageSize, bytes, dram.Write)
-	return w.Done
-}
-
-// GIPTUpdate charges the paper's conservative cost of two full off-package
-// writes (Section 3.4). The writes are short, high-priority metadata that a
-// real controller schedules ahead of the streaming fill, so they are
-// modeled as fixed closed-bank write latency with energy and traffic
-// accounted on the device but no bus queueing.
-func (m *memOps) GIPTUpdate(at sim.Tick) sim.Tick {
-	cost := 2 * m.offPkg.ColdWriteLatency(config.BlockSize)
-	m.rec.Add(lat.GIPTUpdate, cost)
-	m.offPkg.AccountTraffic(2*config.BlockSize, dram.Write)
-	return at + cost
 }
