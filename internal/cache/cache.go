@@ -1,7 +1,9 @@
 // Package cache implements set-associative, write-back, write-allocate
-// arrays with LRU replacement: the on-die SRAM caches (L1 I/D and L2), and
-// the DRAM-cache organizations' tag arrays — the SRAM-tag design's page
-// frames (page-sized lines) and the Alloy design's TADs (one way).
+// arrays with LRU replacement: the on-die SRAM caches (L1 I/D and L2), the
+// page-walk caches, the TLBs' key arrays (one-byte lines, so a key is a
+// line address), and the DRAM-cache organizations' tag arrays — the
+// SRAM-tag design's page frames (page-sized lines) and the Alloy design's
+// TADs (one way).
 //
 // The model is functional: Access reports hit/miss and any victim line, and
 // the caller charges the configured latency. In the tagless design the
@@ -54,7 +56,10 @@ type Cache struct {
 	// overwhelmingly common case when a DRAM-cache page eviction flushes a
 	// page that the small on-die cache never held. Hash collisions only ever
 	// inflate a count (forcing the scan), never hide a resident line, so the
-	// skip is exact. Nil when the line size does not evenly tile a page.
+	// skip is exact. Only the tagless design's L1 and L2 range-invalidate,
+	// so the table is built from the tags on the first InvalidateRange and
+	// is nil until then; pageShift is zero when the line size does not
+	// evenly tile a page, and no table is ever built.
 	pageCnt   []uint32
 	pageShift uint // log2(lines per page)
 	pageMask  uint64
@@ -102,7 +107,6 @@ func New(cfg config.CacheConfig) *Cache {
 		for groups < n/2 {
 			groups *= 2
 		}
-		c.pageCnt = make([]uint32, groups)
 		c.pageMask = uint64(groups - 1)
 	}
 	return c
@@ -111,6 +115,16 @@ func New(cfg config.CacheConfig) *Cache {
 // pageGroup returns the presence-counter slot for a line's block number.
 func (c *Cache) pageGroup(tag uint64) *uint32 {
 	return &c.pageCnt[tag>>c.pageShift&c.pageMask]
+}
+
+// countPages builds the page-group presence counts from the tags.
+func (c *Cache) countPages() {
+	c.pageCnt = make([]uint32, c.pageMask+1)
+	for _, t := range c.tags {
+		if t != invalidTag {
+			*c.pageGroup(t)++
+		}
+	}
 }
 
 // Config returns the cache configuration.
@@ -148,6 +162,29 @@ func (c *Cache) Lookup(addr uint64) (line uint64, ok bool) {
 // Line returns the line (set × ways + way) the most recent Access hit or
 // filled.
 func (c *Cache) Line() uint64 { return uint64(c.lastIdx) }
+
+// Touch reports whether addr is present and the line holding it, like
+// Lookup; on a hit it also refreshes the line's recency, as a read Access
+// does, and a miss changes nothing. It repeats Access's hit path instead
+// of sharing a helper with it: a helper holding that path is too large
+// for the compiler to inline, so Access, the hottest call of the accurate
+// path, would pay a function call on every hit.
+func (c *Cache) Touch(addr uint64) (line uint64, ok bool) {
+	block := addr >> c.shift
+	i := c.lastIdx
+	if block != c.lastBlock || c.tags[i] != block {
+		base := c.setOf(block) * c.ways
+		w := slices.Index(c.tags[base:base+c.ways], block)
+		if w < 0 {
+			return 0, false
+		}
+		i = base + w
+		c.lastBlock, c.lastIdx = block, i
+	}
+	c.tick++
+	c.used[i] = c.tick<<1 | c.used[i]&1
+	return uint64(i), true
+}
 
 // Access performs a load (write=false) or store (write=true). On a miss
 // the line is allocated; if a valid line is displaced it is returned as a
@@ -244,6 +281,9 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // many of the dropped lines were dirty. Used when a DRAM-cache page is
 // evicted and its on-die (CA-tagged) lines must be flushed.
 func (c *Cache) InvalidateRange(base uint64, size int) (dropped, dirty int) {
+	if c.pageCnt == nil && c.pageShift != 0 {
+		c.countPages()
+	}
 	lb := uint64(c.cfg.LineBytes)
 	addr, end := base, base+uint64(size)
 	for addr < end {
@@ -271,38 +311,12 @@ func (c *Cache) InvalidateRange(base uint64, size int) (dropped, dirty int) {
 	return dropped, dirty
 }
 
-// Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, t := range c.tags {
+// Each calls fn with the line (set × ways + way) and base address of
+// every valid line, in line order.
+func (c *Cache) Each(fn func(line, addr uint64)) {
+	for i, t := range c.tags {
 		if t != invalidTag {
-			n++
-		}
-	}
-	return n
-}
-
-// Flush invalidates everything, returning the number of dirty lines lost.
-func (c *Cache) Flush() (dirty int) {
-	for i := range c.tags {
-		if c.tags[i] != invalidTag && c.used[i]&1 == 1 {
-			dirty++
-		}
-		c.tags[i] = invalidTag
-		c.used[i] = 0
-	}
-	for i := range c.pageCnt {
-		c.pageCnt[i] = 0
-	}
-	return dirty
-}
-
-// Each calls fn with the base address of every valid line, in slot
-// order.
-func (c *Cache) Each(fn func(addr uint64)) {
-	for _, t := range c.tags {
-		if t != invalidTag {
-			fn(t << c.shift)
+			fn(uint64(i), t<<c.shift)
 		}
 	}
 }
@@ -315,7 +329,8 @@ func (c *Cache) Each(fn func(addr uint64)) {
 // must be one Access, MarkDirty and Invalidate can leave behind: each
 // line in its own set and the only copy there, stamped no later than the
 // clock, and every empty way's recency word zero. The page-group
-// presence counts are derived from the tags, so a decoder rebuilds them.
+// presence counts are derived from the tags, so a decoder drops them and
+// the next InvalidateRange rebuilds them.
 func (c *Cache) Visit(fc *flat.Codec) {
 	fc.Fixed(len(c.tags), "cache lines")
 	for i := range c.tags {
@@ -353,12 +368,5 @@ func (c *Cache) Visit(fc *flat.Codec) {
 			return
 		}
 	}
-	if c.pageCnt != nil {
-		clear(c.pageCnt)
-		for _, t := range c.tags {
-			if t != invalidTag {
-				*c.pageGroup(t)++
-			}
-		}
-	}
+	c.pageCnt = nil
 }

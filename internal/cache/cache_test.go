@@ -19,6 +19,13 @@ func has(c *Cache, addr uint64) bool {
 	return ok
 }
 
+// occupancy counts the valid lines.
+func occupancy(c *Cache) int {
+	n := 0
+	c.Each(func(_, _ uint64) { n++ })
+	return n
+}
+
 func TestMissThenHit(t *testing.T) {
 	c := tiny()
 	hit, _, _ := c.Access(0x1000, false)
@@ -34,8 +41,8 @@ func TestMissThenHit(t *testing.T) {
 	if !hit {
 		t.Fatal("same-line access missed")
 	}
-	if c.Occupancy() != 1 {
-		t.Fatalf("occupancy = %d, want 1", c.Occupancy())
+	if n := occupancy(c); n != 1 {
+		t.Fatalf("occupancy = %d, want 1", n)
 	}
 }
 
@@ -113,20 +120,31 @@ func TestInvalidateRange(t *testing.T) {
 	if dropped != 8 || dirty != 2 {
 		t.Fatalf("dropped=%d dirty=%d, want 8,2", dropped, dirty)
 	}
-	if c.Occupancy() != 0 {
-		t.Fatalf("occupancy = %d, want 0", c.Occupancy())
+	if n := occupancy(c); n != 0 {
+		t.Fatalf("occupancy = %d, want 0", n)
 	}
 }
 
-func TestFlush(t *testing.T) {
+// TestTouch: a hit refreshes the line's recency as a read Access does,
+// leaving its dirty bit alone, and a miss installs nothing.
+func TestTouch(t *testing.T) {
 	c := tiny()
-	c.Access(0, true)
-	c.Access(64, false)
-	if got := c.Flush(); got != 1 {
-		t.Fatalf("flush dirty = %d, want 1", got)
+	if _, ok := c.Touch(0); ok || occupancy(c) != 0 {
+		t.Fatal("a touch of an empty cache hit or installed a line")
 	}
-	if c.Occupancy() != 0 {
-		t.Fatal("flush left valid lines")
+	// Two lines of set 0; 0 is the older and dirty.
+	c.Access(0, true)
+	c.Access(256, false)
+	line, ok := c.Touch(0x3F)
+	if want, _ := c.Lookup(0); !ok || line != want {
+		t.Fatalf("touch = %d,%v, want line %d", line, ok, want)
+	}
+	// 256 is now the LRU victim; 0 stays and is still dirty.
+	if _, victim, _ := c.Access(512, false); victim.Addr != 256 {
+		t.Fatalf("victim = %+v, want 256: the touch did not refresh 0", victim)
+	}
+	if _, dirty := c.Invalidate(0); !dirty {
+		t.Fatal("the touch cleared the dirty bit")
 	}
 }
 
@@ -144,7 +162,7 @@ func TestDefaultGeometries(t *testing.T) {
 	sc := config.Default()
 	l1 := New(sc.L1D)
 	l2 := New(sc.L2)
-	if l1.Occupancy() != 0 || l2.Occupancy() != 0 {
+	if occupancy(l1) != 0 || occupancy(l2) != 0 {
 		t.Fatal("new caches should be empty")
 	}
 	// Fill L1 past capacity: occupancy saturates at line count.
@@ -152,8 +170,8 @@ func TestDefaultGeometries(t *testing.T) {
 	for i := 0; i < 2*lines; i++ {
 		l1.Access(uint64(i*64), false)
 	}
-	if l1.Occupancy() != lines {
-		t.Fatalf("L1 occupancy = %d, want %d", l1.Occupancy(), lines)
+	if n := occupancy(l1); n != lines {
+		t.Fatalf("L1 occupancy = %d, want %d", n, lines)
 	}
 }
 
@@ -183,7 +201,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 				fills++
 			}
 		}
-		return c.Occupancy() == fills && fills <= 8 // 4 sets * 2 ways
+		return occupancy(c) == fills && fills <= 8 // 4 sets * 2 ways
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -265,8 +283,8 @@ func TestFreshImageSize(t *testing.T) {
 	if err := flat.Decode(img, twin.Visit); err != nil {
 		t.Fatal(err)
 	}
-	if twin.Occupancy() != 0 {
-		t.Fatalf("the decoded empty image holds %d lines", twin.Occupancy())
+	if n := occupancy(twin); n != 0 {
+		t.Fatalf("the decoded empty image holds %d lines", n)
 	}
 }
 
@@ -279,13 +297,13 @@ func TestNonPowerOfTwoSets(t *testing.T) {
 			t.Fatalf("line %d missing right after access", i)
 		}
 	}
-	if c.Occupancy() > 6 {
-		t.Fatalf("occupancy %d exceeds capacity 6", c.Occupancy())
+	if n := occupancy(c); n > 6 {
+		t.Fatalf("occupancy %d exceeds capacity 6", n)
 	}
 }
 
-// Property: the line Access and Lookup name is set × ways + way — for
-// the 2-way tiny cache, 2s or 2s+1 for a block of set s — and no two
+// Property: the line Access, Lookup and Each name is set × ways + way —
+// for the 2-way tiny cache, 2s or 2s+1 for a block of set s — and no two
 // resident lines share one.
 func TestLineIndexProperty(t *testing.T) {
 	f := func(addrs []uint16) bool {
@@ -298,9 +316,9 @@ func TestLineIndexProperty(t *testing.T) {
 		}
 		seen := map[uint64]bool{}
 		ok := true
-		c.Each(func(addr uint64) {
-			line, _ := c.Lookup(addr)
-			ok = ok && !seen[line]
+		c.Each(func(line, addr uint64) {
+			at, _ := c.Lookup(addr)
+			ok = ok && at == line && !seen[line]
 			seen[line] = true
 		})
 		return ok
@@ -358,6 +376,33 @@ func TestPageSizedLines(t *testing.T) {
 	}
 	if dropped, _ := c.InvalidateRange(page(9), config.PageSize); dropped != 1 || has(c, page(9)) || !has(c, page(1)) {
 		t.Fatalf("invalidating page 9 dropped %d lines", dropped)
+	}
+}
+
+// TestInvalidateRangeAfterDecode: the page-group counts InvalidateRange
+// skips by are derived from the tags, so a decode must not leave a
+// count behind. The twin range-invalidates once while empty (building a
+// table of zeros), then decodes an image holding a page's lines; the
+// next range invalidation must still find all of them.
+func TestInvalidateRangeAfterDecode(t *testing.T) {
+	cfg := config.CacheConfig{SizeBytes: 8 * config.KB, Ways: 4, LineBytes: 64}
+	c := New(cfg)
+	for off := uint64(0); off < 512; off += 64 {
+		c.Access(0x2000+off, off == 64)
+	}
+	img, err := flat.Encode(nil, c.Visit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := New(cfg)
+	if dropped, _ := twin.InvalidateRange(0x2000, 512); dropped != 0 {
+		t.Fatalf("an empty cache dropped %d lines", dropped)
+	}
+	if err := flat.Decode(img, twin.Visit); err != nil {
+		t.Fatal(err)
+	}
+	if dropped, dirty := twin.InvalidateRange(0x2000, 512); dropped != 8 || dirty != 1 {
+		t.Fatalf("dropped=%d dirty=%d after the decode, want 8,1", dropped, dirty)
 	}
 }
 

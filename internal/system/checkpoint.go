@@ -39,11 +39,11 @@ import (
 // contract is Warmup+Measure ≡ Warmup+Save+Load+Measure — byte-identical
 // Results — rather than equivalence with Run.
 
-// checkpointMagic starts every checkpoint. v6 is the flat image of state
-// alone, with no window counter, whose SRAM frames and Alloy TADs are
-// on-die cache arrays; the v5, v4 and v3 flat images and the v2 gob
+// checkpointMagic starts every checkpoint. v7 is the flat image of state
+// alone, with no window counter, whose TLBs, SRAM frames and Alloy TADs
+// are cache arrays; the v6, v5, v4 and v3 flat images and the v2 gob
 // stream before them are refused.
-const checkpointMagic = "taglesssim-checkpoint-v6"
+const checkpointMagic = "taglesssim-checkpoint-v7"
 
 // Identity names what a checkpoint of a machine built from cfg and w is
 // valid for: the workload's trace digest and the resolved configuration
@@ -314,7 +314,7 @@ func (m *Machine) checkCacheAddresses() error {
 			})
 		}
 		for _, l := range []*cache.Cache{cc.l1, cc.l2} {
-			l.Each(func(addr uint64) {
+			l.Each(func(_, addr uint64) {
 				if addr&paBit == 0 {
 					check(addr >> m.caShift)
 				}

@@ -106,8 +106,8 @@ func loadTiny(tb testing.TB, i int, img []byte) (*Machine, error) {
 // the rest is a checkpoint for it. Any input either fails to load, or
 // loads, re-saves to exactly its bytes and runs a short measured phase;
 // nothing panics. The seeds are each machine's real checkpoint, the
-// same truncated, the checkpoints of the four formats before, the v2
-// gob stream and the v3, v4 and v5 flat images (testdata, saved by
+// same truncated, the checkpoints of the five formats before, the v2
+// gob stream and the v3, v4, v5 and v6 flat images (testdata, saved by
 // earlier releases from the same machines), and an image whose final
 // count is 2^40, which must fail before anything is allocated for it.
 func FuzzCheckpointLoad(f *testing.F) {
@@ -115,7 +115,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 		img := tinyImage(f, i)
 		f.Add(append([]byte{byte(i)}, img...))
 		f.Add(append([]byte{byte(i)}, img[:len(img)*2/3]...))
-		for _, old := range []string{"checkpoint-v2/" + name + ".gob", "checkpoint-v3/" + name + ".ckpt", "checkpoint-v4/" + name + ".ckpt", "checkpoint-v5/" + name + ".ckpt"} {
+		for _, old := range []string{"checkpoint-v2/" + name + ".gob", "checkpoint-v3/" + name + ".ckpt", "checkpoint-v4/" + name + ".ckpt", "checkpoint-v5/" + name + ".ckpt", "checkpoint-v6/" + name + ".ckpt"} {
 			img, err := os.ReadFile(filepath.Join("testdata", old))
 			if err != nil {
 				f.Fatal(err)
@@ -186,16 +186,12 @@ var visitExempt = map[string]string{
 	"cpu.Core.issueShift":     "derived from IssueWidth",
 	"cpu.Core.issueMask":      "derived from IssueWidth",
 	"cpu.Core.issuePow2":      "derived from IssueWidth",
-	"tlb.TLB.cfg":             "construction input",
-	"tlb.TLB.ways":            "derived from cfg",
-	"tlb.TLB.nsets":           "derived from cfg",
-	"tlb.TLB.mask":            "derived from cfg",
 	"cache.Cache.cfg":         "construction input",
 	"cache.Cache.ways":        "derived from cfg",
 	"cache.Cache.nsets":       "derived from cfg",
 	"cache.Cache.shift":       "derived from cfg",
 	"cache.Cache.mask":        "derived from cfg",
-	"cache.Cache.pageCnt":     "derived from the tags; a decoder rebuilds it",
+	"cache.Cache.pageCnt":     "derived from the tags on the first InvalidateRange; a decoder drops it",
 	"cache.Cache.pageShift":   "derived from cfg",
 	"cache.Cache.pageMask":    "derived from cfg",
 	"dram.Device.Name":        "construction input",
@@ -318,17 +314,9 @@ func TestCheckpointVisitsCoverEveryField(t *testing.T) {
 				hot.Index(i).SetUint(reach(sh, "baseVPN").Uint() + uint64(i) + 1)
 			}
 		case *cache.Cache:
-			// A decoder refuses a line outside its own set or held twice
-			// in it, or stamped after the clock: give each way a distinct
-			// non-zero block of its set and a distinct stamp before the
-			// clock, every other one dirty.
-			ways, sets := w.Config().Ways, w.Config().Sets()
-			tags, used := reach(v, "tags"), reach(v, "used")
-			for i := 0; i < tags.Len(); i++ {
-				tags.Index(i).SetUint(uint64(i/ways + (i%ways+1)*sets))
-				used.Index(i).SetUint(uint64(i+1)<<1 | uint64(i%2))
-			}
-			reach(v, "tick").SetUint(uint64(tags.Len() + 1))
+			inSetLines(w)
+		case *tlb.TLB:
+			inSetLines(reach(v, "keys").Addr().Interface().(*cache.Cache))
 		}
 		img, err := flat.Encode(nil, visit)
 		if err != nil {
@@ -350,6 +338,22 @@ func TestCheckpointVisitsCoverEveryField(t *testing.T) {
 			t.Errorf("visitExempt names %s, which no component has", key)
 		}
 	}
+}
+
+// inSetLines fixes up a filled cache array, a component of its own or a
+// TLB's keys. A decoder refuses a line outside its own set or held twice
+// in it, or stamped after the clock: give each way a distinct non-zero
+// block of its set and a distinct stamp before the clock, every other
+// one dirty.
+func inSetLines(c *cache.Cache) {
+	v := reflect.ValueOf(c).Elem()
+	ways, sets := c.Config().Ways, c.Config().Sets()
+	tags, used := reach(v, "tags"), reach(v, "used")
+	for i := 0; i < tags.Len(); i++ {
+		tags.Index(i).SetUint(uint64(i/ways + (i%ways+1)*sets))
+		used.Index(i).SetUint(uint64(i+1)<<1 | uint64(i%2))
+	}
+	reach(v, "tick").SetUint(uint64(tags.Len() + 1))
 }
 
 // TestCheckpointCarriesNoCounters: a checkpoint holds state, not the

@@ -9,6 +9,7 @@ package tlb
 import (
 	"fmt"
 
+	"taglessdram/internal/cache"
 	"taglessdram/internal/config"
 	"taglessdram/internal/flat"
 )
@@ -20,10 +21,6 @@ type Entry struct {
 	Frame uint64
 	NC    bool
 }
-
-// invalidVPN marks an empty slot. Real vpns (including superpage lookup
-// keys, which set bit 61) stay below 2^62, so the sentinel cannot collide.
-const invalidVPN = ^uint64(0)
 
 // ASID tagging. Under the shared-L2 topology every key a hierarchy
 // touches carries its owner's address-space tag in bits 48–59, well above
@@ -44,26 +41,15 @@ const (
 // that tag zero stays reserved for the untagged private topology.
 func ASIDTag(asid int) uint64 { return uint64(asid+1) << ASIDTagShift }
 
-// TLB is one set-associative translation buffer with LRU replacement. Slots
-// are stored structure-of-arrays so the lookup path scans only the set's
-// vpn words; invalid slots carry a sentinel vpn.
+// TLB is one set-associative translation buffer with LRU replacement:
+// a cache.Cache of one-byte lines, so a key is a line address, holds the
+// keys and their recency, and each line's entry sits beside it, indexed
+// by the line the array reports. An empty line's entry is zero. Keys
+// (superpage lookup keys set bit 61) stay below 2^62, so none collides
+// with the array's all-ones empty tag.
 type TLB struct {
-	cfg    config.TLBConfig
-	ways   int
-	nsets  int
-	vpns   []uint64 // set-major: vpns[si*ways+w]
-	frames []uint64
-	nc     []bool
-	used   []uint64
-	tick   uint64
-	mask   uint64
-
-	// Same-page memo: lastIdx is the slot that served the previous hit. A
-	// repeat lookup of the same vpn skips the set scan. The memo is only
-	// trusted when vpns[lastIdx] still holds that vpn, so evictions and
-	// invalidations cannot make it lie.
-	lastVPN uint64
-	lastIdx int
+	keys    cache.Cache // by value: a lookup reaches the array without a pointer hop
+	entries []Entry
 }
 
 // New constructs a TLB from its configuration.
@@ -73,186 +59,71 @@ func New(cfg config.TLBConfig) *TLB {
 		panic(fmt.Sprintf("tlb: bad geometry %+v", cfg))
 	}
 	n := nsets * cfg.Ways
-	t := &TLB{
-		cfg:    cfg,
-		ways:   cfg.Ways,
-		nsets:  nsets,
-		vpns:   make([]uint64, n),
-		frames: make([]uint64, n),
-		nc:     make([]bool, n),
-		used:   make([]uint64, n),
+	return &TLB{
+		keys:    *cache.New(config.CacheConfig{SizeBytes: int64(n), Ways: cfg.Ways, LineBytes: 1}),
+		entries: make([]Entry, n),
 	}
-	for i := range t.vpns {
-		t.vpns[i] = invalidVPN
-	}
-	t.mask = uint64(nsets - 1)
-	if nsets&(nsets-1) != 0 {
-		t.mask = 0 // fall back to modulo for non-power-of-two set counts
-	}
-	return t
-}
-
-// Config returns the TLB configuration.
-func (t *TLB) Config() config.TLBConfig { return t.cfg }
-
-func (t *TLB) setBase(vpn uint64) int {
-	if t.mask != 0 {
-		return int(vpn&t.mask) * t.ways
-	}
-	return int(vpn%uint64(t.nsets)) * t.ways
 }
 
 // Lookup searches for vpn, updating LRU state on a hit.
 func (t *TLB) Lookup(vpn uint64) (Entry, bool) {
-	t.tick++
-	if vpn == t.lastVPN && t.vpns[t.lastIdx] == vpn {
-		i := t.lastIdx
-		t.used[i] = t.tick
-		return Entry{Frame: t.frames[i], NC: t.nc[i]}, true
+	line, ok := t.keys.Touch(vpn)
+	if !ok {
+		return Entry{}, false
 	}
-	base := t.setBase(vpn)
-	for w, v := range t.vpns[base : base+t.ways] {
-		if v == vpn {
-			i := base + w
-			t.lastVPN, t.lastIdx = vpn, i
-			t.used[i] = t.tick
-			return Entry{Frame: t.frames[i], NC: t.nc[i]}, true
-		}
-	}
-	return Entry{}, false
+	return t.entries[line], true
 }
 
 // Peek reports presence without perturbing LRU state.
 func (t *TLB) Peek(vpn uint64) (Entry, bool) {
-	base := t.setBase(vpn)
-	for w, v := range t.vpns[base : base+t.ways] {
-		if v == vpn {
-			i := base + w
-			return Entry{Frame: t.frames[i], NC: t.nc[i]}, true
-		}
+	line, ok := t.keys.Lookup(vpn)
+	if !ok {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	return t.entries[line], true
 }
 
 // Insert adds (or refreshes) a translation and returns any displaced
 // translation. Inserting an existing vpn overwrites it with no eviction.
 func (t *TLB) Insert(vpn uint64, e Entry) (evictedVPN uint64, evicted Entry, didEvict bool) {
-	t.tick++
-	base := t.setBase(vpn)
-	vi := -1
-	for w, v := range t.vpns[base : base+t.ways] {
-		if v == vpn {
-			i := base + w
-			t.frames[i] = e.Frame
-			t.nc[i] = e.NC
-			t.used[i] = t.tick
-			return 0, Entry{}, false
-		}
-		if v == invalidVPN && vi == -1 {
-			vi = w
-		}
+	_, victim, didEvict := t.keys.Access(vpn, false)
+	line := t.keys.Line()
+	if didEvict {
+		evictedVPN, evicted = victim.Addr, t.entries[line]
 	}
-	if vi == -1 {
-		vi = 0
-		for w := 1; w < t.ways; w++ {
-			if t.used[base+w] < t.used[base+vi] {
-				vi = w
-			}
-		}
-		i := base + vi
-		evictedVPN, evicted, didEvict = t.vpns[i], Entry{Frame: t.frames[i], NC: t.nc[i]}, true
-	}
-	i := base + vi
-	t.vpns[i] = vpn
-	t.frames[i] = e.Frame
-	t.nc[i] = e.NC
-	t.used[i] = t.tick
+	t.entries[line] = e
 	return evictedVPN, evicted, didEvict
 }
 
 // Invalidate drops vpn if present and reports whether it was.
 func (t *TLB) Invalidate(vpn uint64) bool {
-	base := t.setBase(vpn)
-	for w, v := range t.vpns[base : base+t.ways] {
-		if v == vpn {
-			i := base + w
-			t.vpns[i] = invalidVPN
-			t.frames[i] = 0
-			t.nc[i] = false
-			t.used[i] = 0
-			return true
-		}
+	line, ok := t.keys.Lookup(vpn)
+	if ok {
+		t.keys.Invalidate(vpn)
+		t.entries[line] = Entry{}
 	}
-	return false
+	return ok
 }
 
-// Update rewrites the entry for vpn in place (e.g. remapping CA→PA during a
-// shootdown) and reports whether vpn was present.
-func (t *TLB) Update(vpn uint64, e Entry) bool {
-	base := t.setBase(vpn)
-	for w, v := range t.vpns[base : base+t.ways] {
-		if v == vpn {
-			i := base + w
-			t.frames[i] = e.Frame
-			t.nc[i] = e.NC
-			return true
-		}
-	}
-	return false
-}
-
-// Each calls fn for every valid entry, in slot order. The callback must
+// Each calls fn for every valid entry, in line order. The callback must
 // not mutate the TLB.
 func (t *TLB) Each(fn func(key uint64, e Entry)) {
-	for i, v := range t.vpns {
-		if v != invalidVPN {
-			fn(v, Entry{Frame: t.frames[i], NC: t.nc[i]})
-		}
-	}
+	t.keys.Each(func(line, key uint64) { fn(key, t.entries[line]) })
 }
 
-// Occupancy returns the number of valid entries.
-func (t *TLB) Occupancy() int {
-	n := 0
-	for _, v := range t.vpns {
-		if v != invalidVPN {
-			n++
-		}
-	}
-	return n
-}
-
-// Flush invalidates everything.
-func (t *TLB) Flush() {
-	for i := range t.vpns {
-		t.vpns[i] = invalidVPN
-		t.frames[i] = 0
-		t.nc[i] = false
-		t.used[i] = 0
-	}
-}
-
-// Visit hands the TLB's checkpoint state to c: every slot's key, frame,
-// NC bit and recency stamp, the LRU clock and the same-page memo. Keys
-// cross one up, so an empty slot's all-ones sentinel is a single zero
-// byte. Geometry comes from construction: the slot count must match, and
-// a decoded memo slot must exist.
+// Visit hands the TLB's checkpoint state to c: the key array's (which
+// checks a decoded image as it checks any cache.Cache's), then each
+// valid line's frame and NC bit in line order. Empty lines carry no
+// entry, so a decoder clears the entries first.
 func (t *TLB) Visit(c *flat.Codec) {
-	c.Fixed(len(t.vpns), "TLB slots")
-	for i := range t.vpns {
-		v := t.vpns[i] + 1
-		c.U64(&v)
-		t.vpns[i] = v - 1
-		c.U64(&t.frames[i])
-		c.Bool(&t.nc[i])
-		c.U64(&t.used[i])
+	t.keys.Visit(c)
+	if c.Decoding() {
+		clear(t.entries)
 	}
-	c.U64(&t.tick)
-	c.U64(&t.lastVPN)
-	c.Int(&t.lastIdx)
-	if t.lastIdx < 0 || t.lastIdx >= len(t.vpns) {
-		c.Fail(fmt.Errorf("tlb: memo slot %d outside %d slots", t.lastIdx, len(t.vpns)))
-	}
+	t.keys.Each(func(line, _ uint64) {
+		c.U64(&t.entries[line].Frame)
+		c.Bool(&t.entries[line].NC)
+	})
 }
 
 // Hierarchy is one core's L1+L2 TLB pair, maintained inclusively: every L1
@@ -384,17 +255,6 @@ func (h *Hierarchy) Insert(vpn uint64, e Entry) {
 	h.L1.Insert(key, e)
 }
 
-// Contains reports whether vpn is resident anywhere in the hierarchy
-// without perturbing state.
-func (h *Hierarchy) Contains(vpn uint64) bool {
-	key := vpn | h.asidTag
-	if _, ok := h.L1.Peek(key); ok {
-		return true
-	}
-	_, ok := h.L2.Peek(key)
-	return ok
-}
-
 // Invalidate performs a shootdown of vpn from both levels and reports
 // whether it was present. OnEvict fires if it was — under the shared
 // topology on every member, since the translation leaves all of them at
@@ -408,17 +268,4 @@ func (h *Hierarchy) Invalidate(vpn uint64) bool {
 		h.notifyEvict(key, e)
 	}
 	return inL2
-}
-
-// Update rewrites vpn's entry in both levels (returns whether present in L2).
-func (h *Hierarchy) Update(vpn uint64, e Entry) bool {
-	key := vpn | h.asidTag
-	h.L1.Update(key, e)
-	return h.L2.Update(key, e)
-}
-
-// Flush clears both levels without firing OnEvict (power-on reset).
-func (h *Hierarchy) Flush() {
-	h.L1.Flush()
-	h.L2.Flush()
 }

@@ -1,6 +1,8 @@
 package tlb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +12,13 @@ import (
 
 func small() *TLB {
 	return New(config.TLBConfig{Entries: 8, Ways: 2}) // 4 sets x 2 ways
+}
+
+// occupancy counts the valid entries.
+func occupancy(tl *TLB) int {
+	n := 0
+	tl.Each(func(uint64, Entry) { n++ })
+	return n
 }
 
 func TestLookupMissThenHit(t *testing.T) {
@@ -53,8 +62,15 @@ func TestLRUEviction(t *testing.T) {
 	if _, ok := tl.Peek(0); !ok {
 		t.Fatal("MRU entry evicted")
 	}
-	if tl.Occupancy() != 2 {
-		t.Fatalf("occupancy = %d, want 2", tl.Occupancy())
+	if n := occupancy(tl); n != 2 {
+		t.Fatalf("occupancy = %d, want 2", n)
+	}
+	// Occupancy saturates at capacity.
+	for v := uint64(0); v < 20; v++ {
+		tl.Insert(v, Entry{Frame: v})
+	}
+	if n := occupancy(tl); n != 8 {
+		t.Fatalf("occupancy = %d, want 8 (capacity)", n)
 	}
 }
 
@@ -64,7 +80,7 @@ func TestPeekDoesNotPerturb(t *testing.T) {
 	if e, ok := tl.Peek(0); !ok || e.Frame != 1 {
 		t.Fatalf("peek = %+v,%v", e, ok)
 	}
-	if _, ok := tl.Peek(99); ok || tl.Occupancy() != 1 {
+	if _, ok := tl.Peek(99); ok || occupancy(tl) != 1 {
 		t.Fatal("peek of an absent vpn found or installed it")
 	}
 	// Peek must not refresh LRU: 0 inserted, then 4, so 0 stays the
@@ -79,44 +95,35 @@ func TestPeekDoesNotPerturb(t *testing.T) {
 	}
 }
 
+// TestInvalidateAndUpdate: Insert rewrites a present entry in place,
+// Invalidate drops it once, and a later Insert installs it afresh.
 func TestInvalidateAndUpdate(t *testing.T) {
 	tl := small()
 	tl.Insert(3, Entry{Frame: 7})
-	if !tl.Update(3, Entry{Frame: 9}) {
-		t.Fatal("update missed present entry")
-	}
-	e, _ := tl.Peek(3)
-	if e.Frame != 9 {
+	tl.Insert(3, Entry{Frame: 9})
+	if e, _ := tl.Peek(3); e.Frame != 9 {
 		t.Fatalf("frame = %d, want 9", e.Frame)
 	}
 	if !tl.Invalidate(3) {
 		t.Fatal("invalidate missed present entry")
 	}
+	if _, ok := tl.Lookup(3); ok {
+		t.Fatal("lookup hit an invalidated entry")
+	}
 	if tl.Invalidate(3) {
 		t.Fatal("double invalidate reported present")
 	}
-	if tl.Update(3, Entry{}) {
-		t.Fatal("update on absent entry reported present")
+	if _, _, evicted := tl.Insert(3, Entry{Frame: 11, NC: true}); evicted {
+		t.Fatal("reinsert into the freed line evicted")
 	}
-}
-
-func TestOccupancyAndFlush(t *testing.T) {
-	tl := small()
-	for v := uint64(0); v < 20; v++ {
-		tl.Insert(v, Entry{Frame: v})
-	}
-	if tl.Occupancy() != 8 {
-		t.Fatalf("occupancy = %d, want 8 (capacity)", tl.Occupancy())
-	}
-	tl.Flush()
-	if tl.Occupancy() != 0 {
-		t.Fatal("flush left entries")
+	if e, ok := tl.Peek(3); !ok || e.Frame != 11 || !e.NC || occupancy(tl) != 1 {
+		t.Fatalf("after reinsert: %+v,%v with %d entries", e, ok, occupancy(tl))
 	}
 }
 
 // TestFreshImageSize bounds an empty TLB's checkpoint image: an empty
-// slot costs one byte each for its vpn, frame, NC bit and stamp, plus a
-// small header (slot count, LRU clock, memo).
+// line costs one byte each for its key and its recency word and carries
+// no entry, plus a small header (line count, LRU clock, memo).
 func TestFreshImageSize(t *testing.T) {
 	cfg := config.Default().L2TLB
 	tl := New(cfg)
@@ -124,15 +131,61 @@ func TestFreshImageSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if max := 4*cfg.Entries + 16; len(img) > max {
+	if max := 2*cfg.Entries + 16; len(img) > max {
 		t.Fatalf("an empty %d-slot TLB renders %d bytes, want at most %d", cfg.Entries, len(img), max)
 	}
 	twin := New(cfg)
 	if err := flat.Decode(img, twin.Visit); err != nil {
 		t.Fatal(err)
 	}
-	if twin.Occupancy() != 0 {
-		t.Fatalf("the decoded empty image holds %d entries", twin.Occupancy())
+	if n := occupancy(twin); n != 0 {
+		t.Fatalf("the decoded empty image holds %d entries", n)
+	}
+}
+
+// TestVisitRefusesForgedImages: a decoded TLB must hold each key once,
+// in its own set, stamped no later than the clock. A real image of an
+// 8-entry, 2-way TLB holding keys 40 and 44 (set 0) is forged by a byte
+// edit to break each rule in turn: 44 becomes 40 (held twice) or 41 (of
+// set 1), or the clock becomes 1. Each must fail to decode, and the real
+// image must load. The keys cross one up, and their bytes and the
+// clock's are unique in the image.
+func TestVisitRefusesForgedImages(t *testing.T) {
+	cfg := config.TLBConfig{Entries: 8, Ways: 2}
+	real := New(cfg)
+	for i := 0; i < 300; i++ {
+		real.Insert(40, Entry{Frame: 9})
+	}
+	real.Insert(44, Entry{Frame: 10})
+	real.Insert(49, Entry{Frame: 11})
+	real.Invalidate(49) // the clock, 302, is no line's stamp
+	img, err := flat.Encode(nil, real.Visit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := New(cfg)
+	if err := flat.Decode(img, twin.Visit); err != nil {
+		t.Fatalf("the real image: %v", err)
+	}
+	if e, ok := twin.Peek(44); !ok || e.Frame != 10 || occupancy(twin) != 2 {
+		t.Fatalf("the real image decoded to key 44 %+v,%v with %d entries", e, ok, occupancy(twin))
+	}
+	edit := func(from, to []byte) []byte {
+		if n := bytes.Count(img, from); n != 1 {
+			t.Fatalf("bytes %x occur %d times in the image, want once", from, n)
+		}
+		return bytes.Replace(img, from, to, 1)
+	}
+	for name, forged := range map[string][]byte{
+		"key held twice":        edit([]byte{44 + 1}, []byte{40 + 1}),
+		"key of another set":    edit([]byte{44 + 1}, []byte{41 + 1}),
+		"stamp after the clock": edit(binary.AppendUvarint(nil, 302), []byte{1}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := flat.Decode(forged, New(cfg).Visit); err == nil {
+				t.Fatal("the forged image decoded")
+			}
+		})
 	}
 }
 
@@ -147,9 +200,9 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 
 func TestDefaultGeometry(t *testing.T) {
 	c := config.Default()
-	l1 := New(c.L1TLB)
-	if l1.nsets != 8 || l1.Config().Ways != 4 {
-		t.Fatalf("L1 TLB geometry: %d sets x %d ways", l1.nsets, l1.Config().Ways)
+	l1 := New(c.L1TLB).keys.Config()
+	if l1.Sets() != 8 || l1.Ways != 4 {
+		t.Fatalf("L1 TLB geometry: %d sets x %d ways", l1.Sets(), l1.Ways)
 	}
 }
 
@@ -162,6 +215,14 @@ func hier() *Hierarchy {
 	)
 }
 
+// contains reports whether vpn is resident in either level, without
+// perturbing state.
+func contains(h *Hierarchy, vpn uint64) bool {
+	_, inL1 := h.L1.Peek(vpn)
+	_, inL2 := h.L2.Peek(vpn)
+	return inL1 || inL2
+}
+
 func TestHierarchyLookupLevels(t *testing.T) {
 	h := hier()
 	if _, lvl := h.Lookup(9); lvl != MissAll {
@@ -171,8 +232,8 @@ func TestHierarchyLookupLevels(t *testing.T) {
 	if _, lvl := h.Lookup(9); lvl != InL1 {
 		t.Fatalf("level = %v, want L1", lvl)
 	}
-	// Evict 9 from tiny L1 by filling its set; it must remain in L2.
-	h.L1.Flush()
+	// Drop 9 from L1 alone; it must remain in L2.
+	h.L1.Invalidate(9)
 	e, lvl := h.Lookup(9)
 	if lvl != InL2 || e.Frame != 90 {
 		t.Fatalf("lookup = %+v at %v, want L2 hit", e, lvl)
@@ -195,7 +256,7 @@ func TestHierarchyInclusionOnL2Evict(t *testing.T) {
 		t.Fatalf("evicted = %v, want [0]", evicted)
 	}
 	// Inclusion: the evicted VPN must not linger in L1.
-	if h.Contains(0) {
+	if contains(h, 0) {
 		t.Fatal("evicted VPN still resident")
 	}
 }
@@ -211,37 +272,11 @@ func TestHierarchyInvalidate(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("OnEvict fired %d times, want 1", fired)
 	}
-	if h.Contains(7) {
+	if contains(h, 7) {
 		t.Fatal("still resident after shootdown")
 	}
 	if h.Invalidate(7) {
 		t.Fatal("double shootdown reported present")
-	}
-}
-
-func TestHierarchyUpdate(t *testing.T) {
-	h := hier()
-	h.Insert(5, Entry{Frame: 50})
-	if !h.Update(5, Entry{Frame: 51, NC: true}) {
-		t.Fatal("update missed")
-	}
-	e, lvl := h.Lookup(5)
-	if lvl == MissAll || e.Frame != 51 || !e.NC {
-		t.Fatalf("entry after update = %+v at %v", e, lvl)
-	}
-}
-
-func TestHierarchyFlushSilent(t *testing.T) {
-	h := hier()
-	fired := 0
-	h.OnEvict = func(uint64, Entry) { fired++ }
-	h.Insert(1, Entry{})
-	h.Flush()
-	if fired != 0 {
-		t.Fatal("flush fired OnEvict")
-	}
-	if h.Contains(1) {
-		t.Fatal("flush left entries")
 	}
 }
 
@@ -280,19 +315,19 @@ func TestHierarchyInclusionProperty(t *testing.T) {
 }
 
 // Property: OnEvict fires exactly once per departure — a VPN reported
-// evicted is no longer Contains()ed.
+// evicted is no longer resident.
 func TestHierarchyEvictConsistencyProperty(t *testing.T) {
 	f := func(vpns []uint8) bool {
 		h := hier()
 		ok := true
 		h.OnEvict = func(vpn uint64, e Entry) {
-			if h.Contains(vpn) {
+			if contains(h, vpn) {
 				ok = false
 			}
 		}
 		for _, v := range vpns {
 			h.Insert(uint64(v), Entry{Frame: uint64(v)})
-			if !h.Contains(uint64(v)) {
+			if !contains(h, uint64(v)) {
 				return false
 			}
 		}
